@@ -343,6 +343,13 @@ def build_parser():
     return parser
 
 
+def _check_numeric_options(args):
+    if args.precision < 1:
+        raise Rejection("--precision must be >= 1, got %d" % args.precision)
+    if args.depth < 0:
+        raise Rejection("--depth must be >= 0, got %d" % args.depth)
+
+
 def main(argv=None):
     parser = build_parser()
     try:
@@ -350,6 +357,7 @@ def main(argv=None):
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
+        _check_numeric_options(args)
         return run(args)
     except Rejection as exc:
         print("sponge: %s" % exc, file=sys.stderr)

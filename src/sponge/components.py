@@ -8,8 +8,10 @@ exact squared thresholds; no floating point enters any decision.
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt, lcm
 
-from .ifs import Box, Interval, UNIT, cylinder_box, major_projection, validate_lg
+from .ifs import (Box, IFSError, Interval, UNIT, cylinder_box,
+                  major_projection, validate_lg)
 from .tree import build_labeled_tree, fiber_ifs
 from .util import DEFAULT_CAP, ResourceCapError
 
@@ -40,22 +42,6 @@ def _point_dist_sq(p, q):
     return sum((a - b) * (a - b) for a, b in zip(p, q))
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[max(rx, ry)] = min(rx, ry)
-
-
 @dataclass(frozen=True)
 class ComponentPartition:
     delta_sq: Fraction
@@ -70,50 +56,143 @@ class ComponentPartition:
         return max(self.diam_sqs)
 
 
-def _normalize_objects(objects):
-    """Return (dist_sq, far_sq, n) callables over object indices."""
+def _integer_extents(objects):
+    """(den, extents): every object as a tuple of integer (lo, hi) pairs,
+    one per coordinate, over the common denominator den.  A point is a
+    box with lo == hi."""
     if isinstance(objects, PointSet):
         objects = objects.points
     objects = list(objects)
     if not objects:
         raise ComponentsError("components: empty object list")
     if isinstance(objects[0], Box):
-        dist = lambda i, j: objects[i].dist_sq(objects[j])
-        far = lambda i, j: objects[i].far_sq(objects[j])
+        sides = [[(Fraction(s.lo), Fraction(s.hi)) for s in b.sides]
+                 for b in objects]
     else:
-        pts = [tuple(p) for p in objects]
-        dist = lambda i, j: _point_dist_sq(pts[i], pts[j])
-        far = dist
-    return objects, dist, far
+        sides = [[(Fraction(x),) * 2 for x in p] for p in objects]
+    den = 1
+    for obj in sides:
+        for lo, hi in obj:
+            den = lcm(den, lo.denominator, hi.denominator)
+    extents = [tuple((lo.numerator * (den // lo.denominator),
+                      hi.numerator * (den // hi.denominator))
+                     for lo, hi in obj)
+               for obj in sides]
+    return den, extents
+
+
+def _far_sq(a, b):
+    """Squared max distance between points of two integer extents."""
+    total = 0
+    for (alo, ahi), (blo, bhi) in zip(a, b):
+        f = max(ahi - blo, bhi - alo)
+        total += f * f
+    return total
+
+
+class _SingleLinkage:
+    """Single linkage over exact integer squared gaps (Kruskal order).
+
+    The pairs within the largest threshold are scaled to integers and
+    sorted once; merge_to then unions them in ascending gap order, so one
+    pass answers every threshold up to that largest one.  Each block
+    carries its exact squared diameter, which only grows under merging.
+    """
+
+    def __init__(self, objects, max_delta_sq):
+        den, ext = _integer_extents(objects)
+        n = len(ext)
+        self.den_sq = den * den
+        self.n = n
+        self.ext = ext
+        limit = self._limit(max_delta_sq)
+        reach = isqrt(limit)
+        # sweep along the first coordinate: once the next box starts more
+        # than sqrt(limit) past the current one's end, so do all later ones
+        order = sorted(range(n), key=lambda i: ext[i][0][0])
+        keys = []
+        for pos, i in enumerate(order):
+            a = ext[i]
+            end = a[0][1] + reach
+            for j in order[pos + 1:]:
+                b = ext[j]
+                if b[0][0] > end:
+                    break
+                gap = 0
+                for (alo, ahi), (blo, bhi) in zip(a, b):
+                    g = blo - ahi if blo > ahi else alo - bhi
+                    if g > 0:
+                        gap += g * g
+                if gap <= limit:
+                    # one int per pair sorts as (gap, i, j)
+                    keys.append((gap * n + i) * n + j)
+        keys.sort()
+        self.keys = keys
+        self.next_key = 0
+        self.parent = list(range(n))
+        self.members = [[i] for i in range(n)]
+        self.diam = [_far_sq(e, e) for e in ext]
+        self.count = n
+        self.max_diam = max(self.diam)
+
+    def _limit(self, delta_sq):
+        """floor(delta_sq * den^2): exact, since every gap is an integer."""
+        delta_sq = Fraction(delta_sq)
+        return delta_sq.numerator * self.den_sq // delta_sq.denominator
+
+    def _find(self, x):
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def merge_to(self, delta_sq):
+        """Union every pair with squared gap <= delta_sq; thresholds must
+        come in ascending order and not exceed the constructor's."""
+        n = self.n
+        bound = (self._limit(delta_sq) + 1) * n * n
+        keys, k = self.keys, self.next_key
+        ext, members, diam = self.ext, self.members, self.diam
+        while k < len(keys) and keys[k] < bound:
+            rest, j = divmod(keys[k], n)
+            i = rest % n
+            k += 1
+            ri, rj = self._find(i), self._find(j)
+            if ri == rj:
+                continue
+            if len(members[ri]) < len(members[rj]):
+                ri, rj = rj, ri
+            big, small = members[ri], members[rj]
+            cross = max(_far_sq(ext[a], ext[b]) for a in big for b in small)
+            diam[ri] = max(diam[ri], diam[rj], cross)
+            big.extend(small)
+            members[rj] = None
+            self.parent[rj] = ri
+            self.count -= 1
+            if diam[ri] > self.max_diam:
+                self.max_diam = diam[ri]
+        self.next_key = k
+
+    def max_diam_sq(self):
+        return Fraction(self.max_diam, self.den_sq)
+
+    def partition(self, delta_sq):
+        roots = [r for r in range(self.n) if self.parent[r] == r]
+        blocks = sorted((tuple(sorted(self.members[r])), r) for r in roots)
+        return ComponentPartition(
+            delta_sq, tuple(b for b, _ in blocks),
+            tuple(Fraction(self.diam[r], self.den_sq) for _, r in blocks))
 
 
 def delta_components_sq(objects, delta_sq):
-    """Union-find closure of dist^2 <= delta_sq over the objects."""
+    """Blocks and exact squared diameters of the closure of
+    dist^2 <= delta_sq over the objects."""
     if delta_sq <= 0:
         raise ComponentsError("components: delta must be positive")
-    objects, dist_sq, far_sq = _normalize_objects(objects)
-    n = len(objects)
-    uf = _UnionFind(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if dist_sq(i, j) <= delta_sq:
-                uf.union(i, j)
-    groups = {}
-    for i in range(n):
-        groups.setdefault(uf.find(i), []).append(i)
-    blocks = sorted(groups.values(), key=lambda b: b[0])
-    diam_sqs = []
-    for block in blocks:
-        diam = Fraction(0)
-        if isinstance(objects[0], Box):
-            # a single box has the diameter of its own extent
-            diam = max(far_sq(i, j) for i in block for j in block if i <= j)
-        elif len(block) > 1:
-            diam = max(far_sq(i, j)
-                       for a, i in enumerate(block) for j in block[a + 1:])
-        diam_sqs.append(diam)
-    return ComponentPartition(delta_sq, tuple(tuple(b) for b in blocks),
-                              tuple(diam_sqs))
+    linkage = _SingleLinkage(objects, delta_sq)
+    linkage.merge_to(delta_sq)
+    return linkage.partition(delta_sq)
 
 
 def delta_components(objects, delta):
@@ -225,14 +304,27 @@ def component_diameter_profile(ifs, depth, deltas, cap=DEFAULT_CAP):
     if not validate_lg(ifs).lg_type:
         raise ComponentsError("components: input is not of Lalley-Gatzouras type")
     boxes = enumerate_cylinders(ifs, depth, cap)
-    rows = []
+    grid = []
     for delta in deltas:
         delta = Fraction(delta)
-        part = delta_components(boxes, delta)
-        mx = part.max_diam_sq()
+        if delta <= 0:
+            raise ComponentsError(
+                "components: delta must be positive, got %s" % delta)
+        grid.append(delta)
+    if not grid:
+        return []
+    # one pass over the distinct thresholds, smallest first
+    linkage = _SingleLinkage(boxes, max(grid) ** 2)
+    by_delta = {}
+    for delta in sorted(set(grid)):
+        linkage.merge_to(delta * delta)
+        by_delta[delta] = (linkage.count, linkage.max_diam_sq())
+    rows = []
+    for delta in grid:
+        count, mx = by_delta[delta]
         rows.append({
             "delta": delta,
-            "num_components": part.size,
+            "num_components": count,
             "max_diam_sq": mx,
             "ratio_sq": mx / (delta * delta),
         })
@@ -394,6 +486,9 @@ def approx_square(ifs, word, delta):
     if delta <= 0:
         raise ComponentsError("components: delta must be positive")
     word = tuple(word)
+    for e in word:
+        if not (1 <= e <= ifs.size):
+            raise IFSError("ifs: symbol %d out of range 1..%d" % (e, ifs.size))
     depths = []
     sides = []
     for j in range(ifs.dim):

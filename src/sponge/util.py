@@ -70,11 +70,6 @@ def sqrt_bracket(fr_sq, digits=12):
     return lo, hi
 
 
-def rational_sqrt_upper(fr_sq, digits=12):
-    """A rational upper bound for sqrt(fr_sq), tight to 10**-digits."""
-    return sqrt_bracket(fr_sq, digits)[1]
-
-
 def sqrt_leq_quad(r, p, q, s):
     """Exact test of sqrt(r) <= p + q*sqrt(s) for rationals r,s >= 0, p,q >= 0."""
     if r < 0 or s < 0 or p < 0 or q < 0:

@@ -67,6 +67,21 @@ def test_usage_error_exit(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["components", LG5, "--delta", "1/8", "--precision", "0"],
+    ["cantor", LG4, "--precision", "-3"],
+    ["cantor", LG4, "--depth=-1", "--check", "lipschitz"],
+    ["components", LG5, "--depth=-2", "--delta", "1/8"],
+    ["validate", LG5, "--depth=-1"],
+])
+def test_invalid_numeric_option_is_usage_error(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("sponge: --")
+
+
 def test_components_csv(capsys):
     code = main(["components", LG5, "--depth", "2", "--delta", "1/8",
                  "--delta", "1/16", "--format", "csv"])
@@ -99,6 +114,15 @@ def test_square(capsys):
     assert code == 0
     assert report["payload"]["depths"] == [3, 2]
     assert report["payload"]["box"] == [["0", "1/27"], ["0", "1/36"]]
+
+
+@pytest.mark.parametrize("word", ["0,0,0,0,0,0", "9"])
+def test_square_symbol_out_of_range(capsys, word):
+    assert main(["square", LG5, "--word", word, "--delta", "1/2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "sponge: ifs: symbol %s out of range 1..5\n" \
+        % word.split(",")[0]
 
 
 def test_cantor_rational_serialization(capsys):

@@ -2,8 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sponge import (AffineMap1D, ComponentsError, Interval, PointSet,
+from sponge import (AffineMap1D, Box, ComponentsError, Interval, PointSet,
                     PreconditionError, ResourceCapError, SimpleIFSFamily,
                     Vertex, approx_square, check_premoran_bound,
                     check_product_decomposition, check_union_bound,
@@ -12,7 +13,7 @@ from sponge import (AffineMap1D, ComponentsError, Interval, PointSet,
                     delta_components_sq, enumerate_cylinders,
                     interval_components, parse_ifs, pre_moran_intervals)
 
-from conftest import random_point_set, random_simple_labels
+from conftest import random_lg_system, random_point_set, random_simple_labels
 
 
 def F(s, d=None):
@@ -283,3 +284,166 @@ def test_interval_components_match_generic():
         part = delta_components([Box((iv,)) for iv in ivs], delta)
         assert blocks == part.blocks
         assert tuple(d * d for d in diams) == part.diam_sqs
+
+
+# Differential oracle: the per-threshold Fraction union-find that the
+# integer single-linkage kernel replaced.  Every pair is tested in exact
+# rationals, then each block's diameter is the max over its pairs.
+
+class _OracleUnionFind:
+    def __init__(self, n):
+        self.parent = list(range(n))
+
+    def find(self, x):
+        while self.parent[x] != x:
+            self.parent[x] = self.parent[self.parent[x]]
+            x = self.parent[x]
+        return x
+
+    def union(self, x, y):
+        rx, ry = self.find(x), self.find(y)
+        if rx != ry:
+            self.parent[max(rx, ry)] = min(rx, ry)
+
+
+def _oracle_point_dist_sq(p, q):
+    return sum((a - b) * (a - b) for a, b in zip(p, q))
+
+
+def _oracle_components_sq(objects, delta_sq):
+    """(blocks, diam_sqs) of the closure of dist^2 <= delta_sq."""
+    if isinstance(objects, PointSet):
+        objects = objects.points
+    objects = list(objects)
+    if isinstance(objects[0], Box):
+        dist_sq = lambda i, j: objects[i].dist_sq(objects[j])
+        far_sq = lambda i, j: objects[i].far_sq(objects[j])
+    else:
+        pts = [tuple(p) for p in objects]
+        dist_sq = lambda i, j: _oracle_point_dist_sq(pts[i], pts[j])
+        far_sq = dist_sq
+    n = len(objects)
+    uf = _OracleUnionFind(n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if dist_sq(i, j) <= delta_sq:
+                uf.union(i, j)
+    groups = {}
+    for i in range(n):
+        groups.setdefault(uf.find(i), []).append(i)
+    blocks = sorted(groups.values(), key=lambda b: b[0])
+    diam_sqs = []
+    for block in blocks:
+        diam = Fraction(0)
+        if isinstance(objects[0], Box):
+            # a single box has the diameter of its own extent
+            diam = max(far_sq(i, j) for i in block for j in block if i <= j)
+        elif len(block) > 1:
+            diam = max(far_sq(i, j)
+                       for a, i in enumerate(block) for j in block[a + 1:])
+        diam_sqs.append(diam)
+    return tuple(tuple(b) for b in blocks), tuple(diam_sqs)
+
+
+def _oracle_gaps(objects):
+    """Every positive pairwise squared gap, for thresholds that touch."""
+    if isinstance(objects[0], Box):
+        gap = lambda a, b: a.dist_sq(b)
+    else:
+        gap = _oracle_point_dist_sq
+    return sorted({gap(a, b) for k, a in enumerate(objects)
+                   for b in objects[k + 1:]} - {0})
+
+
+rationals = st.builds(Fraction, st.integers(0, 24), st.integers(1, 12))
+
+
+@st.composite
+def boxes_or_points(draw):
+    dim = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 7))
+    if draw(st.booleans()):
+        return [tuple(draw(rationals) for _ in range(dim)) for _ in range(n)]
+    boxes = []
+    for _ in range(n):
+        sides = []
+        for _ in range(dim):
+            lo, length = draw(rationals), draw(rationals)
+            sides.append(Interval(lo, lo + length))
+        boxes.append(Box(tuple(sides)))
+    return boxes
+
+
+@st.composite
+def thresholds(draw, objects):
+    """A squared threshold: a pairwise gap (touching) or any rational,
+    which is in general not a square."""
+    gaps = _oracle_gaps(objects)
+    if gaps and draw(st.booleans()):
+        return draw(st.sampled_from(gaps))
+    return draw(st.builds(Fraction, st.integers(1, 200), st.integers(1, 60)))
+
+
+@given(st.data())
+def test_delta_components_sq_matches_oracle(data):
+    objects = data.draw(boxes_or_points())
+    delta_sq = data.draw(thresholds(objects))
+    if not isinstance(objects[0], Box) and data.draw(st.booleans()):
+        objects = PointSet(tuple(objects))
+    part = delta_components_sq(objects, delta_sq)
+    blocks, diam_sqs = _oracle_components_sq(objects, delta_sq)
+    assert part.delta_sq == delta_sq
+    assert part.blocks == blocks
+    assert part.diam_sqs == diam_sqs
+    assert part.size == len(blocks)
+    assert part.max_diam_sq() == max(diam_sqs)
+
+
+def _touching_deltas(boxes):
+    """Thresholds delta whose square is exactly some pair's gap: pairs
+    apart in a single coordinate."""
+    out = set()
+    for k, a in enumerate(boxes):
+        for b in boxes[k + 1:]:
+            gaps = [g for g in (s.gap_to(t) for s, t in zip(a.sides, b.sides))
+                    if g > 0]
+            if len(gaps) == 1:
+                out.add(gaps[0])
+    return sorted(out)
+
+
+@settings(max_examples=40)
+@given(st.integers(0, 10 ** 6), st.integers(1, 3), st.data())
+def test_profile_rows_match_oracle(seed, depth, data):
+    ifs = random_lg_system(random.Random(seed))
+    boxes = enumerate_cylinders(ifs, depth)
+    pool = [F(1, 2 ** k) for k in range(7)] + [F(1, 3), F(2, 7)]
+    pool += _touching_deltas(boxes)
+    # duplicates and any order, as a caller may pass them
+    grid = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
+    rows = component_diameter_profile(ifs, depth, grid)
+    assert [r["delta"] for r in rows] == grid
+    oracle = {d: _oracle_components_sq(boxes, d * d) for d in set(grid)}
+    for row in rows:
+        delta = row["delta"]
+        blocks, diam_sqs = oracle[delta]
+        assert row["num_components"] == len(blocks)
+        assert row["max_diam_sq"] == max(diam_sqs)
+        assert row["ratio_sq"] == max(diam_sqs) / (delta * delta)
+
+
+def test_profile_empty_grid(lg5):
+    assert component_diameter_profile(lg5, 2, []) == []
+
+
+def test_profile_error_order(lg5):
+    not_lg = parse_ifs("dim 2\nmap 1/2 0 ; 1/3 0\nmap 1/2 1/4 ; 1/3 1/3\n")
+    with pytest.raises(ComponentsError, match="depth"):
+        component_diameter_profile(not_lg, 0, [F(0)])
+    with pytest.raises(ComponentsError, match="Lalley-Gatzouras"):
+        component_diameter_profile(not_lg, 9, [F(0)], cap=1000)
+    with pytest.raises(ResourceCapError):
+        component_diameter_profile(lg5, 9, [F(0)], cap=1000)
+    with pytest.raises(ComponentsError,
+                       match="delta must be positive, got -1/8"):
+        component_diameter_profile(lg5, 2, [F(1, 8), F(-1, 8), F(0)])
