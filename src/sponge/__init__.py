@@ -7,11 +7,11 @@ the decision rests on.
 """
 
 from .ifs import (AffineMap1D, Box, DiagonalAffineMap, IFSError, Interval,
-                  ParseError, SpongeIFS, ValidationReport, cylinder_box,
-                  fixed_point, major_projection, parse_ifs, serialize_ifs,
-                  validate_lg, width)
+                  ParseError, SpongeIFS, ValidationReport, compose_words,
+                  cylinder_box, fixed_point, major_projection, parse_ifs,
+                  serialize_ifs, validate_lg, width)
 from .tree import (FiberIFS, LabeledTree, TreeError, Vertex, all_fiber_ifs,
-                   build_labeled_tree, fiber_ifs)
+                   build_labeled_tree, fiber_ifs, last_coordinate_fibers)
 from .classify import (AT_LEAST_ONE, Classification, ClassifyError,
                        EXACTLY_ONE, SubsystemF0, ZERO,
                        attractor_is_unit_interval, classify,

@@ -11,11 +11,11 @@ verified by exact arithmetic, with decimals only in reports.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .classify import EXACTLY_ONE, classify
-from .ifs import SpongeIFS, fixed_point
-from .util import DEFAULT_CAP, ResourceCapError, quad_leq, sqrt_leq_quad
+from .ifs import SpongeIFS, compose_words, fixed_point
+from .util import (DEFAULT_CAP, ResourceCapError, common_denominator,
+                   quad_leq, sqrt_leq_quad)
 
 
 class CantorError(Exception):
@@ -186,13 +186,6 @@ class CantorTree:
                 nxt.extend(word + (j,) for j in range(m))
             frontier = nxt
 
-    def words(self, depth):
-        """All words of length exactly `depth`, lexicographic."""
-        words = [()]
-        for _ in range(depth):
-            words = [w + (j,) for w in words for j in range(self.sys.m)]
-        return words
-
 
 def build_cantor_tree(sys, constants, depth, cap=DEFAULT_CAP):
     return CantorTree(sys, constants, depth, cap)
@@ -245,52 +238,7 @@ class RatioReport:
         return self.lower_ok and self.upper_ok
 
 
-def _pair_extremes(args):
-    """Extremes of duv^2/dist2 over a row range of the pair grid.
-
-    Returns None when an identified coding pair (dist 0) disagrees in
-    the model; otherwise (min_n, min_d, max_n, max_d, pairs, skipped).
-    """
-    X, Y, U, V, d, start, stop = args
-    min_n = min_d = max_n = max_d = None
-    pairs = 0
-    skipped = 0
-    n_words = len(X)
-    for ia in range(start, stop):
-        xa = X[ia]
-        ua = U[ia]
-        for ib in range(n_words):
-            yb = Y[ib]
-            dist2 = 0
-            for i in range(d):
-                t = xa[i] - yb[i]
-                dist2 += t * t
-            if dist2 == 0:
-                if ua != V[ib]:
-                    return None
-                skipped += 1
-                continue
-            duv = ua - V[ib]
-            num = duv * duv
-            pairs += 1
-            if min_n is None or num * min_d < min_n * dist2:
-                min_n, min_d = num, dist2
-            if max_n is None or num * max_d > max_n * dist2:
-                max_n, max_d = num, dist2
-    return min_n, min_d, max_n, max_d, pairs, skipped
-
-
-def _all_words(m, depth):
-    words = [()]
-    frontier = [()]
-    for _ in range(depth):
-        frontier = [w + (j,) for w in frontier for j in range(m)]
-        words.extend(frontier)
-    return words
-
-
-def bilipschitz_check(sys, constants, depth, lip=None, cap=DEFAULT_CAP,
-                      workers=1):
+def bilipschitz_check(sys, constants, depth, lip=None, cap=DEFAULT_CAP):
     """Envelope check over the canonical dense pair family.
 
     Enumerates x = phi_alpha(a), y = phi_beta(b) for all words of length
@@ -300,73 +248,46 @@ def bilipschitz_check(sys, constants, depth, lip=None, cap=DEFAULT_CAP,
     if lip is None:
         lip = lipschitz_constants(sys, constants)
     tree = CantorTree(sys, constants, 0, cap)
-    words = _all_words(sys.m, depth)
-    if len(words) ** 2 > cap * 40:
-        raise ResourceCapError("cantor", len(words) ** 2, cap * 40)
+    lengths = range(max(depth, 0) + 1)
+    n_words = sum(sys.m ** n for n in lengths)
+    if n_words ** 2 > cap * 40:
+        raise ResourceCapError("cantor", n_words ** 2, cap * 40)
     d = sys.dim
-    xs, ys, us, vs = [], [], [], []
-    for w in words:
-        mp = None
-        for j in w:
-            mj = sys.base.maps[j]
-            mp = mj if mp is None else mp.compose(mj)
-        xs.append(sys.a if mp is None else mp(sys.a))
-        ys.append(sys.b if mp is None else mp(sys.b))
-        lo, hi = tree.interval(w)
-        us.append(lo)
-        vs.append(hi)
+    coords, ends = [], []
+    for n in lengths:
+        for w, mp in compose_words(sys.base.maps, n):
+            coords.extend(sys.a if mp is None else mp(sys.a))
+            coords.extend(sys.b if mp is None else mp(sys.b))
+            ends.extend(tree.interval(w))
     # scale to integers for the pair loop
-    denoms = [1] * d
-    for pt in xs:
-        for i in range(d):
-            denoms[i] = lcm(denoms[i], pt[i].denominator)
-    for pt in ys:
-        for i in range(d):
-            denoms[i] = lcm(denoms[i], pt[i].denominator)
-    M = 1
-    for q in denoms:
-        M = lcm(M, q)
-    weights = [(M // q) ** 2 for q in denoms]
-    du = 1
-    for x in us:
-        du = lcm(du, x.denominator)
-    for x in vs:
-        du = lcm(du, x.denominator)
-    X = [[int(pt[i] * denoms[i]) * (M // denoms[i]) for i in range(d)]
-         for pt in xs]
-    Y = [[int(pt[i] * denoms[i]) * (M // denoms[i]) for i in range(d)]
-         for pt in ys]
-    U = [int(x * du) for x in us]
-    V = [int(x * du) for x in vs]
-    # ratio^2 = (duv^2 / du^2) / (dist2num / M^2); track duv^2/dist2num
-    n_words = len(words)
-    workers = max(1, int(workers))
-    bounds = [n_words * k // workers for k in range(workers + 1)]
-    chunks = [(X, Y, U, V, d, bounds[k], bounds[k + 1])
-              for k in range(workers) if bounds[k] < bounds[k + 1]]
-    if workers > 1 and len(chunks) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_pair_extremes, chunks))
-    else:
-        results = [_pair_extremes(c) for c in chunks]
-    # deterministic reduction in chunk order
+    M, coords = common_denominator(coords)
+    du, ends = common_denominator(ends)
+    X = [coords[k:k + d] for k in range(0, len(coords), 2 * d)]
+    Y = [coords[k:k + d] for k in range(d, len(coords), 2 * d)]
+    U, V = ends[0::2], ends[1::2]
+    # ratio^2 = (duv^2 / du^2) / (dist2 / M^2); track duv^2/dist2
     min_n = min_d = max_n = max_d = None
     pairs = 0
     skipped = 0
-    for res in results:
-        if res is None:
-            raise CantorError("cantor: identified codings map to distinct "
-                              "model points")
-        c_min_n, c_min_d, c_max_n, c_max_d, c_pairs, c_skipped = res
-        pairs += c_pairs
-        skipped += c_skipped
-        if c_min_n is None:
-            continue
-        if min_n is None or c_min_n * min_d < min_n * c_min_d:
-            min_n, min_d = c_min_n, c_min_d
-        if max_n is None or c_max_n * max_d > max_n * c_max_d:
-            max_n, max_d = c_max_n, c_max_d
+    for xa, ua in zip(X, U):
+        for yb, vb in zip(Y, V):
+            dist2 = 0
+            for i in range(d):
+                t = xa[i] - yb[i]
+                dist2 += t * t
+            if dist2 == 0:
+                if ua != vb:
+                    raise CantorError("cantor: identified codings map to "
+                                      "distinct model points")
+                skipped += 1
+                continue
+            duv = ua - vb
+            num = duv * duv
+            pairs += 1
+            if min_n is None or num * min_d < min_n * dist2:
+                min_n, min_d = num, dist2
+            if max_n is None or num * max_d > max_n * dist2:
+                max_n, max_d = num, dist2
     scale = Fraction(M * M, du * du)
     min_ratio_sq = Fraction(min_n, min_d) * scale
     max_ratio_sq = Fraction(max_n, max_d) * scale

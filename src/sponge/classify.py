@@ -10,7 +10,7 @@ cardinality, all deeper fibers singletons).
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ifs import SpongeIFS, fixed_point
+from .ifs import DiagonalAffineMap, SpongeIFS, fixed_point
 from .tree import TreeError, Vertex, build_labeled_tree, fiber_ifs
 
 ZERO = "Zero"
@@ -116,7 +116,6 @@ def line_segment_witness(ifs, witness):
     fib = fiber_ifs(tree, witness)
     if not attractor_is_unit_interval(fib):
         raise ClassifyError("classify: witness fiber does not tile [0,1]")
-    from .ifs import DiagonalAffineMap
     x0 = fixed_point(DiagonalAffineMap(witness.projected_map)) \
         if witness.rank > 0 else ()
     return x0, ifs.dim
@@ -138,7 +137,6 @@ def extract_special_subsystem(ifs, witness):
         raise ClassifyError("classify: %s" % exc)
     if not attractor_is_unit_interval(fib):
         raise ClassifyError("classify: witness fiber does not tile [0,1]")
-    from .ifs import DiagonalAffineMap
     sub_maps = []
     for h in fib.labels:
         for m in ifs.maps:

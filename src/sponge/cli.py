@@ -4,12 +4,13 @@ Exit codes: 0 success, 1 usage or parse error, 2 validation rejection,
 3 resource-cap abort.  Diagnostics go to stderr; report output is the
 only thing written to stdout.  JSON reports use sorted keys and carry a
 digest over everything except the timing field, so identical inputs and
-configuration yield identical digests across runs and worker counts.
+configuration yield identical digests across runs.
 """
 
 import argparse
 import hashlib
 import json
+import re
 import sys
 import time
 from fractions import Fraction
@@ -22,7 +23,7 @@ from .components import (ComponentsError, PreconditionError, SimpleIFSFamily,
                          approx_square, check_product_decomposition,
                          component_diameter_profile, pre_moran_intervals)
 from .ifs import IFSError, ParseError, parse_ifs, validate_lg
-from .tree import TreeError, build_labeled_tree, fiber_ifs
+from .tree import TreeError, build_labeled_tree, last_coordinate_fibers
 from .util import (DEFAULT_CAP, ResourceCapError, decimal_str, frac_str,
                    parse_fraction, sqrt_bracket, sqrt_decimal_str)
 
@@ -72,7 +73,8 @@ def _parse_word(text):
 def _payload_validate(ifs, args):
     report = validate_lg(ifs)
     payload = {
-        "contraction_ok": report.contraction_ok,
+        # always true (ratios outside (0,1) fail to parse); kept for the digest
+        "contraction_ok": True,
         "unit_cube_ok": report.unit_cube_ok,
         "coordinate_ordering_ok": report.coordinate_ordering_ok,
         "neat_projection_ok": report.neat_projection_ok,
@@ -138,9 +140,7 @@ def _payload_components(ifs, args):
 
 
 def _fiber_family(ifs):
-    tree = build_labeled_tree(ifs)
-    fibers = [fiber_ifs(tree, v) for v in tree.levels[ifs.dim - 1]]
-    return SimpleIFSFamily(fibers)
+    return SimpleIFSFamily(last_coordinate_fibers(build_labeled_tree(ifs)))
 
 
 def _payload_premoran(ifs, args):
@@ -191,7 +191,7 @@ def _payload_cantor(ifs, args):
         payload["tree_depth_checked"] = min(args.depth, 5)
     if check in ("lipschitz", "all"):
         rep = bilipschitz_check(sys_, consts, min(args.depth, 4), lip=lip,
-                                cap=args.cap, workers=args.workers)
+                                cap=args.cap)
         payload["lipschitz"] = {
             "pairs": rep.pairs,
             "skipped": rep.skipped,
@@ -339,7 +339,6 @@ def build_parser():
     parser.add_argument("--word", help="comma- or space-separated indices")
     parser.add_argument("--check", choices=["tree", "lipschitz", "binary",
                                             "all"])
-    parser.add_argument("--workers", type=int, default=1)
     return parser
 
 
@@ -350,10 +349,25 @@ def _check_numeric_options(args):
         raise Rejection("--depth must be >= 0, got %d" % args.depth)
 
 
+def _attach_negative_values(argv):
+    """Join '--opt -1/8' into '--opt=-1/8': argparse takes a value such as
+    -1/8 or -1,2 for an option, not a negative number."""
+    out = []
+    for tok in argv:
+        prev = out[-1] if out else ""
+        if (re.match(r"-\d", tok) and prev.startswith("--") and "=" not in prev
+                and not "--help".startswith(prev)):
+            out[-1] = prev + "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None):
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_values(argv))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:

@@ -5,15 +5,14 @@ All connectivity predicates compare exact squared distances against
 exact squared thresholds; no floating point enters any decision.
 """
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from math import isqrt
 
-from .ifs import (Box, IFSError, Interval, UNIT, cylinder_box,
+from .ifs import (Box, IFSError, Interval, UNIT, compose_words,
                   major_projection, validate_lg)
-from .tree import build_labeled_tree, fiber_ifs
-from .util import DEFAULT_CAP, ResourceCapError
+from .tree import build_labeled_tree, last_coordinate_fibers
+from .util import DEFAULT_CAP, ResourceCapError, common_denominator
 
 
 class ComponentsError(Exception):
@@ -66,18 +65,13 @@ def _integer_extents(objects):
     if not objects:
         raise ComponentsError("components: empty object list")
     if isinstance(objects[0], Box):
-        sides = [[(Fraction(s.lo), Fraction(s.hi)) for s in b.sides]
-                 for b in objects]
+        ends = [v for b in objects for s in b.sides for v in (s.lo, s.hi)]
     else:
-        sides = [[(Fraction(x),) * 2 for x in p] for p in objects]
-    den = 1
-    for obj in sides:
-        for lo, hi in obj:
-            den = lcm(den, lo.denominator, hi.denominator)
-    extents = [tuple((lo.numerator * (den // lo.denominator),
-                      hi.numerator * (den // hi.denominator))
-                     for lo, hi in obj)
-               for obj in sides]
+        ends = [v for p in objects for x in p for v in (x, x)]
+    den, ends = common_denominator(ends)
+    step = len(ends) // len(objects)
+    extents = [tuple(zip(ends[k:k + step:2], ends[k + 1:k + step:2]))
+               for k in range(0, len(ends), step)]
     return den, extents
 
 
@@ -285,15 +279,21 @@ def delta0_sequence_exists_sq(points, delta0_sq):
     return False, None
 
 
+def _cylinder_sides(ifs, depth):
+    """(word, sides) of every depth-n cylinder box, lexicographic; words
+    are 0-based."""
+    if depth == 0:
+        return [((), (UNIT,) * ifs.dim)]
+    return [(w, tuple(c.image() for c in comp.coords))
+            for w, comp in compose_words(ifs.maps, depth)]
+
+
 def enumerate_cylinders(ifs, depth, cap=DEFAULT_CAP):
     """All depth-n cylinder boxes, in lexicographic word order."""
     count = ifs.size ** depth
     if count > cap:
         raise ResourceCapError("components", count, cap)
-    boxes = []
-    for word in itertools.product(range(1, ifs.size + 1), repeat=depth):
-        boxes.append(cylinder_box(ifs, word))
-    return boxes
+    return [Box(sides) for _, sides in _cylinder_sides(ifs, depth)]
 
 
 def component_diameter_profile(ifs, depth, deltas, cap=DEFAULT_CAP):
@@ -381,6 +381,16 @@ class PreMoranSet:
     intervals: tuple  # sorted by left endpoint
 
 
+def _apply_labels(label_sets):
+    """Basic intervals of G_1 o ... o G_k([0,1]) for label sets G_j, in
+    the order of the outermost label first."""
+    intervals = [UNIT]
+    for labels in reversed(label_sets):
+        intervals = [Interval(g(iv.lo), g(iv.hi))
+                     for g in labels for iv in intervals]
+    return intervals
+
+
 def pre_moran_intervals(family, word, cap=DEFAULT_CAP):
     """Basic intervals of F_{i_1} o ... o F_{i_k}([0,1]), sorted."""
     word = tuple(word)
@@ -393,11 +403,7 @@ def pre_moran_intervals(family, word, cap=DEFAULT_CAP):
         count *= family.counts[i - 1]
         if count > cap:
             raise ResourceCapError("components", count, cap)
-    intervals = [UNIT]
-    for i in reversed(word):
-        labels = family.members[i - 1]
-        intervals = [Interval(g(iv.lo), g(iv.hi))
-                     for g in labels for iv in intervals]
+    intervals = _apply_labels([family.members[i - 1] for i in word])
     intervals.sort(key=lambda iv: iv.lo)
     return PreMoranSet(family, word, tuple(intervals))
 
@@ -516,20 +522,12 @@ def check_product_decomposition(ifs, k, cap=DEFAULT_CAP):
     (fiber pre-Moran interval) products, as exact box sets."""
     if ifs.dim < 2:
         raise ComponentsError("components: product decomposition needs d >= 2")
-    if ifs.size ** k > cap:
-        raise ResourceCapError("components", ifs.size ** k, cap)
     lhs = set(enumerate_cylinders(ifs, k, cap))
     proj = major_projection(ifs, ifs.dim - 1)
     tree = build_labeled_tree(ifs)
-    fibers = [fiber_ifs(tree, v) for v in tree.levels[ifs.dim - 1]]
+    fibers = [f.labels for f in last_coordinate_fibers(tree)]
     rhs = set()
-    for word in itertools.product(range(1, proj.size + 1), repeat=k):
-        base = cylinder_box(proj, word)
-        intervals = [UNIT]
-        for i in reversed(word):
-            labels = fibers[i - 1].labels
-            intervals = [Interval(g(iv.lo), g(iv.hi))
-                         for g in labels for iv in intervals]
-        for iv in intervals:
-            rhs.add(Box(base.sides + (iv,)))
+    for word, base in _cylinder_sides(proj, k):
+        for iv in _apply_labels([fibers[j] for j in word]):
+            rhs.add(Box(base + (iv,)))
     return lhs == rhs

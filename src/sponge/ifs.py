@@ -170,7 +170,6 @@ def unit_cube(dim):
 
 @dataclass(frozen=True)
 class ValidationReport:
-    contraction_ok: bool
     unit_cube_ok: bool
     coordinate_ordering_ok: bool
     neat_projection_ok: bool
@@ -178,8 +177,8 @@ class ValidationReport:
 
     @property
     def lg_type(self):
-        return (self.contraction_ok and self.unit_cube_ok
-                and self.coordinate_ordering_ok and self.neat_projection_ok)
+        return (self.unit_cube_ok and self.coordinate_ordering_ok
+                and self.neat_projection_ok)
 
 
 def parse_ifs(text):
@@ -248,16 +247,15 @@ def serialize_ifs(ifs):
 
 
 def validate_lg(ifs):
-    """Check the Lalley-Gatzouras conditions; failures are reported, not thrown."""
+    """Check the Lalley-Gatzouras conditions; failures are reported, not thrown.
+
+    Contraction needs no check here: AffineMap1D rejects ratios outside (0,1).
+    """
     violations = []
-    contraction_ok = True
     unit_cube_ok = True
     ordering_ok = True
     for k, m in enumerate(ifs.maps, start=1):
         for i, c in enumerate(m.coords, start=1):
-            if not (0 < c.ratio < 1):
-                contraction_ok = False
-                violations.append(("contraction", (k, i)))
             if not c.unit_preserving():
                 unit_cube_ok = False
                 violations.append(("unit_cube", (k, i)))
@@ -274,8 +272,8 @@ def validate_lg(ifs):
                 if boxes[i].open_intersects(boxes[j]):
                     neat_ok = False
                     violations.append(("neat_projection", (i + 1, j + 1, ell)))
-    return ValidationReport(contraction_ok, unit_cube_ok, ordering_ok,
-                            neat_ok, tuple(violations))
+    return ValidationReport(unit_cube_ok, ordering_ok, neat_ok,
+                            tuple(violations))
 
 
 def major_projection(ifs, ell):
@@ -308,6 +306,21 @@ def cylinder_box(ifs, word):
     sides = tuple(Interval(c(s.lo), c(s.hi))
                   for c, s in zip(current.coords, box.sides))
     return Box(sides)
+
+
+def compose_words(maps, n):
+    """The words of length n over `maps`, lexicographic, as (word,
+    composition) pairs: word is a tuple of 0-based indices and composition
+    is maps[w1] o ... o maps[wn], or None for the empty word.
+
+    Each level extends the previous level's compositions, so every word
+    costs one compose.
+    """
+    level = [((), None)]
+    for _ in range(n):
+        level = [(w + (j,), m if c is None else c.compose(m))
+                 for w, c in level for j, m in enumerate(maps)]
+    return level
 
 
 def fixed_point(diag_map):

@@ -70,10 +70,6 @@ class LabeledTree:
     def children(self, vertex):
         return tuple(self._children.get(vertex, ()))
 
-    def vertices(self):
-        for level in self.levels:
-            yield from level
-
 
 def build_labeled_tree(ifs):
     """Build the labeled tree; rejects systems failing LG validation."""
@@ -105,6 +101,12 @@ def fiber_ifs(tree, vertex):
     if not kids:
         raise TreeError("tree: vertex not in tree")
     return FiberIFS(vertex, tuple(label for label, _ in kids))
+
+
+def last_coordinate_fibers(tree):
+    """The fiber IFS' of the rank d-1 vertices, in level order: the
+    last-coordinate labels of the maps."""
+    return [fiber_ifs(tree, v) for v in tree.levels[tree.dim - 1]]
 
 
 def all_fiber_ifs(tree):

@@ -8,7 +8,7 @@ with rational p, q, s and compared by repeated squaring.
 
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 
 def parse_fraction(text):
@@ -21,6 +21,14 @@ def parse_fraction(text):
             raise ValueError("zero denominator in %r" % text)
         return Fraction(int(num), d)
     return Fraction(int(text))
+
+
+def common_denominator(values):
+    """(den, ints): the rationals as integers over their least common
+    denominator, values[k] == ints[k] / den."""
+    values = [Fraction(v) for v in values]
+    den = lcm(*(v.denominator for v in values))
+    return den, [v.numerator * (den // v.denominator) for v in values]
 
 
 def frac_str(fr):

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -84,7 +85,11 @@ def test_j_sigma_bound(sys4):
 def test_tree_depth3_lg4(sys4):
     sys_, consts = sys4
     tree = build_cantor_tree(sys_, consts, 3)
-    assert len(tree.words(3)) == 64
+    # depth-3 intervals lie left to right in lexicographic word order
+    words = itertools.product(range(sys_.m), repeat=3)
+    ivs = [tree.interval(w) for w in words]
+    assert len(ivs) == 64
+    assert all(a[1] <= b[0] for a, b in zip(ivs, ivs[1:]))
     # construction already additivity-checks every internal node
     lo, hi = tree.interval(())
     assert (lo, hi) == (F(0), F(613, 73))
@@ -134,6 +139,16 @@ def test_bilipschitz_lg4_depth3(sys4):
     assert rep.max_ratio_sq == F(45846441, 181186)
 
 
+def test_bilipschitz_lg4_depth4(sys4):
+    sys_, consts = sys4
+    rep = bilipschitz_check(sys_, consts, 4)
+    assert rep.passed
+    assert rep.pairs == 116281
+    assert rep.skipped == 0
+    assert rep.min_ratio_sq == F(2917264, 1369553)
+    assert rep.max_ratio_sq == F(45846441, 181186)
+
+
 def test_bilipschitz_root_pair(sys4):
     # alpha = beta = empty: ratio is L / |a - b|, inside the envelope
     sys_, consts = sys4
@@ -141,14 +156,6 @@ def test_bilipschitz_root_pair(sys4):
     ratio_sq = consts.L ** 2 / lip.radicand
     assert ratio_sq * lip.c1_sq >= 1
     assert sqrt_leq_quad(ratio_sq, lip.C0_p, lip.C0_q, lip.radicand)
-
-
-def test_bilipschitz_workers_agree(sys4):
-    sys_, consts = sys4
-    rep1 = bilipschitz_check(sys_, consts, 2, workers=1)
-    rep8 = bilipschitz_check(sys_, consts, 2, workers=8)
-    assert (rep1.min_ratio_sq, rep1.max_ratio_sq, rep1.pairs) == \
-        (rep8.min_ratio_sq, rep8.max_ratio_sq, rep8.pairs)
 
 
 def test_identified_codings_skipped():

@@ -125,6 +125,27 @@ def test_square_symbol_out_of_range(capsys, word):
         % word.split(",")[0]
 
 
+@pytest.mark.parametrize("head, option, value, tail, err", [
+    (["components", LG5, "--depth", "2"], "--delta", "-1/8", [],
+     "sponge: components: delta must be positive, got -1/8\n"),
+    (["square", LG5], "--word", "-1,2", ["--delta", "1/2"],
+     "sponge: ifs: symbol -1 out of range 1..5\n"),
+])
+def test_negative_looking_value_either_form(capsys, head, option, value,
+                                            tail, err):
+    for argv in (head + [option, value] + tail,
+                 head + [option + "=" + value] + tail):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == err
+
+
+def test_workers_option_is_gone(capsys):
+    assert main(["cantor", LG4, "--workers", "2"]) == 1
+    assert "unrecognized arguments: --workers" in capsys.readouterr().err
+
+
 def test_cantor_rational_serialization(capsys):
     code, report = run_json(capsys, ["cantor", LG4, "--depth", "3"])
     assert code == 0
@@ -157,14 +178,6 @@ def test_json_determinism(capsys):
     d0 = json.loads(outs[0])
     d1 = json.loads(outs[1])
     assert d0["digest"] == d1["digest"]
-
-
-def test_digest_stable_across_workers(capsys):
-    digests = []
-    for w in ("1", "8"):
-        main(["cantor", LG4, "--depth", "2", "--workers", w])
-        digests.append(json.loads(capsys.readouterr().out)["digest"])
-    assert digests[0] == digests[1]
 
 
 def test_text_format(capsys):

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,10 +9,11 @@ from sponge import (AffineMap1D, Box, ComponentsError, Interval, PointSet,
                     PreconditionError, ResourceCapError, SimpleIFSFamily,
                     Vertex, approx_square, check_premoran_bound,
                     check_product_decomposition, check_union_bound,
-                    component_diameter_profile, delta0_sequence_exists,
-                    delta0_sequence_exists_sq, delta_components,
-                    delta_components_sq, enumerate_cylinders,
-                    interval_components, parse_ifs, pre_moran_intervals)
+                    component_diameter_profile, cylinder_box,
+                    delta0_sequence_exists, delta0_sequence_exists_sq,
+                    delta_components, delta_components_sq,
+                    enumerate_cylinders, interval_components, parse_ifs,
+                    pre_moran_intervals)
 
 from conftest import random_lg_system, random_point_set, random_simple_labels
 
@@ -240,8 +242,16 @@ def test_approx_square_word_too_short(lg5):
 
 def test_product_decomposition(lg5, lg4):
     for ifs in (lg5, lg4):
-        for k in (1, 2):
+        for k in (0, 1, 2, 3):
             assert check_product_decomposition(ifs, k)
+
+
+@given(st.integers(0, 10 ** 6), st.integers(0, 3))
+def test_enumerate_cylinders_matches_cylinder_box(seed, depth):
+    ifs = random_lg_system(random.Random(seed))
+    words = itertools.product(range(1, ifs.size + 1), repeat=depth)
+    assert enumerate_cylinders(ifs, depth) == \
+        [cylinder_box(ifs, w) for w in words]
 
 
 def test_uniform_directions_on_random_points():

@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from sponge.util import (decimal_str, frac_str, parse_fraction, quad_leq,
-                         sqrt_bracket, sqrt_decimal_str, sqrt_leq_quad)
+from sponge.util import (common_denominator, decimal_str, frac_str,
+                         parse_fraction, quad_leq, sqrt_bracket,
+                         sqrt_decimal_str, sqrt_leq_quad)
 
 
 def test_parse_fraction():
@@ -12,6 +13,14 @@ def test_parse_fraction():
     assert parse_fraction("-2/5") == Fraction(-2, 5)
     with pytest.raises(ValueError):
         parse_fraction("1.5x")
+
+
+def test_common_denominator():
+    values = [Fraction(1, 6), Fraction(-3, 4), 2, Fraction(0)]
+    den, ints = common_denominator(values)
+    assert (den, ints) == (12, [2, -9, 24, 0])
+    assert [Fraction(k, den) for k in ints] == values
+    assert common_denominator([]) == (1, [])
 
 
 def test_frac_str():
