@@ -9,13 +9,14 @@ cylinder lengths and gaps are exact rationals; everything here is
 verified by exact arithmetic, with decimals only in reports.
 """
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .classify import EXACTLY_ONE, classify
 from .ifs import SpongeIFS, compose_words, fixed_point
-from .util import (DEFAULT_CAP, ResourceCapError, common_denominator,
-                   quad_leq, sqrt_leq_quad)
+from .util import (DEFAULT_CAP, ResourceCapError, capped_power,
+                   common_denominator, quad_leq, sqrt_leq_quad)
 
 
 class CantorError(Exception):
@@ -136,55 +137,47 @@ def gap_length(sys, constants, word, j):
 class CantorTree:
     """Lazy interval layout of the m-branch Cantor tree on [0, L].
 
-    Intervals are memoized; `ensure_depth` materializes and additivity-
-    checks every node down to a depth.
+    Intervals are memoized one sibling row at a time; laying out a row
+    checks additivity at its parent.  Construction lays out every row
+    above `depth`.
     """
 
     def __init__(self, sys, constants, depth, cap=DEFAULT_CAP):
         if all(tau == 0 for tau in sys.taus):
             raise CantorError("cantor: all gaps vanish; the limit set is an "
                               "interval, not a Cantor set")
-        if sys.m ** max(depth, 0) > cap:
-            raise ResourceCapError("cantor", sys.m ** depth, cap)
+        depth = max(depth, 0)
+        count = capped_power(sys.m, depth, cap)
+        if count > cap:
+            raise ResourceCapError("cantor", count, cap)
         self.sys = sys
         self.constants = constants
-        self.depth = depth
         self._intervals = {(): (Fraction(0), constants.L)}
-        self.ensure_depth(depth)
+        for word in itertools.product(range(sys.m), repeat=depth):
+            self.interval(word)
 
     def interval(self, word):
         word = tuple(word)
         if word not in self._intervals:
-            parent = word[:-1]
-            j = word[-1]
-            lo = self.interval(parent)[0]
-            for i in range(j):
-                lo += cylinder_length(self.sys, self.constants, parent + (i,))
-                lo += gap_length(self.sys, self.constants, parent, i + 1)
-            hi = lo + cylinder_length(self.sys, self.constants, word)
-            self._intervals[word] = (lo, hi)
+            self._lay_out_row(word[:-1])
         return self._intervals[word]
+
+    def _lay_out_row(self, parent):
+        """Place the children of `parent` left to right with the gaps
+        between them; the last child must end where the parent ends."""
+        lo, hi = self.interval(parent)
+        for j in range(self.sys.m):
+            if j:
+                lo += gap_length(self.sys, self.constants, parent, j)
+            child = parent + (j,)
+            end = lo + cylinder_length(self.sys, self.constants, child)
+            self._intervals[child] = (lo, end)
+            lo = end
+        if lo != hi:
+            raise CantorError("cantor: additivity fails at %s" % (parent,))
 
     def gap(self, word, j):
         return gap_length(self.sys, self.constants, word, j)
-
-    def ensure_depth(self, depth):
-        m = self.sys.m
-        frontier = [()]
-        for _ in range(depth):
-            nxt = []
-            for word in frontier:
-                lo, hi = self.interval(word)
-                children = [self.interval(word + (j,)) for j in range(m)]
-                # exact additivity at this node
-                total = sum(c[1] - c[0] for c in children)
-                total += sum(self.gap(word, j) for j in range(1, m))
-                if total != hi - lo or children[0][0] != lo \
-                        or children[-1][1] != hi:
-                    raise CantorError("cantor: additivity fails at %s"
-                                      % (word,))
-                nxt.extend(word + (j,) for j in range(m))
-            frontier = nxt
 
 
 def build_cantor_tree(sys, constants, depth, cap=DEFAULT_CAP):
@@ -238,16 +231,19 @@ class RatioReport:
         return self.lower_ok and self.upper_ok
 
 
-def bilipschitz_check(sys, constants, depth, lip=None, cap=DEFAULT_CAP):
+def bilipschitz_check(sys, constants, depth, lip=None, cap=DEFAULT_CAP,
+                      tree=None):
     """Envelope check over the canonical dense pair family.
 
     Enumerates x = phi_alpha(a), y = phi_beta(b) for all words of length
     <= depth and compares |u-v| / |x-y| (u, v the matching Cantor-tree
-    endpoints) against [1/c1, C0], via exact squared arithmetic.
+    endpoints) against [1/c1, C0], via exact squared arithmetic.  A
+    `tree` for the same system shares its laid-out rows.
     """
     if lip is None:
         lip = lipschitz_constants(sys, constants)
-    tree = CantorTree(sys, constants, 0, cap)
+    if tree is None:
+        tree = CantorTree(sys, constants, 0, cap)
     lengths = range(max(depth, 0) + 1)
     n_words = sum(sys.m ** n for n in lengths)
     if n_words ** 2 > cap * 40:
@@ -323,6 +319,9 @@ def to_binary_tree(sys, constants, depth, tree=None, cap=DEFAULT_CAP):
     """Binary grouping of the Cantor tree: left child strips the leftmost
     cylinder, right child keeps the rest.  Verifies T-balance with
     T = L/r* at every split and tabulates the per-depth min gap ratio."""
+    nodes = capped_power(2, depth + 1, cap + 1) - 1  # 2^(depth+1) - 1 nodes
+    if nodes > cap:
+        raise ResourceCapError("cantor", nodes, cap)
     if tree is None:
         tree = CantorTree(sys, constants, 0, cap)
     m = sys.m

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .ifs import DiagonalAffineMap, SpongeIFS, fixed_point
-from .tree import TreeError, Vertex, build_labeled_tree, fiber_ifs
+from .tree import (TreeError, Vertex, all_fiber_ifs, build_labeled_tree,
+                   fiber_ifs)
 
 ZERO = "Zero"
 AT_LEAST_ONE = "AtLeastOne"
@@ -93,13 +94,11 @@ def classify(ifs):
     tree = build_labeled_tree(ifs)
     verdicts = []
     witness = None
-    for level in tree.levels[:tree.dim]:
-        for vertex in level:
-            fib = fiber_ifs(tree, vertex)
-            tiles = attractor_is_unit_interval(fib)
-            verdicts.append(FiberVerdict(vertex, fib.ratio_sum(), tiles))
-            if tiles and witness is None:
-                witness = vertex
+    for fib in all_fiber_ifs(tree):
+        tiles = attractor_is_unit_interval(fib)
+        verdicts.append(FiberVerdict(fib.owner, fib.ratio_sum(), tiles))
+        if tiles and witness is None:
+            witness = fib.owner
     if witness is None:
         return Classification(True, ZERO, None, tuple(verdicts))
     dim_class = EXACTLY_ONE if _is_special_form(tree) else AT_LEAST_ONE

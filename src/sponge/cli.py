@@ -185,13 +185,15 @@ def _payload_cantor(ifs, args):
         "C0_bracket": [decimal_str(lip.C0_p + lip.C0_q * c0_lo, args.precision),
                        decimal_str(lip.C0_p + lip.C0_q * c0_hi, args.precision)],
     }
+    # one tree for every check; laid out eagerly only when it is checked
+    tree_depth = min(args.depth, 5) if check in ("tree", "all") else 0
+    tree = build_cantor_tree(sys_, consts, tree_depth, cap=args.cap)
     if check in ("tree", "all"):
-        build_cantor_tree(sys_, consts, min(args.depth, 5), cap=args.cap)
         payload["tree_additivity_ok"] = True
-        payload["tree_depth_checked"] = min(args.depth, 5)
+        payload["tree_depth_checked"] = tree_depth
     if check in ("lipschitz", "all"):
         rep = bilipschitz_check(sys_, consts, min(args.depth, 4), lip=lip,
-                                cap=args.cap)
+                                cap=args.cap, tree=tree)
         payload["lipschitz"] = {
             "pairs": rep.pairs,
             "skipped": rep.skipped,
@@ -204,7 +206,7 @@ def _payload_cantor(ifs, args):
             "pass": rep.passed,
         }
     if check in ("binary", "all"):
-        bt = to_binary_tree(sys_, consts, args.depth, cap=args.cap)
+        bt = to_binary_tree(sys_, consts, args.depth, tree=tree, cap=args.cap)
         payload["binary"] = {
             "T": bt.T,
             "balance_ok": bt.balance_ok,
@@ -288,7 +290,7 @@ def run(args):
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print("sponge: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     started = time.monotonic()

@@ -12,7 +12,8 @@ from math import isqrt
 from .ifs import (Box, IFSError, Interval, UNIT, compose_words,
                   major_projection, validate_lg)
 from .tree import build_labeled_tree, last_coordinate_fibers
-from .util import DEFAULT_CAP, ResourceCapError, common_denominator
+from .util import (DEFAULT_CAP, ResourceCapError, capped_power,
+                   common_denominator)
 
 
 class ComponentsError(Exception):
@@ -290,7 +291,7 @@ def _cylinder_sides(ifs, depth):
 
 def enumerate_cylinders(ifs, depth, cap=DEFAULT_CAP):
     """All depth-n cylinder boxes, in lexicographic word order."""
-    count = ifs.size ** depth
+    count = capped_power(ifs.size, depth, cap)
     if count > cap:
         raise ResourceCapError("components", count, cap)
     return [Box(sides) for _, sides in _cylinder_sides(ifs, depth)]

@@ -107,15 +107,28 @@ def quad_leq(p1, q1, p2, q2, s):
 
 
 class ResourceCapError(Exception):
-    """Raised when an enumeration would exceed the configured object cap."""
+    """Raised when an enumeration would exceed the configured object cap;
+    `requested` is a lower bound on the count, past the cap."""
 
     def __init__(self, module, requested, cap):
-        super().__init__(
-            "%s: would enumerate %d objects, cap is %d" % (module, requested, cap)
-        )
+        super().__init__("%s: would enumerate at least %d objects, cap is %d"
+                         % (module, requested, cap))
         self.module = module
         self.requested = requested
         self.cap = cap
+
+
+def capped_power(base, exp, cap):
+    """base ** exp when that is at most cap; otherwise the first partial
+    power past cap, so a cap check never builds a huge integer."""
+    if base < 2:
+        return base ** exp
+    power = 1
+    for _ in range(exp):
+        if power > cap:
+            break
+        power *= base
+    return power
 
 
 DEFAULT_CAP = 200_000

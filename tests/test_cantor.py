@@ -7,7 +7,8 @@ import pytest
 from sponge import (CantorError, analyze_special_system, bilipschitz_check,
                     build_cantor_tree, cylinder_length, gap_length,
                     lipschitz_constants, parse_ifs, to_binary_tree)
-from sponge.util import sqrt_leq_quad
+from sponge.cantor import SeriesConstants
+from sponge.util import ResourceCapError, sqrt_leq_quad
 
 from conftest import random_special_system
 
@@ -239,3 +240,100 @@ def test_random_special_systems_roundtrip():
         assert consts.L >= 1
         if any(tau >= 2 for tau in sys_.taus):
             build_cantor_tree(sys_, consts, 3)  # additivity-checked inside
+
+
+def _oracle_interval(sys_, consts, word):
+    """J_word by the per-sibling formula: it starts after its earlier
+    siblings and the gaps between them, each length by the closed form."""
+    if not word:
+        return F(0), consts.L
+    parent, j = word[:-1], word[-1]
+    lo = _oracle_interval(sys_, consts, parent)[0]
+    for i in range(j):
+        lo += cylinder_length(sys_, consts, parent + (i,))
+        lo += gap_length(sys_, consts, parent, i + 1)
+    return lo, lo + cylinder_length(sys_, consts, word)
+
+
+def _words_up_to(m, depth):
+    return [w for n in range(depth + 1)
+            for w in itertools.product(range(m), repeat=n)]
+
+
+def _special_systems():
+    rng = random.Random(23)
+    systems = [analyze_special_system(parse_ifs(MIXED_TEXT))]
+    while len(systems) < 6:
+        sys_, consts = analyze_special_system(random_special_system(rng))
+        if any(tau >= 2 for tau in sys_.taus):
+            systems.append((sys_, consts))
+    return systems
+
+
+def test_row_layout_matches_per_sibling_oracle(sys4):
+    for sys_, consts in [sys4] + _special_systems():
+        tree = build_cantor_tree(sys_, consts, 3)
+        words = _words_up_to(sys_.m, 3)
+        assert sorted(tree._intervals) == sorted(words)  # laid out eagerly
+        for w in words:
+            assert tree.interval(w) == _oracle_interval(sys_, consts, w)
+
+
+def test_binary_tree_lazy_intervals_match_oracle(sys4):
+    for sys_, consts in [sys4] + _special_systems()[:3]:
+        tree = build_cantor_tree(sys_, consts, 0)
+        bt = to_binary_tree(sys_, consts, 8, tree=tree)
+        assert len(tree._intervals) > 1
+        for w, iv in tree._intervals.items():
+            assert iv == _oracle_interval(sys_, consts, w)
+        for node in bt.nodes.values():
+            lo = _oracle_interval(sys_, consts, node.alpha + (node.k1,))[0]
+            hi = _oracle_interval(sys_, consts, node.alpha + (node.k2,))[1]
+            assert (node.lo, node.hi) == (lo, hi)
+
+
+def _binary_fields(bt):
+    return bt.nodes, bt.T, bt.balance_ok, bt.gap_ratio_table
+
+
+@pytest.mark.parametrize("binary_first", [False, True])
+def test_shared_tree_gives_same_results(sys4, binary_first):
+    for sys_, consts in [sys4, analyze_special_system(parse_ifs(MIXED_TEXT))]:
+        own_rep = bilipschitz_check(sys_, consts, 3)
+        own_bt = to_binary_tree(sys_, consts, 8)
+        tree = build_cantor_tree(sys_, consts, 0 if binary_first else 2)
+        if binary_first:
+            bt = to_binary_tree(sys_, consts, 8, tree=tree)
+            rep = bilipschitz_check(sys_, consts, 3, tree=tree)
+        else:
+            rep = bilipschitz_check(sys_, consts, 3, tree=tree)
+            bt = to_binary_tree(sys_, consts, 8, tree=tree)
+        assert rep == own_rep
+        assert _binary_fields(bt) == _binary_fields(own_bt)
+
+
+def test_wrong_length_fails_in_every_consumer(sys4):
+    # with L + 1 the root row ends one short of the root interval
+    sys_, consts = sys4
+    bad = SeriesConstants(consts.s, consts.L + 1)
+    with pytest.raises(CantorError, match="additivity fails at"):
+        build_cantor_tree(sys_, bad, 1)
+    with pytest.raises(CantorError, match="additivity fails at"):
+        bilipschitz_check(sys_, bad, 1)
+    with pytest.raises(CantorError, match="additivity fails at"):
+        to_binary_tree(sys_, bad, 1)
+
+
+def test_binary_tree_node_cap(sys4):
+    sys_, consts = sys4
+    assert len(to_binary_tree(sys_, consts, 3, cap=15).nodes) == 15
+    with pytest.raises(ResourceCapError):
+        to_binary_tree(sys_, consts, 4, cap=30)  # 31 nodes
+    with pytest.raises(ResourceCapError):
+        to_binary_tree(sys_, consts, 10 ** 8)
+
+
+def test_tree_cap_on_huge_depth(sys4):
+    sys_, consts = sys4
+    with pytest.raises(ResourceCapError):
+        build_cantor_tree(sys_, consts, 10 ** 8)

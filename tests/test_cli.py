@@ -1,7 +1,9 @@
 import json
+import time
 
 import pytest
 
+import sponge.cantor
 from sponge.cli import main
 
 from conftest import FIXTURES
@@ -59,6 +61,63 @@ def test_resource_cap_exit(capsys):
                  "--cap", "1000"])
     assert code == 3
     assert "cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["components", LG5, "--depth", "6200", "--delta", "1/8"],
+    ["components", LG5, "--depth", "100000000", "--delta", "1/8"],
+    ["cantor", LG4, "--check", "binary", "--depth", "40"],
+    ["cantor", LG4, "--check", "binary", "--depth", "100000000"],
+])
+def test_huge_depth_is_cap_error(capsys, argv):
+    started = time.perf_counter()
+    assert main(argv) == 3
+    assert time.perf_counter() - started < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert len(captured.err) < 100
+
+
+def test_cantor_binary_cap_counts_binary_nodes(capsys):
+    # 511 binary nodes fit; the depth-5 Cantor tree (1024 leaves) is never
+    # laid out when only the binary check runs
+    code, report = run_json(capsys, ["cantor", LG4, "--check", "binary",
+                                     "--depth", "8", "--cap", "1000"])
+    assert code == 0
+    assert report["digest"].startswith("5a14d98f0f846286")
+
+
+@pytest.mark.parametrize("argv, eager_depth", [
+    (["cantor", LG4], 3),
+    (["cantor", LG4, "--check", "tree", "--depth", "7"], 5),
+    (["cantor", LG4, "--check", "lipschitz"], 0),
+    (["cantor", LG4, "--check", "binary", "--depth", "6"], 0),
+    (["all", LG4], 3),
+])
+def test_cantor_report_builds_one_tree(capsys, monkeypatch, argv,
+                                       eager_depth):
+    built = []  # depth each CantorTree is laid out to on construction
+
+    class CountingTree(sponge.cantor.CantorTree):
+        def __init__(self, *args, **kwargs):
+            built.append(args[2])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(sponge.cantor, "CantorTree", CountingTree)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert built == [eager_depth]
+
+
+def test_non_utf8_input_exit(tmp_path, capsys):
+    bad = tmp_path / "latin1.ifs"
+    bad.write_bytes(b"dim 2\nmap 1/2 0 ; 1/3 0 \xff\n")
+    assert main(["classify", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("sponge: ")
 
 
 def test_usage_error_exit(capsys):

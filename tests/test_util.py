@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from sponge.util import (common_denominator, decimal_str, frac_str,
-                         parse_fraction, quad_leq, sqrt_bracket,
+from sponge.util import (capped_power, common_denominator, decimal_str,
+                         frac_str, parse_fraction, quad_leq, sqrt_bracket,
                          sqrt_decimal_str, sqrt_leq_quad)
 
 
@@ -57,3 +57,14 @@ def test_quad_leq():
                     Fraction(2))
     assert not quad_leq(Fraction(2), Fraction(2), Fraction(3), Fraction(1),
                         Fraction(2))
+
+
+def test_capped_power():
+    assert capped_power(5, 3, 125) == 125           # exact when within cap
+    assert capped_power(5, 3, 124) == 125           # first power past cap
+    assert capped_power(5, 4, 125) == 625           # reaching cap is not past
+    assert capped_power(5, 9, 1000) == 3125         # stops there
+    assert capped_power(5, 10 ** 8, 1000) == 3125   # without building 5^(10^8)
+    assert capped_power(4, 0, 0) == 1
+    assert capped_power(1, 10 ** 8, 0) == 1
+    assert capped_power(2, 10, 10 ** 6) == 1024
