@@ -12,7 +12,7 @@ from .ifs import (AffineMap1D, Box, DiagonalAffineMap, IFSError, Interval,
                   serialize_ifs, validate_lg, width)
 from .tree import (FiberIFS, LabeledTree, TreeError, Vertex, all_fiber_ifs,
                    build_labeled_tree, fiber_ifs, last_coordinate_fibers)
-from .classify import (AT_LEAST_ONE, Classification, ClassifyError,
+from .classify import (AT_LEAST_ONE, Analysis, Classification, ClassifyError,
                        EXACTLY_ONE, SubsystemF0, ZERO,
                        attractor_is_unit_interval, classify,
                        extract_special_subsystem, line_segment_witness)

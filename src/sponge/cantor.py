@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .classify import EXACTLY_ONE, classify
+from .classify import EXACTLY_ONE, Analysis, classify
 from .ifs import SpongeIFS, compose_words, fixed_point
 from .util import (DEFAULT_CAP, ResourceCapError, capped_power,
                    common_denominator, quad_leq, sqrt_leq_quad)
@@ -58,13 +58,15 @@ class SeriesConstants:
 
 
 def analyze_special_system(ifs):
-    """Exact constants of a special system; maps are re-ordered by the
-    left endpoint of their first-coordinate image."""
-    result = classify(ifs)
+    """Exact constants of a special system (an IFS or its Analysis); maps
+    are re-ordered by the left endpoint of their first-coordinate image."""
+    analysis = Analysis.of(ifs)
+    result = classify(analysis)
     if result.conformal_dim_class != EXACTLY_ONE:
         raise CantorError(
             "cantor: system does not satisfy the special-form hypotheses "
             "(class %s)" % result.conformal_dim_class)
+    ifs = analysis.ifs
     maps = tuple(sorted(ifs.maps, key=lambda m: m.coords[0].offset))
     base = SpongeIFS(ifs.dim, maps)
     m = len(maps)
@@ -245,9 +247,11 @@ def bilipschitz_check(sys, constants, depth, lip=None, cap=DEFAULT_CAP,
     if tree is None:
         tree = CantorTree(sys, constants, 0, cap)
     lengths = range(max(depth, 0) + 1)
-    n_words = sum(sys.m ** n for n in lengths)
-    if n_words ** 2 > cap * 40:
-        raise ResourceCapError("cantor", n_words ** 2, cap * 40)
+    n_words = 0
+    for n in lengths:  # stops summing once the pairs are past the budget
+        n_words += capped_power(sys.m, n, cap * 40)
+        if n_words ** 2 > cap * 40:
+            raise ResourceCapError("cantor", n_words ** 2, cap * 40)
     d = sys.dim
     coords, ends = [], []
     for n in lengths:

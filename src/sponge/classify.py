@@ -9,6 +9,7 @@ cardinality, all deeper fibers singletons).
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .ifs import DiagonalAffineMap, SpongeIFS, fixed_point
 from .tree import (TreeError, Vertex, all_fiber_ifs, build_labeled_tree,
@@ -75,34 +76,47 @@ def attractor_is_unit_interval(fiber):
     return True
 
 
-def _is_special_form(tree):
-    """Special-form hypotheses: root fiber tiles with full cardinality,
-    every fiber of rank >= 1 is a singleton."""
-    root_fiber = fiber_ifs(tree, tree.levels[0][0])
-    n_leaves = len(tree.levels[tree.dim])
-    if root_fiber.size != n_leaves or not attractor_is_unit_interval(root_fiber):
-        return False
-    for level in tree.levels[1:tree.dim]:
-        for vertex in level:
-            if fiber_ifs(tree, vertex).size != 1:
-                return False
-    return True
+class Analysis:
+    """One system's decision pipeline, each stage computed once on first
+    use: the labeled tree (behind its LG gate), then the classification."""
+
+    def __init__(self, ifs):
+        self.ifs = ifs
+
+    @classmethod
+    def of(cls, ifs):
+        """`ifs` itself when it is already an Analysis."""
+        return ifs if isinstance(ifs, cls) else cls(ifs)
+
+    @cached_property
+    def tree(self):
+        return build_labeled_tree(self.ifs)
+
+    @cached_property
+    def classification(self):
+        fibers = all_fiber_ifs(self.tree)
+        verdicts = []
+        witness = None
+        for fib in fibers:
+            tiles = attractor_is_unit_interval(fib)
+            verdicts.append(FiberVerdict(fib.owner, fib.ratio_sum(), tiles))
+            if tiles and witness is None:
+                witness = fib.owner
+        if witness is None:
+            return Classification(True, ZERO, None, tuple(verdicts))
+        # special form: the root fiber tiles with full cardinality and every
+        # fiber of rank >= 1 is a singleton.  Singletons never tile (ratios
+        # are below 1), so the witness is then the root, and full
+        # cardinality is the same as singletons below the root.
+        special = all(fib.size == 1 for fib in fibers[1:])
+        dim_class = EXACTLY_ONE if special else AT_LEAST_ONE
+        return Classification(False, dim_class, witness, tuple(verdicts))
 
 
 def classify(ifs):
-    """Classify the sponge; raises TreeError when LG validation fails."""
-    tree = build_labeled_tree(ifs)
-    verdicts = []
-    witness = None
-    for fib in all_fiber_ifs(tree):
-        tiles = attractor_is_unit_interval(fib)
-        verdicts.append(FiberVerdict(fib.owner, fib.ratio_sum(), tiles))
-        if tiles and witness is None:
-            witness = fib.owner
-    if witness is None:
-        return Classification(True, ZERO, None, tuple(verdicts))
-    dim_class = EXACTLY_ONE if _is_special_form(tree) else AT_LEAST_ONE
-    return Classification(False, dim_class, witness, tuple(verdicts))
+    """Classify the sponge (an IFS or its Analysis); raises TreeError when
+    LG validation fails."""
+    return Analysis.of(ifs).classification
 
 
 def line_segment_witness(ifs, witness):

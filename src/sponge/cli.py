@@ -18,12 +18,12 @@ from fractions import Fraction
 from . import __version__
 from .cantor import (CantorError, analyze_special_system, bilipschitz_check,
                      build_cantor_tree, lipschitz_constants, to_binary_tree)
-from .classify import ClassifyError, classify
+from .classify import EXACTLY_ONE, Analysis, ClassifyError, classify
 from .components import (ComponentsError, PreconditionError, SimpleIFSFamily,
                          approx_square, check_product_decomposition,
                          component_diameter_profile, pre_moran_intervals)
 from .ifs import IFSError, ParseError, parse_ifs, validate_lg
-from .tree import TreeError, build_labeled_tree, last_coordinate_fibers
+from .tree import TreeError, last_coordinate_fibers
 from .util import (DEFAULT_CAP, ResourceCapError, decimal_str, frac_str,
                    parse_fraction, sqrt_bracket, sqrt_decimal_str)
 
@@ -70,8 +70,8 @@ def _parse_word(text):
         raise Rejection("bad word %r" % text)
 
 
-def _payload_validate(ifs, args):
-    report = validate_lg(ifs)
+def _payload_validate(a, args):
+    report = validate_lg(a.ifs)
     payload = {
         # always true (ratios outside (0,1) fail to parse); kept for the digest
         "contraction_ok": True,
@@ -86,8 +86,8 @@ def _payload_validate(ifs, args):
     return payload, EXIT_OK
 
 
-def _payload_classify(ifs, args):
-    result = classify(ifs)
+def _payload_classify(a, args):
+    result = classify(a)
     payload = {
         "uniformly_disconnected": result.uniformly_disconnected,
         "conformal_dim_class": result.conformal_dim_class,
@@ -105,8 +105,8 @@ def _payload_classify(ifs, args):
     return payload, EXIT_OK
 
 
-def _payload_tree(ifs, args):
-    tree = build_labeled_tree(ifs)
+def _payload_tree(a, args):
+    tree = a.tree
     vertices = []
     for level in tree.levels:
         for vertex in level:
@@ -120,11 +120,11 @@ def _payload_tree(ifs, args):
     return {"dim": tree.dim, "vertices": vertices}, EXIT_OK
 
 
-def _payload_components(ifs, args):
+def _payload_components(a, args):
     deltas = [_parse_delta(d) for d in args.delta or []]
     if not deltas:
         raise Rejection("components requires at least one --delta")
-    rows = component_diameter_profile(ifs, args.depth, deltas, cap=args.cap)
+    rows = component_diameter_profile(a.ifs, args.depth, deltas, cap=args.cap)
     out = []
     for row in rows:
         ratio_sq = row["ratio_sq"]
@@ -139,14 +139,10 @@ def _payload_components(ifs, args):
     return {"depth": args.depth, "rows": out}, EXIT_OK
 
 
-def _fiber_family(ifs):
-    return SimpleIFSFamily(last_coordinate_fibers(build_labeled_tree(ifs)))
-
-
-def _payload_premoran(ifs, args):
+def _payload_premoran(a, args):
     if args.word is None:
         raise Rejection("premoran requires --word")
-    family = _fiber_family(ifs)
+    family = SimpleIFSFamily(last_coordinate_fibers(a.tree))
     pm = pre_moran_intervals(family, _parse_word(args.word), cap=args.cap)
     return {
         "word": list(pm.word),
@@ -157,11 +153,11 @@ def _payload_premoran(ifs, args):
     }, EXIT_OK
 
 
-def _payload_square(ifs, args):
+def _payload_square(a, args):
     if args.word is None or not args.delta:
         raise Rejection("square requires --word and --delta")
     delta = _parse_delta(args.delta[0])
-    sq = approx_square(ifs, _parse_word(args.word), delta)
+    sq = approx_square(a.ifs, _parse_word(args.word), delta)
     return {
         "delta": delta,
         "depths": list(sq.depths),
@@ -169,8 +165,8 @@ def _payload_square(ifs, args):
     }, EXIT_OK
 
 
-def _payload_cantor(ifs, args):
-    sys_, consts = analyze_special_system(ifs)
+def _payload_cantor(a, args):
+    sys_, consts = analyze_special_system(a)
     lip = lipschitz_constants(sys_, consts)
     check = args.check or "all"
     c0_lo, c0_hi = sqrt_bracket(lip.radicand, args.precision)
@@ -216,21 +212,21 @@ def _payload_cantor(ifs, args):
     return payload, EXIT_OK
 
 
-def _payload_all(ifs, args):
+def _payload_all(a, args):
     payload = {}
-    val, code = _payload_validate(ifs, args)
+    val, code = _payload_validate(a, args)
     payload["validate"] = val
     if code != EXIT_OK:
         return payload, code
-    payload["classify"], _ = _payload_classify(ifs, args)
-    payload["tree"], _ = _payload_tree(ifs, args)
-    if ifs.dim >= 2:
+    payload["classify"], _ = _payload_classify(a, args)
+    payload["tree"], _ = _payload_tree(a, args)
+    if a.ifs.dim >= 2:
         payload["product_decomposition"] = {
-            str(k): check_product_decomposition(ifs, k, cap=args.cap)
+            str(k): check_product_decomposition(a, k, cap=args.cap)
             for k in (1, 2)
         }
-    if payload["classify"]["conformal_dim_class"] == "ExactlyOne":
-        payload["cantor"], _ = _payload_cantor(ifs, args)
+    if a.classification.conformal_dim_class == EXACTLY_ONE:
+        payload["cantor"], _ = _payload_cantor(a, args)
     return payload, EXIT_OK
 
 
@@ -295,8 +291,8 @@ def run(args):
         return EXIT_USAGE
     started = time.monotonic()
     try:
-        ifs = parse_ifs(text)
-        payload, code = _HANDLERS[args.subcommand](ifs, args)
+        analysis = Analysis(parse_ifs(text))
+        payload, code = _HANDLERS[args.subcommand](analysis, args)
     except ParseError as exc:
         print("sponge: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
@@ -349,6 +345,8 @@ def _check_numeric_options(args):
         raise Rejection("--precision must be >= 1, got %d" % args.precision)
     if args.depth < 0:
         raise Rejection("--depth must be >= 0, got %d" % args.depth)
+    if args.cap < 1:
+        raise Rejection("--cap must be >= 1, got %d" % args.cap)
 
 
 def _attach_negative_values(argv):

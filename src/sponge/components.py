@@ -11,7 +11,8 @@ from math import isqrt
 
 from .ifs import (Box, IFSError, Interval, UNIT, compose_words,
                   major_projection, validate_lg)
-from .tree import build_labeled_tree, last_coordinate_fibers
+from .classify import Analysis
+from .tree import last_coordinate_fibers
 from .util import (DEFAULT_CAP, ResourceCapError, capped_power,
                    common_denominator)
 
@@ -291,7 +292,8 @@ def _cylinder_sides(ifs, depth):
 
 def enumerate_cylinders(ifs, depth, cap=DEFAULT_CAP):
     """All depth-n cylinder boxes, in lexicographic word order."""
-    count = capped_power(ifs.size, depth, cap)
+    # a depth-n word takes n compositions, even when there is one map
+    count = max(capped_power(ifs.size, depth, cap), min(depth, cap + 1))
     if count > cap:
         raise ResourceCapError("components", count, cap)
     return [Box(sides) for _, sides in _cylinder_sides(ifs, depth)]
@@ -496,37 +498,36 @@ def approx_square(ifs, word, delta):
     for e in word:
         if not (1 <= e <= ifs.size):
             raise IFSError("ifs: symbol %d out of range 1..%d" % (e, ifs.size))
-    depths = []
-    sides = []
-    for j in range(ifs.dim):
-        product = Fraction(1)
-        comp = None
-        ell = None
-        for k, e in enumerate(word, start=1):
-            part = ifs.maps[e - 1].coords[j]
-            comp = part if comp is None else comp.compose(part)
-            product *= part.ratio
-            if product < delta:
-                ell = k
-                break
-        if ell is None:
-            raise ComponentsError(
-                "components: word too short for coordinate %d at delta=%s"
-                % (j + 1, delta))
-        depths.append(ell)
-        sides.append(Interval(comp(Fraction(0)), comp(Fraction(1))))
+    depths = [None] * ifs.dim
+    sides = [None] * ifs.dim
+    comp = None
+    for k, e in enumerate(word, start=1):
+        phi = ifs.maps[e - 1]
+        comp = phi if comp is None else comp.compose(phi)
+        for j, c in enumerate(comp.coords):
+            if depths[j] is None and c.ratio < delta:
+                depths[j], sides[j] = k, c.image()
+        if None not in depths:
+            break
+    else:
+        j = depths.index(None)
+        raise ComponentsError(
+            "components: word too short for coordinate %d at delta=%s"
+            % (j + 1, delta))
     return ApproxSquare(Box(tuple(sides)), tuple(depths))
 
 
 def check_product_decomposition(ifs, k, cap=DEFAULT_CAP):
     """Depth-k cylinders equal the union of (projected cylinder) x
-    (fiber pre-Moran interval) products, as exact box sets."""
+    (fiber pre-Moran interval) products, as exact box sets; `ifs` may be
+    an Analysis."""
+    analysis = Analysis.of(ifs)
+    ifs = analysis.ifs
     if ifs.dim < 2:
         raise ComponentsError("components: product decomposition needs d >= 2")
     lhs = set(enumerate_cylinders(ifs, k, cap))
     proj = major_projection(ifs, ifs.dim - 1)
-    tree = build_labeled_tree(ifs)
-    fibers = [f.labels for f in last_coordinate_fibers(tree)]
+    fibers = [f.labels for f in last_coordinate_fibers(analysis.tree)]
     rhs = set()
     for word, base in _cylinder_sides(proj, k):
         for iv in _apply_labels([fibers[j] for j in word]):

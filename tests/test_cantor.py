@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -337,3 +338,12 @@ def test_tree_cap_on_huge_depth(sys4):
     sys_, consts = sys4
     with pytest.raises(ResourceCapError):
         build_cantor_tree(sys_, consts, 10 ** 8)
+
+
+def test_lipschitz_cap_on_huge_depth(sys4):
+    # the pair budget is sized without building m ** depth
+    sys_, consts = sys4
+    started = time.perf_counter()
+    with pytest.raises(ResourceCapError):
+        bilipschitz_check(sys_, consts, 20000)
+    assert time.perf_counter() - started < 1.0

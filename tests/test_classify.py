@@ -4,10 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from sponge import (AffineMap1D, ClassifyError, DiagonalAffineMap, FiberIFS,
-                    SpongeIFS, Vertex, attractor_is_unit_interval, classify,
-                    extract_special_subsystem, line_segment_witness,
-                    parse_ifs, validate_lg)
+from sponge import (AT_LEAST_ONE, EXACTLY_ONE, ZERO, AffineMap1D, Analysis,
+                    CantorError, ClassifyError, FiberIFS, SpongeIFS,
+                    TreeError, Vertex, analyze_special_system,
+                    attractor_is_unit_interval, build_labeled_tree,
+                    check_product_decomposition, classify,
+                    extract_special_subsystem, fiber_ifs,
+                    line_segment_witness, parse_ifs, validate_lg)
+
+from conftest import random_lg_system, random_special_system
 
 
 def F(s):
@@ -128,6 +133,72 @@ def test_classify_invariant_under_relabeling(lg5, lg4):
             result = classify(permuted)
             assert result.uniformly_disconnected == base.uniformly_disconnected
             assert result.conformal_dim_class == base.conformal_dim_class
+    rng = random.Random(17)
+    for _ in range(8):
+        ifs = random_lg_system(rng)
+        base = classify(ifs)
+        for _ in range(4):
+            perm = rng.sample(range(ifs.size), ifs.size)
+            permuted = SpongeIFS(ifs.dim, tuple(ifs.maps[i] for i in perm))
+            assert classify(permuted).conformal_dim_class \
+                == base.conformal_dim_class
+
+
+def _oracle_is_special_form(ifs):
+    """Root fiber tiles with full cardinality and every fiber of rank >= 1
+    is a singleton, each fiber built afresh from its own tree."""
+    tree = build_labeled_tree(ifs)
+    root = fiber_ifs(tree, tree.levels[0][0])
+    if root.size != len(tree.levels[tree.dim]) \
+            or not attractor_is_unit_interval(root):
+        return False
+    return all(fiber_ifs(tree, v).size == 1
+               for level in tree.levels[1:tree.dim] for v in level)
+
+
+def test_exactly_one_matches_special_form_oracle(lg5, lg4, bedford_mcmullen):
+    texts = [
+        "dim 3\nmap 1/2 0 ; 1/3 0 ; 1/4 0\nmap 1/2 1/2 ; 1/3 1/3 ; 1/4 1/2\n",
+        "dim 3\nmap 1/2 0 ; 1/3 0 ; 1/4 0\nmap 1/2 0 ; 1/3 1/3 ; 1/4 1/2\n"
+        "map 1/2 1/2 ; 1/3 0 ; 1/4 0\n",
+        "dim 3\nmap 1/2 0 ; 1/3 0 ; 1/4 0\nmap 1/2 0 ; 1/3 1/3 ; 1/4 1/2\n"
+        "map 1/2 0 ; 1/3 2/3 ; 1/4 1/4\n",
+        "dim 1\nmap 1/2 0\nmap 1/2 1/2\n",
+    ]
+    rng = random.Random(29)
+    systems = [lg5, lg4, bedford_mcmullen] + [parse_ifs(t) for t in texts]
+    systems += [random_lg_system(rng) for _ in range(20)]
+    systems += [random_special_system(rng) for _ in range(4)]
+    classes = set()
+    for ifs in systems:
+        result = classify(ifs)
+        classes.add(result.conformal_dim_class)
+        assert (result.conformal_dim_class == EXACTLY_ONE) == \
+            (result.witness is not None and _oracle_is_special_form(ifs))
+    assert classes == {ZERO, AT_LEAST_ONE, EXACTLY_ONE}
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (CantorError, TreeError) as exc:
+        return type(exc), str(exc)
+
+
+def test_shared_analysis_matches_fresh_calls(lg5, lg4, bedford_mcmullen):
+    rng = random.Random(23)
+    systems = [lg5, lg4, bedford_mcmullen]
+    systems += [random_lg_system(rng) for _ in range(6)]
+    systems += [random_special_system(rng) for _ in range(4)]
+    for ifs in systems:
+        shared = Analysis(ifs)
+        assert Analysis.of(shared) is shared
+        assert _outcome(classify, shared) == _outcome(classify, ifs)
+        for k in (1, 2):
+            assert _outcome(check_product_decomposition, shared, k) \
+                == _outcome(check_product_decomposition, ifs, k)
+        assert _outcome(analyze_special_system, shared) \
+            == _outcome(analyze_special_system, ifs)
 
 
 def test_zero_class_monotone_under_subsets(lg5):

@@ -1,9 +1,13 @@
+import functools
 import json
+import sys
 import time
+from collections import Counter
 
 import pytest
 
 import sponge.cantor
+from sponge import Analysis
 from sponge.cli import main
 
 from conftest import FIXTURES
@@ -79,6 +83,19 @@ def test_huge_depth_is_cap_error(capsys, argv):
     assert len(captured.err) < 100
 
 
+def test_one_map_huge_depth_is_cap_error(tmp_path, capsys):
+    # one cylinder at every depth, but a depth-n word takes n compositions
+    one_map = tmp_path / "one_map.ifs"
+    one_map.write_text("dim 2\nmap 1/2 0 ; 1/3 0\n")
+    started = time.perf_counter()
+    assert main(["components", str(one_map), "--depth", "1000000",
+                 "--delta", "1/8"]) == 3
+    assert time.perf_counter() - started < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_cantor_binary_cap_counts_binary_nodes(capsys):
     # 511 binary nodes fit; the depth-5 Cantor tree (1024 leaves) is never
     # laid out when only the binary check runs
@@ -110,6 +127,59 @@ def test_cantor_report_builds_one_tree(capsys, monkeypatch, argv,
     assert built == [eager_depth]
 
 
+def _count_stages(monkeypatch):
+    """Count validate_lg and build_labeled_tree calls through every sponge
+    namespace that binds them, and classification computations."""
+    counts = Counter()
+
+    def counting(name, fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module, name in ((sponge.ifs, "validate_lg"),
+                         (sponge.tree, "build_labeled_tree")):
+        original = getattr(module, name)
+        wrapper = counting(name, original)
+        for modname, mod in list(sys.modules.items()):
+            if (modname == "sponge" or modname.startswith("sponge.")) \
+                    and vars(mod).get(name) is original:
+                monkeypatch.setattr(mod, name, wrapper)
+    stage = functools.cached_property(
+        counting("classification", Analysis.classification.func))
+    stage.__set_name__(Analysis, "classification")
+    monkeypatch.setattr(Analysis, "classification", stage)
+    return counts
+
+
+STAGE_ARGV = {
+    "validate": [],
+    "classify": [],
+    "tree": [],
+    "components": ["--delta", "1/8"],
+    "premoran": ["--word", "1,2,1"],
+    "square": ["--word", "1,2,1,2,1,2,1", "--delta", "1/8"],
+    "cantor": [],
+}
+
+
+@pytest.mark.parametrize("fixture", ["lg5", "lg4", "bedford_mcmullen"])
+def test_report_runs_each_stage_once(capsys, monkeypatch, fixture):
+    path = str(FIXTURES / (fixture + ".ifs"))
+    counts = _count_stages(monkeypatch)
+    assert main(["all", path]) == 0
+    # the second validate_lg is the labeled tree's own LG gate
+    assert counts == {"validate_lg": 2, "build_labeled_tree": 1,
+                      "classification": 1}
+    for subcommand, extra in STAGE_ARGV.items():
+        counts.clear()
+        main([subcommand, path] + extra)
+        assert max(counts.values(), default=0) <= 1, (subcommand, counts)
+    capsys.readouterr()
+
+
 def test_non_utf8_input_exit(tmp_path, capsys):
     bad = tmp_path / "latin1.ifs"
     bad.write_bytes(b"dim 2\nmap 1/2 0 ; 1/3 0 \xff\n")
@@ -132,6 +202,9 @@ def test_usage_error_exit(capsys):
     ["cantor", LG4, "--depth=-1", "--check", "lipschitz"],
     ["components", LG5, "--depth=-2", "--delta", "1/8"],
     ["validate", LG5, "--depth=-1"],
+    ["all", LG4, "--cap", "-3"],
+    ["validate", LG4, "--cap", "-3"],
+    ["classify", LG4, "--cap", "0"],
 ])
 def test_invalid_numeric_option_is_usage_error(capsys, argv):
     assert main(argv) == 1

@@ -240,6 +240,40 @@ def test_approx_square_word_too_short(lg5):
     assert "coordinate 1" in str(err.value)
 
 
+def _oracle_approx_square(ifs, word, delta):
+    """Per coordinate, compose along the word until the running ratio
+    product first drops below delta: (depths, sides) or the error."""
+    depths, sides = [], []
+    for j in range(ifs.dim):
+        product, comp = Fraction(1), None
+        for k, e in enumerate(word, start=1):
+            part = ifs.maps[e - 1].coords[j]
+            comp = part if comp is None else comp.compose(part)
+            product *= part.ratio
+            if product < delta:
+                depths.append(k)
+                sides.append((comp(F(0)), comp(F(1))))
+                break
+        else:
+            return "components: word too short for coordinate %d at " \
+                "delta=%s" % (j + 1, delta)
+    return tuple(depths), sides
+
+
+@given(st.integers(0, 10 ** 6), st.integers(0, 8),
+       st.sampled_from([F(1, 2), F(1, 5), F(1, 10), F(1, 40)]))
+def test_approx_square_matches_per_coordinate_oracle(seed, length, delta):
+    rng = random.Random(seed)
+    ifs = random_lg_system(rng)
+    word = tuple(rng.randint(1, ifs.size) for _ in range(length))
+    try:
+        sq = approx_square(ifs, word, delta)
+        got = sq.depths, [(s.lo, s.hi) for s in sq.box.sides]
+    except ComponentsError as exc:
+        got = str(exc)
+    assert got == _oracle_approx_square(ifs, word, delta)
+
+
 def test_product_decomposition(lg5, lg4):
     for ifs in (lg5, lg4):
         for k in (0, 1, 2, 3):
