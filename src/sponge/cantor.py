@@ -178,9 +178,6 @@ class CantorTree:
         if lo != hi:
             raise CantorError("cantor: additivity fails at %s" % (parent,))
 
-    def gap(self, word, j):
-        return gap_length(self.sys, self.constants, word, j)
-
 
 def build_cantor_tree(sys, constants, depth, cap=DEFAULT_CAP):
     return CantorTree(sys, constants, depth, cap)

@@ -67,13 +67,7 @@ class SubsystemF0:
 
 def attractor_is_unit_interval(fiber):
     """True iff the closed label images tile [0,1] exactly."""
-    images = sorted((g.image() for g in fiber.labels), key=lambda iv: iv.lo)
-    if images[0].lo != 0 or images[-1].hi != 1:
-        return False
-    for a, b in zip(images, images[1:]):
-        if a.hi != b.lo:
-            return False
-    return True
+    return not any(fiber.gaps)
 
 
 class Analysis:
@@ -120,13 +114,15 @@ def classify(ifs):
 
 
 def line_segment_witness(ifs, witness):
-    """Anchor point x0 such that {x0} x [0,1] lies in the attractor."""
+    """Anchor point x0 such that {x0} x [0,1] lies in the attractor; `ifs`
+    may be an Analysis."""
+    analysis = Analysis.of(ifs)
+    ifs = analysis.ifs
     if witness.rank != ifs.dim - 1:
         raise ClassifyError(
             "classify: line-segment witness must have rank d-1 = %d, got %d"
             % (ifs.dim - 1, witness.rank))
-    tree = build_labeled_tree(ifs)
-    fib = fiber_ifs(tree, witness)
+    fib = fiber_ifs(analysis.tree, witness)
     if not attractor_is_unit_interval(fib):
         raise ClassifyError("classify: witness fiber does not tile [0,1]")
     x0 = fixed_point(DiagonalAffineMap(witness.projected_map)) \
@@ -139,8 +135,11 @@ def extract_special_subsystem(ifs, witness):
 
     For each label h_j of the witness fiber, keep the first input map
     extending (witness, h_j) and truncate to its last d-s coordinates.
+    `ifs` may be an Analysis.
     """
-    tree = build_labeled_tree(ifs)
+    analysis = Analysis.of(ifs)
+    ifs = analysis.ifs
+    tree = analysis.tree
     s = witness.rank
     if s > ifs.dim - 1:
         raise ClassifyError("classify: witness rank %d exceeds d-1" % s)

@@ -347,6 +347,9 @@ def _check_numeric_options(args):
         raise Rejection("--depth must be >= 0, got %d" % args.depth)
     if args.cap < 1:
         raise Rejection("--cap must be >= 1, got %d" % args.cap)
+    # every output digit costs work, so the precision counts against the cap
+    if args.precision > args.cap:
+        raise ResourceCapError("cli", args.precision, args.cap)
 
 
 def _attach_negative_values(argv):
@@ -376,6 +379,9 @@ def main(argv=None):
     except Rejection as exc:
         print("sponge: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
+    except ResourceCapError as exc:
+        print("sponge: %s" % exc, file=sys.stderr)
+        return EXIT_CAP
 
 
 if __name__ == "__main__":

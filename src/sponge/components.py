@@ -12,7 +12,7 @@ from math import isqrt
 from .ifs import (Box, IFSError, Interval, UNIT, compose_words,
                   major_projection, validate_lg)
 from .classify import Analysis
-from .tree import last_coordinate_fibers
+from .tree import ROOT, FiberIFS, TreeError, last_coordinate_fibers
 from .util import (DEFAULT_CAP, ResourceCapError, capped_power,
                    common_denominator)
 
@@ -337,22 +337,28 @@ def component_diameter_profile(ifs, depth, deltas, cap=DEFAULT_CAP):
 class SimpleIFSFamily:
     """Family F_1..F_p of simple IFS' of [0,1], none with attractor [0,1].
 
-    Carries the derived constants used by the pre-Moran component bound.
+    Members are FiberIFS' or label tuples; a member that is empty, not a
+    simple IFS of [0,1] or tiles [0,1] is a PreconditionError.  Carries the
+    derived constants used by the pre-Moran component bound.
     """
 
     def __init__(self, members):
-        norm = []
-        for member in members:
-            labels = tuple(getattr(member, "labels", member))
-            norm.append(labels)
-        if not norm:
+        try:
+            fibers = [m if isinstance(m, FiberIFS) else FiberIFS(ROOT, m)
+                      for m in members]
+        except TreeError as exc:
+            raise PreconditionError("components: family member is not a "
+                                    "simple IFS of [0,1]: %s" % exc)
+        if not fibers:
             raise ComponentsError("components: empty family")
-        self.members = tuple(norm)
+        if not all(f.labels for f in fibers):
+            raise PreconditionError("components: empty family member")
+        self.members = norm = tuple(f.labels for f in fibers)
         self.alphas = tuple(min(g.ratio for g in m) for m in norm)
         self.betas = tuple(max(g.ratio for g in m) for m in norm)
         self.measures = tuple(sum(g.ratio for g in m) for m in norm)
         self.counts = tuple(len(m) for m in norm)
-        self.gaps = tuple(self._biggest_gap(m) for m in norm)
+        self.gaps = tuple(max(f.gaps) for f in fibers)
         for j, g in enumerate(self.gaps, start=1):
             if g == 0:
                 raise PreconditionError(
@@ -362,15 +368,6 @@ class SimpleIFSFamily:
         self.L_star = max(self.measures)
         self.N_star = max(self.counts)
         self.g_star = (1 - self.L_star) / (self.N_star + 2)
-
-    @staticmethod
-    def _biggest_gap(labels):
-        images = sorted((g.image() for g in labels), key=lambda iv: iv.lo)
-        best = images[0].lo
-        for a, b in zip(images, images[1:]):
-            best = max(best, b.lo - a.hi)
-        best = max(best, 1 - images[-1].hi)
-        return best
 
     @property
     def size(self):

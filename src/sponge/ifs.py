@@ -120,15 +120,6 @@ class Interval:
         """Do the open intervals (lo,hi) intersect?"""
         return max(self.lo, other.lo) < min(self.hi, other.hi)
 
-    def gap_to(self, other):
-        """Distance between the closed intervals (0 when they touch)."""
-        g = max(self.lo, other.lo) - min(self.hi, other.hi)
-        return g if g > 0 else Fraction(0)
-
-    def far_to(self, other):
-        """Max distance between points of the two closed intervals."""
-        return max(self.hi - other.lo, other.hi - self.lo)
-
 
 UNIT = Interval(Fraction(0), Fraction(1))
 
@@ -146,22 +137,6 @@ class Box:
 
     def open_intersects(self, other):
         return all(a.open_intersects(b) for a, b in zip(self.sides, other.sides))
-
-    def dist_sq(self, other):
-        """Squared Euclidean distance between the closed boxes."""
-        total = Fraction(0)
-        for a, b in zip(self.sides, other.sides):
-            g = a.gap_to(b)
-            total += g * g
-        return total
-
-    def far_sq(self, other):
-        """Squared max distance between points of the two closed boxes."""
-        total = Fraction(0)
-        for a, b in zip(self.sides, other.sides):
-            f = a.far_to(b)
-            total += f * f
-        return total
 
 
 def unit_cube(dim):

@@ -5,9 +5,9 @@ maps; the children of a vertex extend it by one coordinate, and the
 extending 1-D maps form the vertex's fiber IFS, a simple IFS of [0,1].
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .ifs import IFSError, major_projection, validate_lg
+from .ifs import validate_lg
 
 
 class TreeError(Exception):
@@ -30,10 +30,12 @@ ROOT = Vertex(0, ())
 
 @dataclass(frozen=True)
 class FiberIFS:
-    """Labels of a vertex's offspring, ordered by left endpoint of image."""
+    """Labels of a vertex's offspring and the gaps their images leave in
+    [0,1]: before the first, between neighbours and after the last."""
 
     owner: Vertex
     labels: tuple
+    gaps: tuple = field(init=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(self.labels))
@@ -42,9 +44,12 @@ class FiberIFS:
                 raise TreeError("tree: fiber label %s is not a self-map of [0,1]"
                                 % g)
         images = sorted((g.image() for g in self.labels), key=lambda iv: iv.lo)
-        for a, b in zip(images, images[1:]):
-            if a.hi > b.lo:
-                raise TreeError("tree: fiber images overlap")
+        ends = [0] + [v for iv in images for v in (iv.lo, iv.hi)] + [1]
+        gaps = tuple(b - a for a, b in zip(ends[::2], ends[1::2]))
+        # if two images overlap, some pair of neighbours does
+        if min(gaps) < 0:
+            raise TreeError("tree: fiber images overlap")
+        object.__setattr__(self, "gaps", gaps)
 
     @property
     def size(self):
@@ -57,18 +62,15 @@ class FiberIFS:
 class LabeledTree:
     """Immutable after construction; safe to share."""
 
-    def __init__(self, dim, levels, edges):
+    def __init__(self, dim, levels, fibers):
         self.dim = dim
         self.levels = tuple(tuple(level) for level in levels)
-        self.edges = dict(edges)  # (parent Vertex, label) -> child Vertex
-        self._children = {}
-        for (parent, label), child in self.edges.items():
-            self._children.setdefault(parent, []).append((label, child))
-        for parent, kids in self._children.items():
-            kids.sort(key=lambda lc: lc[0].image().lo)
+        self.fibers = dict(fibers)  # non-leaf Vertex -> FiberIFS
 
     def children(self, vertex):
-        return tuple(self._children.get(vertex, ()))
+        fib = self.fibers.get(vertex)
+        return tuple((g, Vertex(vertex.rank + 1, vertex.projected_map + (g,)))
+                     for g in (fib.labels if fib else ()))
 
 
 def build_labeled_tree(ifs):
@@ -78,18 +80,17 @@ def build_labeled_tree(ifs):
         raise TreeError("tree: input is not of Lalley-Gatzouras type: %s"
                         % (report.violations,))
     levels = [(ROOT,)]
-    edges = {}
+    fibers = {}
     for ell in range(1, ifs.dim + 1):
-        proj = major_projection(ifs, ell)
-        level = []
-        for m in proj.maps:
-            child = Vertex(ell, m.coords)
-            level.append(child)
-            parent = Vertex(ell - 1, m.coords[:-1])
-            label = m.coords[-1]
-            edges[(parent, label)] = child
-        levels.append(tuple(level))
-    return LabeledTree(ifs.dim, levels, edges)
+        # the ell-coordinate truncations, first occurrence first
+        levels.append(tuple(dict.fromkeys(Vertex(ell, m.coords[:ell])
+                                          for m in ifs.maps)))
+        labels = {u.projected_map: [] for u in levels[-2]}
+        for v in sorted(levels[-1], key=lambda v: v.projected_map[-1].offset):
+            labels[v.projected_map[:-1]].append(v.projected_map[-1])
+        fibers.update((u, FiberIFS(u, labels[u.projected_map]))
+                      for u in levels[-2])
+    return LabeledTree(ifs.dim, levels, fibers)
 
 
 def fiber_ifs(tree, vertex):
@@ -97,10 +98,10 @@ def fiber_ifs(tree, vertex):
     if vertex.rank >= tree.dim:
         raise TreeError("tree: rank-%d vertex has no fiber IFS (leaf)"
                         % vertex.rank)
-    kids = tree.children(vertex)
-    if not kids:
+    fib = tree.fibers.get(vertex)
+    if fib is None:
         raise TreeError("tree: vertex not in tree")
-    return FiberIFS(vertex, tuple(label for label, _ in kids))
+    return fib
 
 
 def last_coordinate_fibers(tree):

@@ -1,3 +1,4 @@
+import os
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -14,6 +15,11 @@ settings.register_profile("repeatable", derandomize=True, deadline=None,
 settings.load_profile("repeatable")
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+# Subprocesses such as `python -m sponge.cli` inherit the environment, not
+# pytest's own `pythonpath`, so put the source tree on PYTHONPATH for them.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(FIXTURES.parent / "src"), os.environ.get("PYTHONPATH")]))
 
 
 def load_fixture(name):

@@ -99,8 +99,7 @@ def test_tree_depth3_lg4(sys4):
 
 def test_root_gaps_lg4(sys4):
     sys_, consts = sys4
-    tree = build_cantor_tree(sys_, consts, 1)
-    gaps = [tree.gap((), j) for j in (1, 2, 3)]
+    gaps = [gap_length(sys_, consts, (), j) for j in (1, 2, 3)]
     assert gaps == [F(1)] * 3
     children = sum(cylinder_length(sys_, consts, (i,)) for i in range(4))
     assert consts.L == children + 3
@@ -180,7 +179,7 @@ def test_coding_identification_endpoints():
         j1 = tree.interval(w + (1,))
         j2 = tree.interval(w + (2,))
         assert j0[1] == j1[0]                      # tau_1 = 0: touching
-        assert j2[0] - j1[1] == tree.gap(w, 2) > 0  # tau_2 = 2: real gap
+        assert j2[0] - j1[1] == gap_length(sys_, consts, w, 2) > 0  # tau_2 = 2
 
 
 def test_binary_tree_lg4(sys4):

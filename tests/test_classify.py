@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -181,7 +182,7 @@ def test_exactly_one_matches_special_form_oracle(lg5, lg4, bedford_mcmullen):
 def _outcome(fn, *args):
     try:
         return fn(*args)
-    except (CantorError, TreeError) as exc:
+    except (CantorError, ClassifyError, TreeError) as exc:
         return type(exc), str(exc)
 
 
@@ -199,6 +200,36 @@ def test_shared_analysis_matches_fresh_calls(lg5, lg4, bedford_mcmullen):
                 == _outcome(check_product_decomposition, ifs, k)
         assert _outcome(analyze_special_system, shared) \
             == _outcome(analyze_special_system, ifs)
+
+
+def test_witnesses_read_the_shared_tree(monkeypatch, lg5, lg4):
+    segment = parse_ifs("dim 2\nmap 1/2 0 ; 1/3 0\nmap 1/2 0 ; 1/3 2/3\n"
+                        "map 1/2 0 ; 1/3 1/3")
+    three_d = parse_ifs("dim 3\nmap 1/2 0 ; 1/3 0 ; 1/4 0\n"
+                        "map 1/2 0 ; 1/3 1/3 ; 1/4 1/2\n"
+                        "map 1/2 0 ; 1/3 2/3 ; 1/4 1/4\n")
+    cases = [(line_segment_witness, segment), (line_segment_witness, lg4),
+             (extract_special_subsystem, lg4),
+             (extract_special_subsystem, three_d),
+             (extract_special_subsystem, lg5)]
+    witnesses = [classify(ifs).witness or ROOT for _, ifs in cases]
+    fresh = [_outcome(fn, ifs, w) for (fn, ifs), w in zip(cases, witnesses)]
+    analyses = [Analysis(ifs) for _, ifs in cases]
+    for a in analyses:
+        a.tree
+    module = sys.modules["sponge.classify"]
+    built = []
+
+    def counting(ifs):
+        built.append(ifs)
+        return build_labeled_tree(ifs)
+
+    monkeypatch.setattr(module, "build_labeled_tree", counting)
+    shared = [_outcome(fn, a, w)
+              for (fn, _), a, w in zip(cases, analyses, witnesses)]
+    assert shared == fresh
+    # the extracted subsystem gets its own tree; the input never does again
+    assert not any(b is ifs for b in built for _, ifs in cases)
 
 
 def test_zero_class_monotone_under_subsets(lg5):

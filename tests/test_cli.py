@@ -72,6 +72,9 @@ def test_resource_cap_exit(capsys):
     ["components", LG5, "--depth", "100000000", "--delta", "1/8"],
     ["cantor", LG4, "--check", "binary", "--depth", "40"],
     ["cantor", LG4, "--check", "binary", "--depth", "100000000"],
+    ["cantor", LG4, "--precision", "2000000"],
+    ["components", LG5, "--depth", "1", "--delta", "1/8",
+     "--precision", "2000000"],
 ])
 def test_huge_depth_is_cap_error(capsys, argv):
     started = time.perf_counter()
@@ -81,6 +84,18 @@ def test_huge_depth_is_cap_error(capsys, argv):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert len(captured.err) < 100
+
+
+@pytest.mark.parametrize("cap, code", [("49", 3), ("50", 0)])
+def test_precision_counts_against_cap(capsys, cap, code):
+    assert main(["components", LG5, "--depth", "1", "--delta", "1/8",
+                 "--precision", "50", "--cap", cap]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+    else:
+        assert captured.err == ""
 
 
 def test_one_map_huge_depth_is_cap_error(tmp_path, capsys):
@@ -180,6 +195,24 @@ def test_report_runs_each_stage_once(capsys, monkeypatch, fixture):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("fixture, vertices", [
+    ("lg4", 5), ("lg5", 3), ("bedford_mcmullen", 4)])
+def test_report_builds_one_fiber_per_vertex(capsys, monkeypatch, fixture,
+                                            vertices):
+    owners = []
+    original = sponge.tree.FiberIFS.__post_init__
+
+    def counting(self):
+        owners.append(self.owner)
+        original(self)
+
+    monkeypatch.setattr(sponge.tree.FiberIFS, "__post_init__", counting)
+    assert main(["all", str(FIXTURES / (fixture + ".ifs"))]) == 0
+    capsys.readouterr()
+    # one FiberIFS per non-leaf vertex, each built once
+    assert len(owners) == len(set(owners)) == vertices
+
+
 def test_non_utf8_input_exit(tmp_path, capsys):
     bad = tmp_path / "latin1.ifs"
     bad.write_bytes(b"dim 2\nmap 1/2 0 ; 1/3 0 \xff\n")
@@ -205,6 +238,7 @@ def test_usage_error_exit(capsys):
     ["all", LG4, "--cap", "-3"],
     ["validate", LG4, "--cap", "-3"],
     ["classify", LG4, "--cap", "0"],
+    ["classify", LG4, "--precision", "100", "--cap", "0"],
 ])
 def test_invalid_numeric_option_is_usage_error(capsys, argv):
     assert main(argv) == 1

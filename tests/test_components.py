@@ -131,6 +131,26 @@ def test_family_rejects_tiling_member():
         SimpleIFSFamily([labels(("1/2", 0), ("1/2", "1/2"))])
 
 
+@pytest.mark.parametrize("member", [
+    labels(("3/5", 0), ("1/10", "1/10"), ("2/5", "3/5")),  # images overlap
+    labels(("1/4", 0), ("1/2", "3/4")),                    # leaves [0,1]
+    (),
+])
+def test_family_rejects_member_that_is_not_a_simple_ifs(member):
+    with pytest.raises(PreconditionError):
+        SimpleIFSFamily([labels(("1/4", 0), ("1/4", "3/4")), member])
+
+
+def test_family_keeps_members_as_given(lg5):
+    from sponge import build_labeled_tree, fiber_ifs
+    backwards = labels(("1/4", "3/4"), ("1/4", 0))
+    assert SimpleIFSFamily([backwards]).members == (backwards,)
+    tree = build_labeled_tree(lg5)
+    fibers = [fiber_ifs(tree, v) for v in tree.levels[1]]
+    fam = SimpleIFSFamily(fibers)
+    assert all(m is f.labels for m, f in zip(fam.members, fibers))
+
+
 def test_pre_moran_word1():
     pm = pre_moran_intervals(_half_family(), (1,))
     assert [(iv.lo, iv.hi) for iv in pm.intervals] == \
@@ -354,14 +374,32 @@ def _oracle_point_dist_sq(p, q):
     return sum((a - b) * (a - b) for a, b in zip(p, q))
 
 
+def _oracle_side_gap(a, b):
+    """Distance between two closed intervals (0 when they touch)."""
+    g = max(a.lo, b.lo) - min(a.hi, b.hi)
+    return g if g > 0 else Fraction(0)
+
+
+def _oracle_box_dist_sq(a, b):
+    """Squared Euclidean distance between two closed boxes."""
+    return sum((_oracle_side_gap(s, t) ** 2 for s, t in zip(a.sides, b.sides)),
+               Fraction(0))
+
+
+def _oracle_box_far_sq(a, b):
+    """Squared max distance between points of two closed boxes."""
+    return sum((max(s.hi - t.lo, t.hi - s.lo) ** 2
+                for s, t in zip(a.sides, b.sides)), Fraction(0))
+
+
 def _oracle_components_sq(objects, delta_sq):
     """(blocks, diam_sqs) of the closure of dist^2 <= delta_sq."""
     if isinstance(objects, PointSet):
         objects = objects.points
     objects = list(objects)
     if isinstance(objects[0], Box):
-        dist_sq = lambda i, j: objects[i].dist_sq(objects[j])
-        far_sq = lambda i, j: objects[i].far_sq(objects[j])
+        dist_sq = lambda i, j: _oracle_box_dist_sq(objects[i], objects[j])
+        far_sq = lambda i, j: _oracle_box_far_sq(objects[i], objects[j])
     else:
         pts = [tuple(p) for p in objects]
         dist_sq = lambda i, j: _oracle_point_dist_sq(pts[i], pts[j])
@@ -392,7 +430,7 @@ def _oracle_components_sq(objects, delta_sq):
 def _oracle_gaps(objects):
     """Every positive pairwise squared gap, for thresholds that touch."""
     if isinstance(objects[0], Box):
-        gap = lambda a, b: a.dist_sq(b)
+        gap = _oracle_box_dist_sq
     else:
         gap = _oracle_point_dist_sq
     return sorted({gap(a, b) for k, a in enumerate(objects)
@@ -449,7 +487,8 @@ def _touching_deltas(boxes):
     out = set()
     for k, a in enumerate(boxes):
         for b in boxes[k + 1:]:
-            gaps = [g for g in (s.gap_to(t) for s, t in zip(a.sides, b.sides))
+            gaps = [g for g in (_oracle_side_gap(s, t)
+                                for s, t in zip(a.sides, b.sides))
                     if g > 0]
             if len(gaps) == 1:
                 out.add(gaps[0])

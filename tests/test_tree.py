@@ -1,10 +1,16 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
-from sponge import (AffineMap1D, DiagonalAffineMap, SpongeIFS, TreeError,
-                    Vertex, all_fiber_ifs, build_labeled_tree, fiber_ifs,
-                    major_projection, parse_ifs)
+from sponge import (AffineMap1D, DiagonalAffineMap, FiberIFS, SpongeIFS,
+                    TreeError, Vertex, all_fiber_ifs,
+                    attractor_is_unit_interval, build_labeled_tree, fiber_ifs,
+                    last_coordinate_fibers, major_projection, parse_ifs,
+                    validate_lg)
+
+from conftest import random_lg_system
 
 
 def F(s):
@@ -108,3 +114,133 @@ def test_fiber_labels_sorted_left_to_right(lg5):
     for fib in all_fiber_ifs(tree):
         lows = [g.image().lo for g in fib.labels]
         assert lows == sorted(lows)
+
+
+def test_fiber_lookups_return_the_tree_fibers(lg5, lg4):
+    for ifs in (lg5, lg4):
+        tree = build_labeled_tree(ifs)
+        for fib in all_fiber_ifs(tree) + last_coordinate_fibers(tree):
+            assert fib is tree.fibers[fib.owner]
+            assert fiber_ifs(tree, fib.owner) is fib
+
+
+def test_vertex_not_in_tree_rejected(lg5):
+    tree = build_labeled_tree(lg5)
+    with pytest.raises(TreeError, match="not in tree"):
+        fiber_ifs(tree, Vertex(1, (AffineMap1D(F("1/7"), F(0)),)))
+
+
+# Oracles: the constructions the labeled tree and FiberIFS.gaps replaced.
+
+def _oracle_children(ifs):
+    """One (parent, label) -> child edge per major-projection map, inverted
+    per parent and sorted by the left end of each label's image."""
+    edges = {}
+    for ell in range(1, ifs.dim + 1):
+        for m in major_projection(ifs, ell).maps:
+            edges[(Vertex(ell - 1, m.coords[:-1]), m.coords[-1])] = \
+                Vertex(ell, m.coords)
+    children = {}
+    for (parent, label), child in edges.items():
+        children.setdefault(parent, []).append((label, child))
+    for kids in children.values():
+        kids.sort(key=lambda lc: lc[0].image().lo)
+    return children
+
+
+def _oracle_tiles(labels):
+    """The sorted scan attractor_is_unit_interval used to run."""
+    images = sorted((g.image() for g in labels), key=lambda iv: iv.lo)
+    if images[0].lo != 0 or images[-1].hi != 1:
+        return False
+    for a, b in zip(images, images[1:]):
+        if a.hi != b.lo:
+            return False
+    return True
+
+
+def _oracle_biggest_gap(labels):
+    """SimpleIFSFamily's former biggest-gap scan."""
+    images = sorted((g.image() for g in labels), key=lambda iv: iv.lo)
+    best = images[0].lo
+    for a, b in zip(images, images[1:]):
+        best = max(best, b.lo - a.hi)
+    best = max(best, 1 - images[-1].hi)
+    return best
+
+
+def _tree_inputs(lg5, lg4, bedford_mcmullen):
+    rng = random.Random(61)
+    systems = [lg5, lg4, bedford_mcmullen, parse_ifs(
+        "dim 3\nmap 1/2 0 ; 1/3 0 ; 1/4 0\nmap 1/2 0 ; 1/3 1/3 ; 1/4 1/2\n"
+        "map 1/2 1/2 ; 1/3 0 ; 1/4 0\nmap 1/2 0 ; 1/3 2/3 ; 1/4 1/4\n")]
+    systems += [random_lg_system(rng) for _ in range(12)]
+    return [ifs for ifs in systems if validate_lg(ifs).lg_type], rng
+
+
+def test_tree_matches_edge_inversion_oracle(lg5, lg4, bedford_mcmullen):
+    systems, _ = _tree_inputs(lg5, lg4, bedford_mcmullen)
+    assert len(systems) >= 10
+    for ifs in systems:
+        tree = build_labeled_tree(ifs)
+        for ell in range(1, ifs.dim + 1):
+            assert tree.levels[ell] == tuple(
+                Vertex(ell, m.coords) for m in major_projection(ifs, ell).maps)
+        oracle = _oracle_children(ifs)
+        assert set(tree.fibers) == set(oracle)
+        for v, kids in oracle.items():
+            assert tree.children(v) == tuple(kids)
+            fib = FiberIFS(v, [label for label, _ in kids])
+            assert tree.fibers[v].labels == fib.labels
+            assert tree.fibers[v].gaps == fib.gaps
+
+
+def test_tree_invariant_under_map_permutation(lg5, lg4, bedford_mcmullen):
+    systems, rng = _tree_inputs(lg5, lg4, bedford_mcmullen)
+    for ifs in systems:
+        base = build_labeled_tree(ifs)
+        for _ in range(4):
+            perm = rng.sample(range(ifs.size), ifs.size)
+            tree = build_labeled_tree(
+                SpongeIFS(ifs.dim, tuple(ifs.maps[i] for i in perm)))
+            assert [set(level) for level in tree.levels] == \
+                [set(level) for level in base.levels]
+            assert {v: fib.labels for v, fib in tree.fibers.items()} == \
+                {v: fib.labels for v, fib in base.fibers.items()}
+
+
+@st.composite
+def unit_labels(draw):
+    """Self-maps of [0,1] over a small denominator, so that images often
+    overlap, nest, touch or tile."""
+    q = draw(st.integers(2, 8))
+    out = []
+    for _ in range(draw(st.integers(1, 5))):
+        r = draw(st.integers(1, q - 1))
+        out.append(AffineMap1D(Fraction(r, q),
+                               Fraction(draw(st.integers(0, q - r)), q)))
+    return tuple(out)
+
+
+def _maps(*pairs):
+    return tuple(AffineMap1D(F(r), F(o)) for r, o in pairs)
+
+
+@given(unit_labels())
+@example(_maps(("1/2", "1/2"), ("1/2", 0)))                # tiles
+@example(_maps(("1/4", 0), ("1/4", "1/4"), ("1/4", "3/4")))  # touching
+@example(_maps(("1/2", 0), ("1/4", "1/8")))                # nested
+@example(_maps(("3/5", 0), ("1/10", "1/10"), ("2/5", "3/5")))  # covers
+def test_fiber_gaps_match_pairwise_and_scan_oracles(labels):
+    images = [g.image() for g in labels]
+    overlap = any(a.open_intersects(b)
+                  for k, a in enumerate(images) for b in images[k + 1:])
+    if overlap:
+        with pytest.raises(TreeError, match="overlap"):
+            FiberIFS(Vertex(0, ()), labels)
+        return
+    fib = FiberIFS(Vertex(0, ()), labels)
+    assert len(fib.gaps) == len(labels) + 1
+    assert min(fib.gaps) >= 0
+    assert attractor_is_unit_interval(fib) == _oracle_tiles(labels)
+    assert max(fib.gaps) == _oracle_biggest_gap(labels)
