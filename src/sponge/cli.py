@@ -1,7 +1,8 @@
 """Command-line surface: reproducible reports over IFS files.
 
 Exit codes: 0 success, 1 usage or parse error, 2 validation rejection,
-3 resource-cap abort.  Diagnostics go to stderr; report output is the
+3 resource-cap abort (an exact value too long to print included), 4
+internal error.  Diagnostics go to stderr, one line; report output is the
 only thing written to stdout.  JSON reports use sorted keys and carry a
 digest over everything except the timing field, so identical inputs and
 configuration yield identical digests across runs.
@@ -31,6 +32,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_REJECTED = 2
 EXIT_CAP = 3
+EXIT_INTERNAL = 4
 
 
 class Rejection(Exception):
@@ -382,6 +384,13 @@ def main(argv=None):
     except ResourceCapError as exc:
         print("sponge: %s" % exc, file=sys.stderr)
         return EXIT_CAP
+    except Exception as exc:
+        # last resort: a fault of the program still ends in one line
+        text = str(exc).splitlines()
+        print("sponge: internal error: %s%s" % (
+            type(exc).__name__, ": " + text[0] if text else ""),
+            file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

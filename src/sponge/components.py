@@ -7,7 +7,9 @@ exact squared thresholds; no floating point enters any decision.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import isqrt
+from operator import itemgetter
 
 from .ifs import (Box, IFSError, Interval, UNIT, compose_words,
                   major_projection, validate_lg)
@@ -202,32 +204,35 @@ def delta_components(objects, delta):
 def interval_components(intervals, delta):
     """Fast 1-D path: blocks and exact diameters of closed intervals.
 
-    Returns (blocks, diams) with blocks as index tuples into the input
-    and diams as exact rational lengths.  Agrees with delta_components
-    on 1-D boxes.
+    Returns (blocks, diams) like delta_components, with blocks as index
+    tuples into the input ordered by their first index, and diams as
+    exact rational lengths.  Agrees with delta_components on 1-D boxes.
+
+    Single linkage on a line is the sorted gap list.  Over the
+    intervals' common denominator, sort them by left end and take the
+    running maximum right end; delta cuts that order where an interval
+    starts more than delta past it.  Every block is a run, and its
+    diameter is its last running maximum minus its first left end: the
+    blocks before it end strictly to its left.
     """
     delta = Fraction(delta)
     if delta <= 0:
         raise ComponentsError("components: delta must be positive")
-    order = sorted(range(len(intervals)), key=lambda i: intervals[i].lo)
-    blocks, diams = [], []
-    cur, cur_hi, cur_lo = [], None, None
-    for idx in order:
-        iv = intervals[idx]
-        if cur and iv.lo - cur_hi > delta:
-            blocks.append(tuple(sorted(cur)))
-            diams.append(cur_hi - cur_lo)
-            cur, cur_hi, cur_lo = [], None, None
-        if not cur:
-            cur_lo = iv.lo
-            cur_hi = iv.hi
-        else:
-            cur_hi = max(cur_hi, iv.hi)
-        cur.append(idx)
-    if cur:
-        blocks.append(tuple(sorted(cur)))
-        diams.append(cur_hi - cur_lo)
-    pairs = sorted(zip(blocks, diams), key=lambda bd: bd[0][0])
+    n = len(intervals)
+    if not n:
+        return (), ()
+    den, ends = common_denominator(
+        [iv.lo for iv in intervals] + [iv.hi for iv in intervals])
+    los, his = ends[:n], ends[n:]
+    order = sorted(range(n), key=los.__getitem__)
+    starts = [los[i] for i in order]
+    reach = list(accumulate(map(his.__getitem__, order), max))
+    # an integer gap exceeds delta * den iff it exceeds its floor
+    limit = delta.numerator * den // delta.denominator
+    cuts = [k for k in range(1, n) if starts[k] - reach[k - 1] > limit]
+    pairs = sorted((tuple(sorted(order[a:b])),
+                    Fraction(reach[b - 1] - starts[a], den))
+                   for a, b in zip([0] + cuts, cuts + [n]))
     return tuple(b for b, _ in pairs), tuple(d for _, d in pairs)
 
 
@@ -381,14 +386,23 @@ class PreMoranSet:
     intervals: tuple  # sorted by left endpoint
 
 
-def _apply_labels(label_sets):
-    """Basic intervals of G_1 o ... o G_k([0,1]) for label sets G_j, in
-    the order of the outermost label first."""
-    intervals = [UNIT]
+def _compose_labels(label_sets):
+    """(den, ends): the basic intervals of G_1 o ... o G_k([0,1]) for
+    label sets G_j as integer (lo, hi) pairs over den, in the order of
+    the outermost label first."""
+    den, ends = 1, [(0, 1)]
     for labels in reversed(label_sets):
-        intervals = [Interval(g(iv.lo), g(iv.hi))
-                     for g in labels for iv in intervals]
-    return intervals
+        scale, ints = common_denominator(
+            [v for g in labels for v in (g.ratio, g.offset)])
+        # g(x / den) = (r * x + o * den) / (scale * den), g = (r, o) / scale
+        steps = [(r, o * den) for r, o in zip(ints[0::2], ints[1::2])]
+        ends = [(r * lo + o, r * hi + o) for r, o in steps for lo, hi in ends]
+        den *= scale
+    return den, ends
+
+
+def _intervals(den, ends):
+    return [Interval(Fraction(lo, den), Fraction(hi, den)) for lo, hi in ends]
 
 
 def pre_moran_intervals(family, word, cap=DEFAULT_CAP):
@@ -396,16 +410,18 @@ def pre_moran_intervals(family, word, cap=DEFAULT_CAP):
     word = tuple(word)
     if not word:
         raise ComponentsError("components: pre-Moran word must be nonempty")
+    # a length-k word takes k compositions, even when every member has one map
     count = 1
-    for i in word:
+    for k, i in enumerate(word, start=1):
         if not (1 <= i <= family.size):
             raise ComponentsError("components: family index %d out of range" % i)
         count *= family.counts[i - 1]
-        if count > cap:
-            raise ResourceCapError("components", count, cap)
-    intervals = _apply_labels([family.members[i - 1] for i in word])
-    intervals.sort(key=lambda iv: iv.lo)
-    return PreMoranSet(family, word, tuple(intervals))
+        if max(count, k) > cap:
+            raise ResourceCapError("components", max(count, k), cap)
+    den, ends = _compose_labels([family.members[i - 1] for i in word])
+    # one denominator, so the integer order is the order of the values
+    ends.sort(key=itemgetter(0))
+    return PreMoranSet(family, word, tuple(_intervals(den, ends)))
 
 
 @dataclass(frozen=True)
@@ -527,6 +543,6 @@ def check_product_decomposition(ifs, k, cap=DEFAULT_CAP):
     fibers = [f.labels for f in last_coordinate_fibers(analysis.tree)]
     rhs = set()
     for word, base in _cylinder_sides(proj, k):
-        for iv in _apply_labels([fibers[j] for j in word]):
+        for iv in _intervals(*_compose_labels([fibers[j] for j in word])):
             rhs.add(Box(base + (iv,)))
     return lhs == rhs

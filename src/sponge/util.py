@@ -6,6 +6,7 @@ enter a comparison it is carried as a quadratic expression p + q*sqrt(s)
 with rational p, q, s and compared by repeated squaring.
 """
 
+import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import isqrt, lcm
@@ -24,19 +25,30 @@ def parse_fraction(text):
 
 
 def common_denominator(values):
-    """(den, ints): the rationals as integers over their least common
-    denominator, values[k] == ints[k] / den."""
-    values = [Fraction(v) for v in values]
-    den = lcm(*(v.denominator for v in values))
-    return den, [v.numerator * (den // v.denominator) for v in values]
+    """(den, ints): ints and Fractions as integers over their least common
+    denominator, values[k] == ints[k] / den.  No value is converted:
+    anything else, a float included, is a TypeError."""
+    values = list(values)
+    if not all(issubclass(t, (int, Fraction)) for t in set(map(type, values))):
+        raise TypeError("common_denominator takes ints and Fractions")
+    pairs = [v.as_integer_ratio() for v in values]
+    den = lcm(*{d for _, d in pairs})
+    return den, [n * (den // d) for n, d in pairs]
 
 
 def frac_str(fr):
-    """Serialize a Fraction as 'p/q' (or 'p' when integral)."""
+    """Serialize a Fraction as 'p/q' (or 'p' when integral); a DigitLimitError
+    when a part is too long for Python to convert to text."""
     fr = Fraction(fr)
-    if fr.denominator == 1:
-        return str(fr.numerator)
-    return "%d/%d" % (fr.numerator, fr.denominator)
+    try:
+        if fr.denominator == 1:
+            return str(fr.numerator)
+        return "%d/%d" % (fr.numerator, fr.denominator)
+    except ValueError:
+        # log10(2) > 30102/100000, so this undercounts the digits
+        bits = max(abs(fr.numerator), fr.denominator).bit_length()
+        raise DigitLimitError("output", (bits - 1) * 30102 // 100000 + 1,
+                              sys.get_int_max_str_digits()) from None
 
 
 def decimal_str(fr, digits=12):
@@ -110,12 +122,20 @@ class ResourceCapError(Exception):
     """Raised when an enumeration would exceed the configured object cap;
     `requested` is a lower bound on the count, past the cap."""
 
+    message = "%s: would enumerate at least %d objects, cap is %d"
+
     def __init__(self, module, requested, cap):
-        super().__init__("%s: would enumerate at least %d objects, cap is %d"
-                         % (module, requested, cap))
+        super().__init__(self.message % (module, requested, cap))
         self.module = module
         self.requested = requested
         self.cap = cap
+
+
+class DigitLimitError(ResourceCapError):
+    """An exact value with more decimal digits than Python converts to
+    text (sys.get_int_max_str_digits()); `requested` is a lower bound."""
+
+    message = "%s: an exact value has at least %d digits, the print limit is %d"
 
 
 def capped_power(base, exp, cap):

@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 
 import sponge.cantor
+import sponge.cli
 from sponge import Analysis
 from sponge.cli import main
 
@@ -109,6 +110,59 @@ def test_one_map_huge_depth_is_cap_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
+
+
+def _assert_one_line_cap_error(capsys, argv):
+    started = time.perf_counter()
+    assert main(argv) == 3
+    assert time.perf_counter() - started < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+
+
+@pytest.fixture
+def one_map_columns(tmp_path):
+    """Two columns with one map each: every family member has one label."""
+    path = tmp_path / "columns.ifs"
+    path.write_text("dim 2\nmap 1/2 0 ; 1/3 0\nmap 1/2 1/2 ; 1/3 0\n")
+    return str(path)
+
+
+def test_premoran_cap_bounds_word_length(capsys, one_map_columns):
+    word = ",".join(["1"] * 20000)
+    _assert_one_line_cap_error(capsys, ["premoran", one_map_columns,
+                                        "--word", word, "--cap", "1000"])
+
+
+@pytest.mark.parametrize("cap, code", [("19", 3), ("20", 0)])
+def test_premoran_word_length_boundary(capsys, one_map_columns, cap, code):
+    assert main(["premoran", one_map_columns, "--word", ",".join(["1"] * 20),
+                 "--cap", cap]) == code
+    captured = capsys.readouterr()
+    assert len(captured.err.splitlines()) == code // 3
+
+
+def test_value_too_long_to_print_is_cap_error(capsys, tmp_path,
+                                              one_map_columns):
+    # 3^20000 and 2^16000 are past Python's 4300-digit int-to-str limit
+    _assert_one_line_cap_error(capsys, ["premoran", one_map_columns, "--word",
+                                        ",".join(["1"] * 20000)])
+    one_map = tmp_path / "one_map.ifs"
+    one_map.write_text("dim 2\nmap 1/2 0 ; 1/3 0\n")
+    _assert_one_line_cap_error(capsys, ["components", str(one_map), "--depth",
+                                        "8000", "--delta", "1/8"])
+
+
+def test_internal_error_is_one_line(capsys, monkeypatch):
+    def broken(a, args):
+        raise RuntimeError("first line\nsecond line")
+
+    monkeypatch.setitem(sponge.cli._HANDLERS, "classify", broken)
+    assert main(["classify", LG5]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "sponge: internal error: RuntimeError: first line\n"
 
 
 def test_cantor_binary_cap_counts_binary_nodes(capsys):

@@ -335,21 +335,6 @@ def test_monotone_refinement():
             assert len({blocks[i] for i in block}) == 1
 
 
-def test_interval_components_match_generic():
-    rng = random.Random(21)
-    for _ in range(10):
-        ivs = []
-        for _ in range(rng.randint(2, 8)):
-            lo = F(rng.randint(0, 50), 60)
-            ivs.append(Interval(lo, lo + F(rng.randint(0, 8), 60)))
-        delta = F(rng.randint(1, 10), 60)
-        blocks, diams = interval_components(ivs, delta)
-        from sponge.ifs import Box
-        part = delta_components([Box((iv,)) for iv in ivs], delta)
-        assert blocks == part.blocks
-        assert tuple(d * d for d in diams) == part.diam_sqs
-
-
 # Differential oracle: the per-threshold Fraction union-find that the
 # integer single-linkage kernel replaced.  Every pair is tested in exact
 # rationals, then each block's diameter is the max over its pairs.
@@ -530,3 +515,139 @@ def test_profile_error_order(lg5):
     with pytest.raises(ComponentsError,
                        match="delta must be positive, got -1/8"):
         component_diameter_profile(lg5, 2, [F(1, 8), F(-1, 8), F(0)])
+
+
+# Differential oracles of the 1-D path: the Fraction sort-and-merge that
+# the integer sorted gap list replaced, and the Fraction composition that
+# integer pre-Moran composition replaced.
+
+def _oracle_interval_components(intervals, delta):
+    """(blocks, diams) of closed intervals: merge in order of left end
+    while the next one starts within delta of the running right end."""
+    order = sorted(range(len(intervals)), key=lambda i: intervals[i].lo)
+    blocks, diams = [], []
+    cur, cur_hi, cur_lo = [], None, None
+    for idx in order:
+        iv = intervals[idx]
+        if cur and iv.lo - cur_hi > delta:
+            blocks.append(tuple(sorted(cur)))
+            diams.append(cur_hi - cur_lo)
+            cur, cur_hi, cur_lo = [], None, None
+        if not cur:
+            cur_lo = iv.lo
+            cur_hi = iv.hi
+        else:
+            cur_hi = max(cur_hi, iv.hi)
+        cur.append(idx)
+    if cur:
+        blocks.append(tuple(sorted(cur)))
+        diams.append(cur_hi - cur_lo)
+    pairs = sorted(zip(blocks, diams), key=lambda bd: bd[0][0])
+    return tuple(b for b, _ in pairs), tuple(d for _, d in pairs)
+
+
+def _oracle_pre_moran_intervals(family, word):
+    """Each label applied to each interval in Fraction, innermost member
+    first, then a stable sort by left end."""
+    intervals = [Interval(F(0), F(1))]
+    for i in reversed(word):
+        intervals = [Interval(g(iv.lo), g(iv.hi))
+                     for g in family.members[i - 1] for iv in intervals]
+    return sorted(intervals, key=lambda iv: iv.lo)
+
+
+fractions_of_unit = st.sampled_from([F(0), F(1, 3), F(1, 2), F(1)])
+
+
+@st.composite
+def interval_sets(draw):
+    """Closed intervals, with duplicate, nested, touching and zero-length
+    ones drawn on purpose next to fresh, mostly disjoint ones."""
+    ivs = []
+    for _ in range(draw(st.integers(1, 9))):
+        kind = draw(st.sampled_from(
+            ["fresh", "duplicate", "nested", "touching", "point"]))
+        if not ivs or kind == "fresh":
+            lo = draw(rationals)
+            ivs.append(Interval(lo, lo + draw(rationals)))
+            continue
+        iv = draw(st.sampled_from(ivs))
+        if kind == "duplicate":
+            ivs.append(iv)
+        elif kind == "nested":
+            lo = iv.lo + iv.length * draw(fractions_of_unit)
+            ivs.append(Interval(lo, lo + (iv.hi - lo) * draw(fractions_of_unit)))
+        elif kind == "touching":
+            ivs.append(Interval(iv.hi, iv.hi + draw(rationals)))
+        else:
+            end = draw(st.sampled_from([iv.lo, iv.hi]))
+            ivs.append(Interval(end, end))
+    return ivs
+
+
+@st.composite
+def interval_deltas(draw, ivs):
+    """A positive delta: one of the set's own gaps, just above or below
+    one, or any rational."""
+    eps = F(1, 10 ** 6)
+    near = sorted({b.lo - a.hi + s for a in ivs for b in ivs
+                   for s in (-eps, 0, eps) if b.lo - a.hi + s > 0})
+    if near and draw(st.booleans()):
+        return draw(st.sampled_from(near))
+    return draw(st.builds(Fraction, st.integers(1, 200), st.integers(1, 60)))
+
+
+@given(st.data())
+def test_interval_components_match_oracle(data):
+    ivs = data.draw(interval_sets())
+    delta = data.draw(interval_deltas(ivs))
+    assert interval_components(ivs, delta) == \
+        _oracle_interval_components(ivs, delta)
+
+
+@given(st.data())
+def test_interval_components_match_generic(data):
+    ivs = data.draw(interval_sets())
+    delta = data.draw(interval_deltas(ivs))
+    blocks, diams = interval_components(ivs, delta)
+    part = delta_components([Box((iv,)) for iv in ivs], delta)
+    assert blocks == part.blocks
+    assert tuple(d * d for d in diams) == part.diam_sqs
+
+
+def test_interval_components_empty_and_nonpositive_delta():
+    assert interval_components([], F(1, 8)) == ((), ())
+    for delta in (F(0), F(-1, 8)):
+        with pytest.raises(ComponentsError):
+            interval_components([Interval(F(0), F(1))], delta)
+        with pytest.raises(ComponentsError):
+            interval_components([], delta)
+
+
+def test_interval_components_reject_float_ends():
+    # exact arithmetic only: a float end is refused, not converted
+    with pytest.raises(TypeError):
+        interval_components([Interval(0.0, 0.5), Interval(F(3, 4), F(1))],
+                            F(1, 8))
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 10 ** 6), st.integers(1, 5))
+def test_pre_moran_intervals_match_fraction_oracle(seed, length):
+    rng = random.Random(seed)
+    members = [random_simple_labels(rng, max_maps=3, tiling=False)
+               for _ in range(rng.randint(1, 3))]
+    # labels in any order, so that the composed intervals need sorting
+    fam = SimpleIFSFamily([rng.sample(m, len(m)) for m in members])
+    word = tuple(rng.randint(1, fam.size) for _ in range(length))
+    assert list(pre_moran_intervals(fam, word).intervals) == \
+        _oracle_pre_moran_intervals(fam, word)
+
+
+def test_pre_moran_cap_counts_word_length():
+    # one map per member: one interval, but a length-k word takes k levels
+    fam = SimpleIFSFamily([labels(("1/3", 0))])
+    with pytest.raises(ResourceCapError):
+        pre_moran_intervals(fam, (1,) * 20, cap=19)
+    pm = pre_moran_intervals(fam, (1,) * 20, cap=20)
+    assert pm.intervals == (Interval(F(0), F(1, 3 ** 20)),)

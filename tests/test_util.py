@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from sponge.util import (capped_power, common_denominator, decimal_str,
-                         frac_str, parse_fraction, quad_leq, sqrt_bracket,
+from sponge.util import (DigitLimitError, ResourceCapError, capped_power,
+                         common_denominator, decimal_str, frac_str,
+                         parse_fraction, quad_leq, sqrt_bracket,
                          sqrt_decimal_str, sqrt_leq_quad)
 
 
@@ -21,11 +22,26 @@ def test_common_denominator():
     assert (den, ints) == (12, [2, -9, 24, 0])
     assert [Fraction(k, den) for k in ints] == values
     assert common_denominator([]) == (1, [])
+    assert common_denominator(iter(values)) == (12, [2, -9, 24, 0])
+    # ints and Fractions only: a float is rejected, not converted
+    with pytest.raises(TypeError):
+        common_denominator([Fraction(1, 2), 0.5])
+    with pytest.raises(TypeError):
+        common_denominator([1.0])
 
 
 def test_frac_str():
     assert frac_str(Fraction(613, 73)) == "613/73"
     assert frac_str(Fraction(4, 2)) == "2"
+
+
+def test_frac_str_too_long_to_print():
+    # 3**20000 has 9543 digits, past Python's default limit of 4300
+    with pytest.raises(DigitLimitError) as err:
+        frac_str(Fraction(1, 3 ** 20000))
+    assert isinstance(err.value, ResourceCapError)
+    assert 9000 < err.value.requested <= 9543
+    assert len(str(err.value).splitlines()) == 1
 
 
 def test_decimal_str():
