@@ -7,7 +7,7 @@ the decision rests on.
 """
 
 from .ifs import (AffineMap1D, Box, DiagonalAffineMap, IFSError, Interval,
-                  ParseError, SpongeIFS, ValidationReport, compose_words,
+                  ParseError, SpongeIFS, ValidationReport, compose_labels,
                   cylinder_box, fixed_point, major_projection, parse_ifs,
                   serialize_ifs, validate_lg, width)
 from .tree import (FiberIFS, LabeledTree, TreeError, Vertex, all_fiber_ifs,

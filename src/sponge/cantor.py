@@ -12,9 +12,10 @@ verified by exact arithmetic, with decimals only in reports.
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .classify import EXACTLY_ONE, Analysis, classify
-from .ifs import SpongeIFS, compose_words, fixed_point
+from .ifs import SpongeIFS, compose_labels, fixed_point
 from .util import (DEFAULT_CAP, ResourceCapError, capped_power,
                    common_denominator, quad_leq, sqrt_leq_quad)
 
@@ -250,17 +251,21 @@ def bilipschitz_check(sys, constants, depth, lip=None, cap=DEFAULT_CAP,
         if n_words ** 2 > cap * 40:
             raise ResourceCapError("cantor", n_words ** 2, cap * 40)
     d = sys.dim
-    coords, ends = [], []
-    for n in lengths:
-        for w, mp in compose_words(sys.base.maps, n):
-            coords.extend(sys.a if mp is None else mp(sys.a))
-            coords.extend(sys.b if mp is None else mp(sys.b))
-            ends.extend(tree.interval(w))
-    # scale to integers for the pair loop
-    M, coords = common_denominator(coords)
-    du, ends = common_denominator(ends)
-    X = [coords[k:k + d] for k in range(0, len(coords), 2 * d)]
-    Y = [coords[k:k + d] for k in range(d, len(coords), 2 * d)]
+    # phi_w(p) is p's relative position in cylinder box w, lo + (hi - lo) * p
+    # per coordinate; with p = ab / P, every coordinate is over M = top * P
+    P, ab = common_denominator(sys.a + sys.b)
+    sides = [[compose_labels([[mp.coords[j] for mp in sys.base.maps]] * n)
+              for n in lengths] for j in range(d)]
+    top = lcm(*(levels[-1][0] for levels in sides))
+    M = top * P
+    cols = [[(lo * P + (hi - lo) * ab[k]) * (top // den)
+             for den, ends in levels for lo, hi in ends for k in (j, d + j)]
+            for j, levels in enumerate(sides)]
+    points = list(zip(*cols))
+    X, Y = points[0::2], points[1::2]
+    du, ends = common_denominator(
+        v for n in lengths for w in itertools.product(range(sys.m), repeat=n)
+        for v in tree.interval(w))
     U, V = ends[0::2], ends[1::2]
     # ratio^2 = (duv^2 / du^2) / (dist2 / M^2); track duv^2/dist2
     min_n = min_d = max_n = max_d = None

@@ -20,8 +20,8 @@ from . import __version__
 from .cantor import (CantorError, analyze_special_system, bilipschitz_check,
                      build_cantor_tree, lipschitz_constants, to_binary_tree)
 from .classify import EXACTLY_ONE, Analysis, ClassifyError, classify
-from .components import (ComponentsError, PreconditionError, SimpleIFSFamily,
-                         approx_square, check_product_decomposition,
+from .components import (ComponentsError, SimpleIFSFamily, approx_square,
+                         check_product_decomposition,
                          component_diameter_profile, pre_moran_intervals)
 from .ifs import IFSError, ParseError, parse_ifs, validate_lg
 from .tree import TreeError, last_coordinate_fibers
@@ -292,22 +292,8 @@ def run(args):
         print("sponge: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     started = time.monotonic()
-    try:
-        analysis = Analysis(parse_ifs(text))
-        payload, code = _HANDLERS[args.subcommand](analysis, args)
-    except ParseError as exc:
-        print("sponge: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
-    except ResourceCapError as exc:
-        print("sponge: %s" % exc, file=sys.stderr)
-        return EXIT_CAP
-    except Rejection as exc:
-        print("sponge: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
-    except (IFSError, TreeError, CantorError, PreconditionError,
-            ComponentsError, ClassifyError) as exc:
-        print("sponge: %s" % exc, file=sys.stderr)
-        return EXIT_REJECTED
+    analysis = Analysis(parse_ifs(text))
+    payload, code = _HANDLERS[args.subcommand](analysis, args)
     elapsed = time.monotonic() - started
     report = {
         "tool_version": __version__,
@@ -378,12 +364,17 @@ def main(argv=None):
     try:
         _check_numeric_options(args)
         return run(args)
-    except Rejection as exc:
+    # ParseError before IFSError: it is a subclass
+    except (ParseError, Rejection) as exc:
         print("sponge: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     except ResourceCapError as exc:
         print("sponge: %s" % exc, file=sys.stderr)
         return EXIT_CAP
+    except (IFSError, TreeError, CantorError, ComponentsError,
+            ClassifyError) as exc:
+        print("sponge: %s" % exc, file=sys.stderr)
+        return EXIT_REJECTED
     except Exception as exc:
         # last resort: a fault of the program still ends in one line
         text = str(exc).splitlines()

@@ -7,12 +7,12 @@ exact squared thresholds; no floating point enters any decision.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, product
 from math import isqrt
 from operator import itemgetter
 
-from .ifs import (Box, IFSError, Interval, UNIT, compose_words,
-                  major_projection, validate_lg)
+from .ifs import (Box, IFSError, Interval, compose_labels, major_projection,
+                  validate_lg)
 from .classify import Analysis
 from .tree import ROOT, FiberIFS, TreeError, last_coordinate_fibers
 from .util import (DEFAULT_CAP, ResourceCapError, capped_power,
@@ -286,13 +286,15 @@ def delta0_sequence_exists_sq(points, delta0_sq):
     return False, None
 
 
+def _intervals(den, ends):
+    return [Interval(Fraction(lo, den), Fraction(hi, den)) for lo, hi in ends]
+
+
 def _cylinder_sides(ifs, depth):
-    """(word, sides) of every depth-n cylinder box, lexicographic; words
-    are 0-based."""
-    if depth == 0:
-        return [((), (UNIT,) * ifs.dim)]
-    return [(w, tuple(c.image() for c in comp.coords))
-            for w, comp in compose_words(ifs.maps, depth)]
+    """The sides of every depth-n cylinder box, lexicographic in the word:
+    side j is coordinate j's maps composed along the word."""
+    return zip(*(_intervals(*compose_labels(
+        [[m.coords[j] for m in ifs.maps]] * depth)) for j in range(ifs.dim)))
 
 
 def enumerate_cylinders(ifs, depth, cap=DEFAULT_CAP):
@@ -301,7 +303,7 @@ def enumerate_cylinders(ifs, depth, cap=DEFAULT_CAP):
     count = max(capped_power(ifs.size, depth, cap), min(depth, cap + 1))
     if count > cap:
         raise ResourceCapError("components", count, cap)
-    return [Box(sides) for _, sides in _cylinder_sides(ifs, depth)]
+    return [Box(sides) for sides in _cylinder_sides(ifs, depth)]
 
 
 def component_diameter_profile(ifs, depth, deltas, cap=DEFAULT_CAP):
@@ -386,25 +388,6 @@ class PreMoranSet:
     intervals: tuple  # sorted by left endpoint
 
 
-def _compose_labels(label_sets):
-    """(den, ends): the basic intervals of G_1 o ... o G_k([0,1]) for
-    label sets G_j as integer (lo, hi) pairs over den, in the order of
-    the outermost label first."""
-    den, ends = 1, [(0, 1)]
-    for labels in reversed(label_sets):
-        scale, ints = common_denominator(
-            [v for g in labels for v in (g.ratio, g.offset)])
-        # g(x / den) = (r * x + o * den) / (scale * den), g = (r, o) / scale
-        steps = [(r, o * den) for r, o in zip(ints[0::2], ints[1::2])]
-        ends = [(r * lo + o, r * hi + o) for r, o in steps for lo, hi in ends]
-        den *= scale
-    return den, ends
-
-
-def _intervals(den, ends):
-    return [Interval(Fraction(lo, den), Fraction(hi, den)) for lo, hi in ends]
-
-
 def pre_moran_intervals(family, word, cap=DEFAULT_CAP):
     """Basic intervals of F_{i_1} o ... o F_{i_k}([0,1]), sorted."""
     word = tuple(word)
@@ -418,7 +401,7 @@ def pre_moran_intervals(family, word, cap=DEFAULT_CAP):
         count *= family.counts[i - 1]
         if max(count, k) > cap:
             raise ResourceCapError("components", max(count, k), cap)
-    den, ends = _compose_labels([family.members[i - 1] for i in word])
+    den, ends = compose_labels([family.members[i - 1] for i in word])
     # one denominator, so the integer order is the order of the values
     ends.sort(key=itemgetter(0))
     return PreMoranSet(family, word, tuple(_intervals(den, ends)))
@@ -470,6 +453,8 @@ def check_union_bound(sets, deltas, C):
     """
     C = Fraction(C)
     sets = [list(s) for s in sets]
+    if not sets or not all(sets):
+        raise ComponentsError("components: union bound needs nonempty sets")
     n = len(sets)
     for delta in deltas:
         delta = Fraction(delta)
@@ -542,7 +527,8 @@ def check_product_decomposition(ifs, k, cap=DEFAULT_CAP):
     proj = major_projection(ifs, ifs.dim - 1)
     fibers = [f.labels for f in last_coordinate_fibers(analysis.tree)]
     rhs = set()
-    for word, base in _cylinder_sides(proj, k):
-        for iv in _intervals(*_compose_labels([fibers[j] for j in word])):
+    words = product(range(proj.size), repeat=k)
+    for word, base in zip(words, _cylinder_sides(proj, k)):
+        for iv in _intervals(*compose_labels([fibers[j] for j in word])):
             rhs.add(Box(base + (iv,)))
     return lhs == rhs

@@ -8,7 +8,7 @@ pure functions.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .util import frac_str, parse_fraction
+from .util import common_denominator, frac_str, parse_fraction
 
 
 class IFSError(Exception):
@@ -283,19 +283,24 @@ def cylinder_box(ifs, word):
     return Box(sides)
 
 
-def compose_words(maps, n):
-    """The words of length n over `maps`, lexicographic, as (word,
-    composition) pairs: word is a tuple of 0-based indices and composition
-    is maps[w1] o ... o maps[wn], or None for the empty word.
+def compose_labels(label_sets):
+    """(den, ends): the images of [0,1] under every composition
+    g_1 o ... o g_k with g_j drawn from label_sets[j], lexicographic in
+    (g_1, ..., g_k), as integer (lo, hi) pairs over den; no label sets
+    give [0,1].
 
-    Each level extends the previous level's compositions, so every word
-    costs one compose.
+    Each level extends the previous level's ends over one running
+    denominator, so every word costs two integer multiply-adds.
     """
-    level = [((), None)]
-    for _ in range(n):
-        level = [(w + (j,), m if c is None else c.compose(m))
-                 for w, c in level for j, m in enumerate(maps)]
-    return level
+    den, ends = 1, [(0, 1)]
+    for labels in reversed(label_sets):
+        scale, ints = common_denominator(
+            [v for g in labels for v in (g.ratio, g.offset)])
+        # g(x / den) = (r * x + o * den) / (scale * den), g = (r, o) / scale
+        steps = [(r, o * den) for r, o in zip(ints[0::2], ints[1::2])]
+        ends = [(r * lo + o, r * hi + o) for r, o in steps for lo, hi in ends]
+        den *= scale
+    return den, ends
 
 
 def fixed_point(diag_map):

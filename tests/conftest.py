@@ -68,22 +68,27 @@ def random_simple_labels(rng, max_maps=4, max_den=24, tiling=None):
 
 
 def random_lg_system(rng, dim=2, max_maps=4, max_den=12):
-    """A random 2-D Lalley-Gatzouras system (not necessarily UD)."""
-    assert dim == 2
+    """A random Lalley-Gatzouras system of dimension >= 2 (not
+    necessarily UD)."""
+    assert dim >= 2
     first = random_simple_labels(rng, max_maps=max_maps, max_den=max_den)
     maps = []
     for g in first:
-        # second ratio strictly below the first, unit-preserving offset
-        num = rng.randint(1, max(1, int(g.ratio * max_den) - 1)) \
-            if g.ratio * max_den > 1 else 1
-        r2 = Fraction(num, max_den)
-        if r2 >= g.ratio:
-            r2 = g.ratio / 2
-        den = r2.denominator
-        top = int((1 - r2) * den)
-        off = Fraction(rng.randint(0, top), den)
-        maps.append(DiagonalAffineMap((g, AffineMap1D(r2, off))))
-    return SpongeIFS(2, tuple(maps))
+        coords = [g]
+        while len(coords) < dim:
+            # each ratio strictly below the one before, unit-preserving offset
+            r = coords[-1].ratio
+            num = rng.randint(1, max(1, int(r * max_den) - 1)) \
+                if r * max_den > 1 else 1
+            r2 = Fraction(num, max_den)
+            if r2 >= r:
+                r2 = r / 2
+            den = r2.denominator
+            top = int((1 - r2) * den)
+            off = Fraction(rng.randint(0, top), den)
+            coords.append(AffineMap1D(r2, off))
+        maps.append(DiagonalAffineMap(tuple(coords)))
+    return SpongeIFS(dim, tuple(maps))
 
 
 def random_special_system(rng, max_maps=4, max_den=12):

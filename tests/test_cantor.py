@@ -150,6 +150,24 @@ def test_bilipschitz_lg4_depth4(sys4):
     assert rep.max_ratio_sq == F(45846441, 181186)
 
 
+# exact RatioReports with phi_w(a), phi_w(b) from the per-word Fraction
+# composition; the cylinder-box formula lo + (hi - lo) * p must match them
+@pytest.mark.parametrize("seed, pairs, min_ratio_sq, max_ratio_sq", [
+    (1, 225, "80656/50225", "3600/49"),
+    (5, 7225, "1636692924889/1548753129641",
+     "3292410577779961/2428479001881"),
+    (7, 1600, "12489304428441/10805037863677", "630675810801/5898300388"),
+])
+def test_bilipschitz_random_special_depth3(seed, pairs, min_ratio_sq,
+                                           max_ratio_sq):
+    ifs = random_special_system(random.Random(seed))
+    sys_, consts = analyze_special_system(ifs)
+    rep = bilipschitz_check(sys_, consts, 3)
+    assert (rep.pairs, rep.skipped, rep.min_ratio_sq, rep.max_ratio_sq) == \
+        (pairs, 0, F(min_ratio_sq), F(max_ratio_sq))
+    assert rep.passed
+
+
 def test_bilipschitz_root_pair(sys4):
     # alpha = beta = empty: ratio is L / |a - b|, inside the envelope
     sys_, consts = sys4

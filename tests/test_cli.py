@@ -267,6 +267,23 @@ def test_report_builds_one_fiber_per_vertex(capsys, monkeypatch, fixture,
     assert len(owners) == len(set(owners)) == vertices
 
 
+@pytest.mark.parametrize("fixture", ["lg5", "lg4", "bedford_mcmullen"])
+def test_report_composes_no_maps(capsys, monkeypatch, fixture):
+    # cylinder sides, pre-Moran intervals and Lipschitz points all compose
+    # in integers through ifs.compose_labels
+    calls = []
+    original = sponge.ifs.AffineMap1D.compose
+
+    def counting(self, other):
+        calls.append(None)
+        return original(self, other)
+
+    monkeypatch.setattr(sponge.ifs.AffineMap1D, "compose", counting)
+    assert main(["all", str(FIXTURES / (fixture + ".ifs"))]) == 0
+    capsys.readouterr()
+    assert calls == []
+
+
 def test_non_utf8_input_exit(tmp_path, capsys):
     bad = tmp_path / "latin1.ifs"
     bad.write_bytes(b"dim 2\nmap 1/2 0 ; 1/3 0 \xff\n")

@@ -227,6 +227,12 @@ def test_union_bound_two_singletons():
     assert check_union_bound([[(F(0),)], [(F(1),)]], [F("1/2")], F(1))
 
 
+def test_union_bound_rejects_empty_input():
+    for sets in ([], [[]], [[(F(0),)], []]):
+        with pytest.raises(ComponentsError):
+            check_union_bound(sets, [F("1/2")], F(1))
+
+
 def test_union_bound_precondition_failure():
     pts = [(F(0),), (F("1/2"),), (F(1),)]
     with pytest.raises(PreconditionError):

@@ -2,13 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sponge import (AffineMap1D, Box, DiagonalAffineMap, IFSError, Interval,
-                    ParseError, SpongeIFS, cylinder_box, fixed_point,
-                    major_projection, parse_ifs, serialize_ifs, validate_lg,
-                    width)
+                    ParseError, SpongeIFS, compose_labels, cylinder_box,
+                    enumerate_cylinders, fixed_point, major_projection,
+                    parse_ifs, serialize_ifs, validate_lg, width)
+from sponge.ifs import unit_cube
 
-from conftest import random_lg_system
+from conftest import random_lg_system, random_special_system
 
 
 def F(s):
@@ -167,3 +169,31 @@ def test_sponge_ifs_invariants():
         SpongeIFS(1, (m, m))
     with pytest.raises(IFSError):
         SpongeIFS(2, (m,))
+
+
+def _oracle_compose_words(maps, n):
+    """The words of length n over `maps`, lexicographic, as (word,
+    composition) pairs: word is a tuple of 0-based indices and composition
+    is maps[w1] o ... o maps[wn] in Fraction, or None for the empty word."""
+    level = [((), None)]
+    for _ in range(n):
+        level = [(w + (j,), m if c is None else c.compose(m))
+                 for w, c in level for j, m in enumerate(maps)]
+    return level
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 10 ** 6), st.sampled_from([2, 3, "special"]),
+       st.integers(0, 3))
+def test_cylinder_sides_match_composition_oracle(seed, kind, depth):
+    rng = random.Random(seed)
+    ifs = random_special_system(rng) if kind == "special" \
+        else random_lg_system(rng, dim=kind)
+    boxes = [unit_cube(ifs.dim) if c is None
+             else Box(tuple(s.image() for s in c.coords))
+             for _, c in _oracle_compose_words(ifs.maps, depth)]
+    for j in range(ifs.dim):
+        den, ends = compose_labels([[m.coords[j] for m in ifs.maps]] * depth)
+        assert [(Fraction(lo, den), Fraction(hi, den)) for lo, hi in ends] \
+            == [(b.sides[j].lo, b.sides[j].hi) for b in boxes]
+    assert enumerate_cylinders(ifs, depth) == boxes
