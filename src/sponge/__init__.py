@@ -17,7 +17,7 @@ from .classify import (AT_LEAST_ONE, Analysis, Classification, ClassifyError,
                        attractor_is_unit_interval, classify,
                        extract_special_subsystem, line_segment_witness)
 from .components import (ApproxSquare, ComponentPartition, ComponentsError,
-                         PointSet, PreMoranSet, PreconditionError,
+                         IntervalSet, PointSet, PreMoranSet, PreconditionError,
                          SimpleIFSFamily, approx_square, check_premoran_bound,
                          check_product_decomposition, check_union_bound,
                          component_diameter_profile, delta0_sequence_exists,

@@ -5,6 +5,7 @@ All connectivity predicates compare exact squared distances against
 exact squared thresholds; no floating point enters any decision.
 """
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, product
@@ -16,7 +17,7 @@ from .ifs import (Box, IFSError, Interval, compose_labels, major_projection,
 from .classify import Analysis
 from .tree import ROOT, FiberIFS, TreeError, last_coordinate_fibers
 from .util import (DEFAULT_CAP, ResourceCapError, capped_power,
-                   common_denominator)
+                   common_denominator, exact_fraction)
 
 
 class ComponentsError(Exception):
@@ -135,7 +136,6 @@ class _SingleLinkage:
 
     def _limit(self, delta_sq):
         """floor(delta_sq * den^2): exact, since every gap is an integer."""
-        delta_sq = Fraction(delta_sq)
         return delta_sq.numerator * self.den_sq // delta_sq.denominator
 
     def _find(self, x):
@@ -186,6 +186,7 @@ class _SingleLinkage:
 def delta_components_sq(objects, delta_sq):
     """Blocks and exact squared diameters of the closure of
     dist^2 <= delta_sq over the objects."""
+    delta_sq = exact_fraction(delta_sq)
     if delta_sq <= 0:
         raise ComponentsError("components: delta must be positive")
     linkage = _SingleLinkage(objects, delta_sq)
@@ -195,10 +196,84 @@ def delta_components_sq(objects, delta_sq):
 
 def delta_components(objects, delta):
     """delta-connected components of a finite point set or box collection."""
-    delta = Fraction(delta)
+    delta = exact_fraction(delta)
     if delta <= 0:
         raise ComponentsError("components: delta must be positive, got %s" % delta)
     return delta_components_sq(objects, delta * delta)
+
+
+class IntervalSet(Sequence):
+    """Closed intervals as integer (lo, hi) ends over one positive
+    denominator, in the order given: interval k is ends[k] / den.
+
+    It reads as a tuple of Intervals (len, indexing, iteration, equality
+    with a tuple) and builds an Interval only when one is read.  Its
+    sorted gap list is built on first use and kept as long as the set,
+    so interval_components answers every delta from one sort.
+    """
+
+    __slots__ = ("den", "ends", "_gaps")
+
+    def __init__(self, den, ends):
+        self.den = den
+        self.ends = ends = tuple(ends)
+        self._gaps = None
+        if not den > 0:
+            raise ComponentsError("components: interval denominator must "
+                                  "be positive")
+        if any(lo > hi for lo, hi in ends):
+            raise IFSError("ifs: interval with lo > hi")
+
+    @classmethod
+    def of(cls, intervals):
+        """The Intervals in their order over their common denominator; an
+        IntervalSet is returned as it is."""
+        if isinstance(intervals, cls):
+            return intervals
+        den, ints = common_denominator(
+            v for iv in intervals for v in (iv.lo, iv.hi))
+        return cls(den, zip(ints[0::2], ints[1::2]))
+
+    def __len__(self):
+        return len(self.ends)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return IntervalSet(self.den, self.ends[k])
+        lo, hi = self.ends[k]
+        return Interval(Fraction(lo, self.den), Fraction(hi, self.den))
+
+    def __iter__(self):
+        den = self.den
+        return (Interval(Fraction(lo, den), Fraction(hi, den))
+                for lo, hi in self.ends)
+
+    def __eq__(self, other):
+        if isinstance(other, IntervalSet):
+            other = tuple(other)
+        if not isinstance(other, tuple):
+            return NotImplemented
+        return tuple(self) == other
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __repr__(self):
+        return "IntervalSet(%d, %r)" % (self.den, self.ends)
+
+    def gap_list(self):
+        """(order, starts, reach, gaps): the indices in order of left end,
+        their left ends, the running maximum of their right ends, and
+        gaps[k - 1] = starts[k] - reach[k - 1]."""
+        if self._gaps is None:
+            ends = self.ends
+            los = [lo for lo, _ in ends]
+            order = sorted(range(len(ends)), key=los.__getitem__)
+            starts = [ends[k][0] for k in order]
+            reach = list(accumulate((ends[k][1] for k in order), max))
+            gaps = [s - r for s, r in zip(starts[1:], reach)]
+            self._gaps = order, starts, reach, gaps
+        return self._gaps
 
 
 def interval_components(intervals, delta):
@@ -207,29 +282,28 @@ def interval_components(intervals, delta):
     Returns (blocks, diams) like delta_components, with blocks as index
     tuples into the input ordered by their first index, and diams as
     exact rational lengths.  Agrees with delta_components on 1-D boxes.
+    `intervals` is an IntervalSet or a sequence of Intervals.
 
     Single linkage on a line is the sorted gap list.  Over the
     intervals' common denominator, sort them by left end and take the
     running maximum right end; delta cuts that order where an interval
     starts more than delta past it.  Every block is a run, and its
     diameter is its last running maximum minus its first left end: the
-    blocks before it end strictly to its left.
+    blocks before it end strictly to its left.  An IntervalSet keeps its
+    gap list, so a further delta costs one comparison per gap.
     """
-    delta = Fraction(delta)
+    delta = exact_fraction(delta)
     if delta <= 0:
         raise ComponentsError("components: delta must be positive")
+    intervals = IntervalSet.of(intervals)
     n = len(intervals)
     if not n:
         return (), ()
-    den, ends = common_denominator(
-        [iv.lo for iv in intervals] + [iv.hi for iv in intervals])
-    los, his = ends[:n], ends[n:]
-    order = sorted(range(n), key=los.__getitem__)
-    starts = [los[i] for i in order]
-    reach = list(accumulate(map(his.__getitem__, order), max))
+    den = intervals.den
+    order, starts, reach, gaps = intervals.gap_list()
     # an integer gap exceeds delta * den iff it exceeds its floor
     limit = delta.numerator * den // delta.denominator
-    cuts = [k for k in range(1, n) if starts[k] - reach[k - 1] > limit]
+    cuts = [k for k, gap in enumerate(gaps, start=1) if gap > limit]
     pairs = sorted((tuple(sorted(order[a:b])),
                     Fraction(reach[b - 1] - starts[a], den))
                    for a, b in zip([0] + cuts, cuts + [n]))
@@ -239,7 +313,7 @@ def interval_components(intervals, delta):
 def delta0_sequence_exists(points, delta0):
     """Search for a delta0-sequence: distinct x0..xn with every step
     <= delta0 * dist(x0, xn).  Returns (found, sequence_or_None)."""
-    delta0 = Fraction(delta0)
+    delta0 = exact_fraction(delta0)
     if delta0 <= 0:
         raise ComponentsError("components: delta0 must be positive")
     return delta0_sequence_exists_sq(points, delta0 * delta0)
@@ -254,7 +328,7 @@ def delta0_sequence_exists_sq(points, delta0_sq):
         pts = PointSet(tuple(tuple(p) for p in points)).points
     if len(pts) < 2:
         raise ComponentsError("components: need at least 2 points")
-    d0_sq = Fraction(delta0_sq)
+    d0_sq = exact_fraction(delta0_sq)
     if d0_sq <= 0:
         raise ComponentsError("components: delta0 must be positive")
     n = len(pts)
@@ -286,14 +360,10 @@ def delta0_sequence_exists_sq(points, delta0_sq):
     return False, None
 
 
-def _intervals(den, ends):
-    return [Interval(Fraction(lo, den), Fraction(hi, den)) for lo, hi in ends]
-
-
 def _cylinder_sides(ifs, depth):
     """The sides of every depth-n cylinder box, lexicographic in the word:
     side j is coordinate j's maps composed along the word."""
-    return zip(*(_intervals(*compose_labels(
+    return zip(*(IntervalSet(*compose_labels(
         [[m.coords[j] for m in ifs.maps]] * depth)) for j in range(ifs.dim)))
 
 
@@ -316,7 +386,7 @@ def component_diameter_profile(ifs, depth, deltas, cap=DEFAULT_CAP):
     boxes = enumerate_cylinders(ifs, depth, cap)
     grid = []
     for delta in deltas:
-        delta = Fraction(delta)
+        delta = exact_fraction(delta)
         if delta <= 0:
             raise ComponentsError(
                 "components: delta must be positive, got %s" % delta)
@@ -385,7 +455,7 @@ class SimpleIFSFamily:
 class PreMoranSet:
     family: SimpleIFSFamily
     word: tuple
-    intervals: tuple  # sorted by left endpoint
+    intervals: IntervalSet  # sorted by left endpoint
 
 
 def pre_moran_intervals(family, word, cap=DEFAULT_CAP):
@@ -404,7 +474,7 @@ def pre_moran_intervals(family, word, cap=DEFAULT_CAP):
     den, ends = compose_labels([family.members[i - 1] for i in word])
     # one denominator, so the integer order is the order of the values
     ends.sort(key=itemgetter(0))
-    return PreMoranSet(family, word, tuple(_intervals(den, ends)))
+    return PreMoranSet(family, word, IntervalSet(den, ends))
 
 
 @dataclass(frozen=True)
@@ -421,7 +491,7 @@ def check_premoran_bound(family, word, delta, cap=DEFAULT_CAP):
     admissible iff delta >= (g*/alpha*) * prod beta_{i_j}; the bound
     (2/(g* alpha*) + 1) * delta must hold whenever delta is admissible.
     """
-    delta = Fraction(delta)
+    delta = exact_fraction(delta)
     pm = pre_moran_intervals(family, word, cap)
     threshold = (family.g_star / family.alpha_star)
     for i in word:
@@ -433,15 +503,13 @@ def check_premoran_bound(family, word, delta, cap=DEFAULT_CAP):
     return MoranBoundReport(admissible, bound, max_diam, max_diam <= bound)
 
 
-def _component_diams(objects, delta):
-    """(diams_are_squared, diameters) of the delta-components of a set
-    of Intervals or of points."""
-    objects = list(objects)
-    if isinstance(objects[0], Interval):
-        _, diams = interval_components(objects, delta)
-        return False, diams
+def _within(objects, delta, factor):
+    """Is every delta-component of an IntervalSet or a list of points of
+    diameter <= factor * delta?"""
+    if isinstance(objects, IntervalSet):
+        return max(interval_components(objects, delta)[1]) <= factor * delta
     part = delta_components(objects, delta)
-    return True, part.diam_sqs
+    return part.max_diam_sq() <= (factor * delta) ** 2
 
 
 def check_union_bound(sets, deltas, C):
@@ -449,35 +517,27 @@ def check_union_bound(sets, deltas, C):
 
     Verifies first that each input set satisfies diam <= C*delta for
     every delta in the grid (PreconditionError otherwise), then checks
-    the union bound across the grid.
+    the union bound across the grid.  A set of Intervals, and their
+    union, become one IntervalSet each, whose gap list every delta reuses.
     """
-    C = Fraction(C)
+    C = exact_fraction(C)
+    deltas = [exact_fraction(delta) for delta in deltas]
     sets = [list(s) for s in sets]
     if not sets or not all(sets):
         raise ComponentsError("components: union bound needs nonempty sets")
     n = len(sets)
-    for delta in deltas:
-        delta = Fraction(delta)
-        for k, s in enumerate(sets, start=1):
-            squared, diams = _component_diams(s, delta)
-            for diam in diams:
-                ok = (diam <= C * C * delta * delta) if squared \
-                    else (diam <= C * delta)
-                if not ok:
-                    raise PreconditionError(
-                        "components: set %d violates the C*delta bound at "
-                        "delta=%s" % (k, delta))
-    M = (9 * C) ** (2 ** (n - 1)) / 9
     union = [x for s in sets for x in s]
+    if isinstance(union[0], Interval):
+        sets = [IntervalSet.of(s) for s in sets]
+        union = IntervalSet.of(union)
     for delta in deltas:
-        delta = Fraction(delta)
-        squared, diams = _component_diams(union, delta)
-        for diam in diams:
-            ok = (diam <= M * M * delta * delta) if squared \
-                else (diam <= M * delta)
-            if not ok:
-                return False
-    return True
+        for k, s in enumerate(sets, start=1):
+            if not _within(s, delta, C):
+                raise PreconditionError(
+                    "components: set %d violates the C*delta bound at "
+                    "delta=%s" % (k, delta))
+    M = (9 * C) ** (2 ** (n - 1)) / 9
+    return all(_within(union, delta, M) for delta in deltas)
 
 
 @dataclass(frozen=True)
@@ -489,7 +549,7 @@ class ApproxSquare:
 def approx_square(ifs, word, delta):
     """The delta-approximate square along `word`: in each coordinate,
     iterate until the ratio product first drops strictly below delta."""
-    delta = Fraction(delta)
+    delta = exact_fraction(delta)
     if delta <= 0:
         raise ComponentsError("components: delta must be positive")
     word = tuple(word)
@@ -529,6 +589,6 @@ def check_product_decomposition(ifs, k, cap=DEFAULT_CAP):
     rhs = set()
     words = product(range(proj.size), repeat=k)
     for word, base in zip(words, _cylinder_sides(proj, k)):
-        for iv in _intervals(*compose_labels([fibers[j] for j in word])):
+        for iv in IntervalSet(*compose_labels([fibers[j] for j in word])):
             rhs.add(Box(base + (iv,)))
     return lhs == rhs

@@ -24,6 +24,18 @@ def parse_fraction(text):
     return Fraction(int(text))
 
 
+def exact_fraction(value):
+    """An int or Fraction as a Fraction.  Only those convert exactly, so
+    anything else, a float included, is a TypeError, as in
+    common_denominator."""
+    if isinstance(value, Fraction):
+        return value
+    if not isinstance(value, int):
+        raise TypeError("exact arithmetic takes ints and Fractions, got %s"
+                        % type(value).__name__)
+    return Fraction(value)
+
+
 def common_denominator(values):
     """(den, ints): ints and Fractions as integers over their least common
     denominator, values[k] == ints[k] / den.  No value is converted:

@@ -5,9 +5,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sponge import (AffineMap1D, Box, ComponentsError, Interval, PointSet,
-                    PreconditionError, ResourceCapError, SimpleIFSFamily,
-                    Vertex, approx_square, check_premoran_bound,
+import sponge.components
+import sponge.ifs
+from sponge import (AffineMap1D, Box, ComponentsError, IFSError, Interval,
+                    IntervalSet, PointSet, PreconditionError,
+                    ResourceCapError, SimpleIFSFamily, Vertex,
+                    approx_square, check_premoran_bound,
                     check_product_decomposition, check_union_bound,
                     component_diameter_profile, cylinder_box,
                     delta0_sequence_exists, delta0_sequence_exists_sq,
@@ -657,3 +660,114 @@ def test_pre_moran_cap_counts_word_length():
         pre_moran_intervals(fam, (1,) * 20, cap=19)
     pm = pre_moran_intervals(fam, (1,) * 20, cap=20)
     assert pm.intervals == (Interval(F(0), F(1, 3 ** 20)),)
+
+
+@given(st.data())
+def test_one_interval_set_answers_a_shuffled_grid(data):
+    # the gap list is built at the first delta and kept: no delta may see
+    # state left by the one before it
+    ivs = data.draw(interval_sets())
+    grid = data.draw(st.lists(interval_deltas(ivs), min_size=1, max_size=6))
+    grid = data.draw(st.permutations(grid + grid[:1]))
+    iset = IntervalSet.of(ivs)
+    assert iset == tuple(ivs)
+    for delta in grid:
+        assert interval_components(iset, delta) == \
+            _oracle_interval_components(ivs, delta)
+
+
+def test_interval_set_rejects_reversed_ends():
+    with pytest.raises(IFSError, match="lo > hi"):
+        IntervalSet(4, [(0, 1), (3, 2)])
+    with pytest.raises(ComponentsError):
+        IntervalSet(0, [(0, 1)])
+    assert IntervalSet(4, [(2, 2)]) == (Interval(F(1, 2), F(1, 2)),)
+
+
+def test_pre_moran_intervals_read_as_a_tuple():
+    pm = pre_moran_intervals(_half_family(), (1, 1))
+    expected = tuple(_oracle_pre_moran_intervals(_half_family(), (1, 1)))
+    ivs = pm.intervals
+    assert len(ivs) == 4
+    assert ivs[0] == expected[0] and ivs[-1] == expected[-1]
+    assert ivs[1:3] == expected[1:3]
+    assert tuple(ivs) == expected and list(ivs) == list(expected)
+    assert ivs == expected and expected == ivs
+    assert ivs != list(expected) and ivs != expected[:3]
+    assert hash(ivs) == hash(expected)
+    assert expected[2] in ivs and ivs.index(expected[2]) == 2
+
+
+def test_pre_moran_components_build_no_intervals(monkeypatch):
+    # a pre-Moran set stays integer from composition to components
+    fam = SimpleIFSFamily([labels(("1/4", 0), ("1/4", "3/4")),
+                           labels(("1/3", 0), ("1/5", "1/2"), ("1/6", "5/6"))])
+    first = Interval(F(0), F(1, 4 * 3 * 3 * 4))
+    made = []
+    original = sponge.ifs.Interval.__post_init__
+
+    def counting(self):
+        made.append(None)
+        original(self)
+
+    monkeypatch.setattr(sponge.ifs.Interval, "__post_init__", counting)
+    pm = pre_moran_intervals(fam, (1, 2, 2, 1))
+    for k in range(6):
+        interval_components(pm.intervals, F(1, 2 ** k))
+    assert made == []
+    # the counter sees an Interval built when one is read
+    assert pm.intervals[0] == first
+    assert len(made) == 1
+
+
+def test_union_bound_scales_each_set_once(monkeypatch):
+    # one common denominator per interval set and one for their union,
+    # however many deltas the grid has
+    calls = []
+    original = sponge.components.common_denominator
+
+    def counting(values):
+        calls.append(None)
+        return original(values)
+
+    monkeypatch.setattr(sponge.components, "common_denominator", counting)
+    fam = _half_family()
+    ivs = list(pre_moran_intervals(fam, (1, 1, 1)).intervals)
+    shifted = [Interval(iv.lo / 2, iv.hi / 2) for iv in ivs]
+    grid = [F(1, 2 ** k) for k in range(1, 9)]
+    C = 2 / (fam.g_star * fam.alpha_star) + 1
+    assert check_union_bound([ivs, shifted], grid, C)
+    assert len(calls) == 3
+
+
+def _threshold_calls(lg5):
+    pts = [(F(0),), (F(1, 2),)]
+    ivs = [Interval(F(0), F(1, 4)), Interval(F(1, 2), F(1))]
+    return {
+        "delta_components": lambda t: delta_components(pts, t),
+        "delta_components_sq": lambda t: delta_components_sq(pts, t),
+        "interval_components": lambda t: interval_components(ivs, t),
+        "delta0_sequence_exists": lambda t: delta0_sequence_exists(pts, t),
+        "delta0_sequence_exists_sq":
+            lambda t: delta0_sequence_exists_sq(pts, t),
+        "component_diameter_profile":
+            lambda t: component_diameter_profile(lg5, 1, [F(1, 8), t]),
+        "check_premoran_bound":
+            lambda t: check_premoran_bound(_half_family(), (1,), t),
+        "check_union_bound delta":
+            lambda t: check_union_bound([ivs], [F(1, 8), t], F(4)),
+        "check_union_bound C":
+            lambda t: check_union_bound([ivs], [F(1, 8)], 8 * t),
+        "approx_square": lambda t: approx_square(lg5, (1,) * 6, t),
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(_threshold_calls(None)))
+def test_thresholds_are_exact(lg5, entry):
+    # a threshold is an int or a Fraction; a float would decide the
+    # result, so it is refused like a float interval end
+    call = _threshold_calls(lg5)[entry]
+    call(F(1, 2))
+    for bad in (0.5, "1/2"):
+        with pytest.raises(TypeError):
+            call(bad)

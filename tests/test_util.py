@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 
 from sponge.util import (DigitLimitError, ResourceCapError, capped_power,
-                         common_denominator, decimal_str, frac_str,
-                         parse_fraction, quad_leq, sqrt_bracket,
+                         common_denominator, decimal_str, exact_fraction,
+                         frac_str, parse_fraction, quad_leq, sqrt_bracket,
                          sqrt_decimal_str, sqrt_leq_quad)
 
 
@@ -28,6 +28,17 @@ def test_common_denominator():
         common_denominator([Fraction(1, 2), 0.5])
     with pytest.raises(TypeError):
         common_denominator([1.0])
+
+
+def test_exact_fraction():
+    half = Fraction(1, 2)
+    assert exact_fraction(half) is half
+    assert exact_fraction(3) == Fraction(3)
+    assert type(exact_fraction(3)) is Fraction
+    # no value is converted: a float or a string is rejected
+    for bad in (0.5, "1/2", None):
+        with pytest.raises(TypeError):
+            exact_fraction(bad)
 
 
 def test_frac_str():
