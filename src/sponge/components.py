@@ -9,7 +9,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, product
-from math import isqrt
+from math import isqrt, lcm
 from operator import itemgetter
 
 from .ifs import (Box, IFSError, Interval, compose_labels, major_projection,
@@ -60,24 +60,39 @@ class ComponentPartition:
         return max(self.diam_sqs)
 
 
-def _integer_extents(objects):
-    """(den, extents): every object as a tuple of integer (lo, hi) pairs,
-    one per coordinate, over the common denominator den.  A point is a
-    box with lo == hi."""
+def _positive(name, value):
+    """An exact threshold (util.exact_fraction) that must be > 0."""
+    value = exact_fraction(value)
+    if value <= 0:
+        raise ComponentsError("components: %s must be positive, got %s"
+                              % (name, value))
+    return value
+
+
+def _uniform(objects):
+    """The objects as a list, all boxes or all points of one dimension;
+    a PointSet gives its points."""
     if isinstance(objects, PointSet):
         objects = objects.points
     objects = list(objects)
+    if len({("box", x.dim) if isinstance(x, Box) else ("point", len(x))
+            for x in objects}) > 1:
+        raise ComponentsError("components: objects must all be boxes or "
+                              "all points, of one dimension")
+    return objects
+
+
+def _columns(objects):
+    """One IntervalSet per coordinate of the objects; a point is a box
+    with lo == hi."""
+    objects = _uniform(objects)
     if not objects:
         raise ComponentsError("components: empty object list")
     if isinstance(objects[0], Box):
-        ends = [v for b in objects for s in b.sides for v in (s.lo, s.hi)]
-    else:
-        ends = [v for p in objects for x in p for v in (x, x)]
-    den, ends = common_denominator(ends)
-    step = len(ends) // len(objects)
-    extents = [tuple(zip(ends[k:k + step:2], ends[k + 1:k + step:2]))
-               for k in range(0, len(ends), step)]
-    return den, extents
+        return [IntervalSet.of(column)
+                for column in zip(*(b.sides for b in objects))]
+    return [IntervalSet(den, zip(ints, ints))
+            for den, ints in map(common_denominator, zip(*objects))]
 
 
 def _far_sq(a, b):
@@ -92,14 +107,19 @@ def _far_sq(a, b):
 class _SingleLinkage:
     """Single linkage over exact integer squared gaps (Kruskal order).
 
-    The pairs within the largest threshold are scaled to integers and
-    sorted once; merge_to then unions them in ascending gap order, so one
-    pass answers every threshold up to that largest one.  Each block
+    The objects come as one IntervalSet per coordinate.  The pairs
+    within the largest threshold are scaled to integers and sorted once;
+    merge_to then unions them in ascending gap order, so one pass
+    answers every threshold up to that largest one.  Each block
     carries its exact squared diameter, which only grows under merging.
     """
 
-    def __init__(self, objects, max_delta_sq):
-        den, ext = _integer_extents(objects)
+    def __init__(self, columns, max_delta_sq):
+        # distances add across coordinates, so the columns share one scale
+        den = lcm(*(c.den for c in columns))
+        steps = [(c.ends, den // c.den) for c in columns]
+        ext = list(zip(*([(lo * s, hi * s) for lo, hi in ends]
+                         for ends, s in steps)))
         n = len(ext)
         self.den_sq = den * den
         self.n = n
@@ -186,19 +206,15 @@ class _SingleLinkage:
 def delta_components_sq(objects, delta_sq):
     """Blocks and exact squared diameters of the closure of
     dist^2 <= delta_sq over the objects."""
-    delta_sq = exact_fraction(delta_sq)
-    if delta_sq <= 0:
-        raise ComponentsError("components: delta must be positive")
-    linkage = _SingleLinkage(objects, delta_sq)
+    delta_sq = _positive("delta_sq", delta_sq)
+    linkage = _SingleLinkage(_columns(objects), delta_sq)
     linkage.merge_to(delta_sq)
     return linkage.partition(delta_sq)
 
 
 def delta_components(objects, delta):
     """delta-connected components of a finite point set or box collection."""
-    delta = exact_fraction(delta)
-    if delta <= 0:
-        raise ComponentsError("components: delta must be positive, got %s" % delta)
+    delta = _positive("delta", delta)
     return delta_components_sq(objects, delta * delta)
 
 
@@ -292,9 +308,7 @@ def interval_components(intervals, delta):
     blocks before it end strictly to its left.  An IntervalSet keeps its
     gap list, so a further delta costs one comparison per gap.
     """
-    delta = exact_fraction(delta)
-    if delta <= 0:
-        raise ComponentsError("components: delta must be positive")
+    delta = _positive("delta", delta)
     intervals = IntervalSet.of(intervals)
     n = len(intervals)
     if not n:
@@ -313,24 +327,17 @@ def interval_components(intervals, delta):
 def delta0_sequence_exists(points, delta0):
     """Search for a delta0-sequence: distinct x0..xn with every step
     <= delta0 * dist(x0, xn).  Returns (found, sequence_or_None)."""
-    delta0 = exact_fraction(delta0)
-    if delta0 <= 0:
-        raise ComponentsError("components: delta0 must be positive")
+    delta0 = _positive("delta0", delta0)
     return delta0_sequence_exists_sq(points, delta0 * delta0)
 
 
 def delta0_sequence_exists_sq(points, delta0_sq):
     """Same search with the threshold given as an exact square, for
     thresholds like 1/(2*M0) that are rational only after squaring."""
-    if isinstance(points, PointSet):
-        pts = points.points
-    else:
-        pts = PointSet(tuple(tuple(p) for p in points)).points
+    pts = PointSet(tuple(tuple(p) for p in _uniform(points))).points
     if len(pts) < 2:
         raise ComponentsError("components: need at least 2 points")
-    d0_sq = exact_fraction(delta0_sq)
-    if d0_sq <= 0:
-        raise ComponentsError("components: delta0 must be positive")
+    d0_sq = _positive("delta0_sq", delta0_sq)
     n = len(pts)
     dist_sq = [[_point_dist_sq(pts[i], pts[j]) for j in range(n)]
                for i in range(n)]
@@ -360,20 +367,21 @@ def delta0_sequence_exists_sq(points, delta0_sq):
     return False, None
 
 
-def _cylinder_sides(ifs, depth):
-    """The sides of every depth-n cylinder box, lexicographic in the word:
-    side j is coordinate j's maps composed along the word."""
-    return zip(*(IntervalSet(*compose_labels(
-        [[m.coords[j] for m in ifs.maps]] * depth)) for j in range(ifs.dim)))
-
-
-def enumerate_cylinders(ifs, depth, cap=DEFAULT_CAP):
-    """All depth-n cylinder boxes, in lexicographic word order."""
+def _cylinder_columns(ifs, depth, cap):
+    """Per coordinate j, the IntervalSet of side j of every depth-n
+    cylinder box, lexicographic in the word: coordinate j's maps
+    composed along the word."""
     # a depth-n word takes n compositions, even when there is one map
     count = max(capped_power(ifs.size, depth, cap), min(depth, cap + 1))
     if count > cap:
         raise ResourceCapError("components", count, cap)
-    return [Box(sides) for sides in _cylinder_sides(ifs, depth)]
+    return [IntervalSet(*compose_labels([[m.coords[j] for m in ifs.maps]]
+                                        * depth)) for j in range(ifs.dim)]
+
+
+def enumerate_cylinders(ifs, depth, cap=DEFAULT_CAP):
+    """All depth-n cylinder boxes, in lexicographic word order."""
+    return [Box(sides) for sides in zip(*_cylinder_columns(ifs, depth, cap))]
 
 
 def component_diameter_profile(ifs, depth, deltas, cap=DEFAULT_CAP):
@@ -383,32 +391,19 @@ def component_diameter_profile(ifs, depth, deltas, cap=DEFAULT_CAP):
         raise ComponentsError("components: depth must be >= 1")
     if not validate_lg(ifs).lg_type:
         raise ComponentsError("components: input is not of Lalley-Gatzouras type")
-    boxes = enumerate_cylinders(ifs, depth, cap)
-    grid = []
-    for delta in deltas:
-        delta = exact_fraction(delta)
-        if delta <= 0:
-            raise ComponentsError(
-                "components: delta must be positive, got %s" % delta)
-        grid.append(delta)
+    columns = _cylinder_columns(ifs, depth, cap)
+    grid = [_positive("delta", delta) for delta in deltas]
     if not grid:
         return []
     # one pass over the distinct thresholds, smallest first
-    linkage = _SingleLinkage(boxes, max(grid) ** 2)
-    by_delta = {}
+    linkage = _SingleLinkage(columns, max(grid) ** 2)
+    rows = {}
     for delta in sorted(set(grid)):
         linkage.merge_to(delta * delta)
-        by_delta[delta] = (linkage.count, linkage.max_diam_sq())
-    rows = []
-    for delta in grid:
-        count, mx = by_delta[delta]
-        rows.append({
-            "delta": delta,
-            "num_components": count,
-            "max_diam_sq": mx,
-            "ratio_sq": mx / (delta * delta),
-        })
-    return rows
+        mx = linkage.max_diam_sq()
+        rows[delta] = {"delta": delta, "num_components": linkage.count,
+                       "max_diam_sq": mx, "ratio_sq": mx / (delta * delta)}
+    return [dict(rows[delta]) for delta in grid]
 
 
 class SimpleIFSFamily:
@@ -549,9 +544,7 @@ class ApproxSquare:
 def approx_square(ifs, word, delta):
     """The delta-approximate square along `word`: in each coordinate,
     iterate until the ratio product first drops strictly below delta."""
-    delta = exact_fraction(delta)
-    if delta <= 0:
-        raise ComponentsError("components: delta must be positive")
+    delta = _positive("delta", delta)
     word = tuple(word)
     for e in word:
         if not (1 <= e <= ifs.size):
@@ -588,7 +581,7 @@ def check_product_decomposition(ifs, k, cap=DEFAULT_CAP):
     fibers = [f.labels for f in last_coordinate_fibers(analysis.tree)]
     rhs = set()
     words = product(range(proj.size), repeat=k)
-    for word, base in zip(words, _cylinder_sides(proj, k)):
+    for word, base in zip(words, zip(*_cylinder_columns(proj, k, cap))):
         for iv in IntervalSet(*compose_labels([fibers[j] for j in word])):
             rhs.add(Box(base + (iv,)))
     return lhs == rhs

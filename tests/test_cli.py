@@ -56,6 +56,34 @@ def test_parse_error_exit(tmp_path, capsys):
     assert "line 2" in captured.err
 
 
+@pytest.mark.parametrize("text, code, expected", [
+    ("dim 2\ndim 2\nmap 1/2 0 ; 1/3 0\n", 1,
+     "line 2, col 1: duplicate dim directive"),
+    ("dim two\n", 1, "line 1, col 1: bad dim 'two'"),
+    ("dim 1\nmap 1/2 x\n", 1,
+     "line 2, col 1: invalid literal for int() with base 10: 'x'"),
+    ("dim 1\nmap 1/0 0\n", 1, "line 2, col 1: zero denominator in '1/0'"),
+    ("dim 1\nwarp 1/2 0\n", 1, "line 2, col 1: unknown directive 'warp'"),
+    ("# only a comment\n\n", 1, "line 1, col 1: missing dim directive"),
+    ("dim 2\n", 1, "line 1, col 1: no map lines"),
+    ("dim 1\nmap 1/2 3/4\n", 2, [["unit_cube", [1, 1]]]),
+], ids=["duplicate dim", "bad dim", "bad rational", "zero denominator",
+        "unknown directive", "missing dim", "no maps", "unit cube"])
+def test_malformed_file_exits(tmp_path, capsys, text, code, expected):
+    # a parse error is one located stderr line; a file that parses but
+    # leaves the unit cube is a rejected report
+    path = tmp_path / "bad.ifs"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == code
+    captured = capsys.readouterr()
+    if code == 1:
+        assert captured.out == ""
+        assert captured.err == "sponge: ifs: %s\n" % expected
+    else:
+        assert captured.err == ""
+        assert json.loads(captured.out)["payload"]["violations"] == expected
+
+
 def test_missing_file_exit(capsys):
     assert main(["classify", "/nonexistent.ifs"]) == 1
     assert capsys.readouterr().out == ""

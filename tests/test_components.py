@@ -16,7 +16,7 @@ from sponge import (AffineMap1D, Box, ComponentsError, IFSError, Interval,
                     delta0_sequence_exists, delta0_sequence_exists_sq,
                     delta_components, delta_components_sq,
                     enumerate_cylinders, interval_components, parse_ifs,
-                    pre_moran_intervals)
+                    pre_moran_intervals, validate_lg)
 
 from conftest import random_lg_system, random_point_set, random_simple_labels
 
@@ -720,6 +720,27 @@ def test_pre_moran_components_build_no_intervals(monkeypatch):
     assert len(made) == 1
 
 
+def test_profile_builds_no_intervals(monkeypatch, lg5):
+    # cylinder sides go from compose_labels to the kernel as integers;
+    # validation, which builds its own boxes, is taken as done
+    report = validate_lg(lg5)
+    monkeypatch.setattr(sponge.components, "validate_lg", lambda ifs: report)
+    made = []
+    original = sponge.ifs.Interval.__post_init__
+
+    def counting(self):
+        made.append(None)
+        original(self)
+
+    monkeypatch.setattr(sponge.ifs.Interval, "__post_init__", counting)
+    rows = component_diameter_profile(lg5, 4, [F(1, 8), F(1, 64)])
+    assert made == []
+    assert [r["num_components"] for r in rows] == [5, 59]
+    # the counter sees the two sides of each box enumerate_cylinders builds
+    enumerate_cylinders(lg5, 1)
+    assert len(made) == 2 * 5
+
+
 def test_union_bound_scales_each_set_once(monkeypatch):
     # one common denominator per interval set and one for their union,
     # however many deltas the grid has
@@ -771,3 +792,30 @@ def test_thresholds_are_exact(lg5, entry):
     for bad in (0.5, "1/2"):
         with pytest.raises(TypeError):
             call(bad)
+    # a threshold of 0 or below is a ComponentsError; a C of 0 or below
+    # fails the C*delta precondition instead (a PreconditionError)
+    for bad in (0, F(-1, 8)):
+        with pytest.raises(ComponentsError) as err:
+            call(bad)
+        if entry != "check_union_bound C":
+            assert str(err.value).endswith("must be positive, got %s" % bad)
+
+
+@pytest.mark.parametrize("objects", [
+    [(0,), (1, 5)],
+    [(0,), (1, 5), (2, 0)],
+    PointSet(((F(0), F(1)), (F(1), F(5), F(2)))),
+    [Box((Interval(F(0), F(1)),)),
+     Box((Interval(F(0), F(1)), Interval(F(2), F(3))))],
+    [Box((Interval(F(0), F(1)),)), (F(2),)],
+    [(F(2),), Box((Interval(F(0), F(1)),))],
+], ids=["points", "three points", "point set", "boxes", "box then point",
+        "point then box"])
+@pytest.mark.parametrize("call", [
+    delta_components, delta_components_sq, delta0_sequence_exists,
+    delta0_sequence_exists_sq], ids=lambda f: f.__name__)
+def test_mixed_objects_rejected(objects, call):
+    # zipping coordinates would drop the extra ones and answer wrongly
+    with pytest.raises(ComponentsError,
+                       match="must all be boxes or all points, of one"):
+        call(objects, 4)
