@@ -143,6 +143,11 @@ class CantorTree:
     Intervals are memoized one sibling row at a time; laying out a row
     checks additivity at its parent.  Construction lays out every row
     above `depth`.
+
+    The closed forms of cylinder_length and gap_length are sums of ratio
+    products along the word, so each word keeps its products over the
+    coordinates they read: a child's are its parent's times one map's
+    ratios.
     """
 
     def __init__(self, sys, constants, depth, cap=DEFAULT_CAP):
@@ -153,9 +158,25 @@ class CantorTree:
         count = capped_power(sys.m, depth, cap)
         if count > cap:
             raise ResourceCapError("cantor", count, cap)
+        # cylinder_length regrouped by coordinate: |J_w| is the sum over
+        # coordinate 1 and the gap coordinates of weight * ratio product,
+        # the weight 1 on coordinate 1 and 1/(1 - s_j) for each gap j on
+        # coordinate tau_j
+        coords = sorted({1}.union(tau for tau in sys.taus if tau))
+        weights = [Fraction(1 if t == 1 else 0) for t in coords]
+        for tau, s in zip(sys.taus, constants.s):
+            if tau >= 2:
+                weights[coords.index(tau)] += 1 / (1 - s)
         self.sys = sys
         self.constants = constants
+        self._weights = weights
+        self._ratios = [[mp.coords[t - 1].ratio for t in coords]
+                        for mp in sys.base.maps]
+        # the gap before child j reads the product at its tau, if any
+        self._gap_at = [None] + [coords.index(tau) if tau else None
+                                 for tau in sys.taus]
         self._intervals = {(): (Fraction(0), constants.L)}
+        self._products = {(): [Fraction(1)] * len(coords)}
         for word in itertools.product(range(sys.m), repeat=depth):
             self.interval(word)
 
@@ -169,12 +190,16 @@ class CantorTree:
         """Place the children of `parent` left to right with the gaps
         between them; the last child must end where the parent ends."""
         lo, hi = self.interval(parent)
-        for j in range(self.sys.m):
-            if j:
-                lo += gap_length(self.sys, self.constants, parent, j)
+        products = self._products[parent]
+        weights = self._weights
+        for j, (ratios, gap) in enumerate(zip(self._ratios, self._gap_at)):
+            if gap is not None:
+                lo += products[gap]
             child = parent + (j,)
-            end = lo + cylinder_length(self.sys, self.constants, child)
+            own = [p * r for p, r in zip(products, ratios)]
+            end = lo + sum(w * p for w, p in zip(weights, own))
             self._intervals[child] = (lo, end)
+            self._products[child] = own
             lo = end
         if lo != hi:
             raise CantorError("cantor: additivity fails at %s" % (parent,))

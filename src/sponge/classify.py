@@ -72,7 +72,8 @@ def attractor_is_unit_interval(fiber):
 
 class Analysis:
     """One system's decision pipeline, each stage computed once on first
-    use: the labeled tree (behind its LG gate), then the classification."""
+    use: the labeled tree (behind its LG gate), its validation report,
+    then the classification."""
 
     def __init__(self, ifs):
         self.ifs = ifs
@@ -85,6 +86,17 @@ class Analysis:
     @cached_property
     def tree(self):
         return build_labeled_tree(self.ifs)
+
+    @cached_property
+    def validation(self):
+        """The LG gate's ValidationReport, read from the tree or from the
+        TreeError that rejected the system."""
+        try:
+            return self.tree.validation
+        except TreeError as exc:
+            if exc.validation is None:
+                raise
+            return exc.validation
 
     @cached_property
     def classification(self):

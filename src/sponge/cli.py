@@ -23,7 +23,10 @@ from .classify import EXACTLY_ONE, Analysis, ClassifyError, classify
 from .components import (ComponentsError, SimpleIFSFamily, approx_square,
                          check_product_decomposition,
                          component_diameter_profile, pre_moran_intervals)
-from .ifs import IFSError, ParseError, parse_ifs, validate_lg
+# validate_lg runs inside the labeled tree's LG gate, not here; the name
+# stays bound because bench/test_bench.py checks that the benchmark's
+# tracer rebinds it in every module that imports it
+from .ifs import IFSError, ParseError, parse_ifs, validate_lg  # noqa: F401
 from .tree import TreeError, last_coordinate_fibers
 from .util import (DEFAULT_CAP, ResourceCapError, decimal_str, frac_str,
                    parse_fraction, sqrt_bracket, sqrt_decimal_str)
@@ -73,7 +76,7 @@ def _parse_word(text):
 
 
 def _payload_validate(a, args):
-    report = validate_lg(a.ifs)
+    report = a.validation
     payload = {
         # always true (ratios outside (0,1) fail to parse); kept for the digest
         "contraction_ok": True,
@@ -167,8 +170,8 @@ def _payload_square(a, args):
     }, EXIT_OK
 
 
-def _payload_cantor(a, args):
-    sys_, consts = analyze_special_system(a)
+def _payload_cantor(a, args, special=None):
+    sys_, consts = special or analyze_special_system(a)
     lip = lipschitz_constants(sys_, consts)
     check = args.check or "all"
     c0_lo, c0_hi = sqrt_bracket(lip.radicand, args.precision)
@@ -228,7 +231,10 @@ def _payload_all(a, args):
             for k in (1, 2)
         }
     if a.classification.conformal_dim_class == EXACTLY_ONE:
-        payload["cantor"], _ = _payload_cantor(a, args)
+        special = analyze_special_system(a)
+        # when every gap vanishes the attractor is a segment: no Cantor model
+        if any(special[0].taus):
+            payload["cantor"], _ = _payload_cantor(a, args, special)
     return payload, EXIT_OK
 
 

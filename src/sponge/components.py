@@ -568,20 +568,38 @@ def approx_square(ifs, word, delta):
     return ApproxSquare(Box(tuple(sides)), tuple(depths))
 
 
+def _scaled(ends, den, scale):
+    """Integer (lo, hi) ends over `den` moved to the multiple `scale`."""
+    s = scale // den
+    return [(lo * s, hi * s) for lo, hi in ends]
+
+
 def check_product_decomposition(ifs, k, cap=DEFAULT_CAP):
     """Depth-k cylinders equal the union of (projected cylinder) x
     (fiber pre-Moran interval) products, as exact box sets; `ifs` may be
-    an Analysis."""
+    an Analysis.
+
+    Both sides come from compose_labels as integer sides; scaled to one
+    common denominator per coordinate, each box is a tuple of integer
+    (lo, hi) pairs and the sets compare as sets of tuples.
+    """
     analysis = Analysis.of(ifs)
     ifs = analysis.ifs
     if ifs.dim < 2:
         raise ComponentsError("components: product decomposition needs d >= 2")
-    lhs = set(enumerate_cylinders(ifs, k, cap))
+    lhs = _cylinder_columns(ifs, k, cap)
     proj = major_projection(ifs, ifs.dim - 1)
+    base = _cylinder_columns(proj, k, cap)
     fibers = [f.labels for f in last_coordinate_fibers(analysis.tree)]
-    rhs = set()
-    words = product(range(proj.size), repeat=k)
-    for word, base in zip(words, zip(*_cylinder_columns(proj, k, cap))):
-        for iv in IntervalSet(*compose_labels([fibers[j] for j in word])):
-            rhs.add(Box(base + (iv,)))
-    return lhs == rhs
+    # one fiber pre-Moran set per projected word, in the words' order
+    last = [compose_labels([fibers[j] for j in word])
+            for word in product(range(proj.size), repeat=k)]
+    scales = [lcm(a.den, b.den) for a, b in zip(lhs, base)]
+    scales.append(lcm(lhs[-1].den, *(den for den, _ in last)))
+    left = set(zip(*(_scaled(c.ends, c.den, s) for c, s in zip(lhs, scales))))
+    right = set()
+    for sides, (den, ends) in zip(
+            zip(*(_scaled(c.ends, c.den, s) for c, s in zip(base, scales))),
+            last):
+        right.update(sides + (iv,) for iv in _scaled(ends, den, scales[-1]))
+    return left == right

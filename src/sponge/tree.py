@@ -11,7 +11,12 @@ from .ifs import validate_lg
 
 
 class TreeError(Exception):
-    """Domain error from the tree module."""
+    """Domain error from the tree module; a rejection by the LG gate
+    carries the gate's ValidationReport as `validation`."""
+
+    def __init__(self, message, validation=None):
+        super().__init__(message)
+        self.validation = validation
 
 
 @dataclass(frozen=True)
@@ -60,10 +65,12 @@ class FiberIFS:
 
 
 class LabeledTree:
-    """Immutable after construction; safe to share."""
+    """Immutable after construction; safe to share.  `validation` is the
+    ValidationReport of the LG gate the tree was built behind."""
 
-    def __init__(self, dim, levels, fibers):
+    def __init__(self, dim, levels, fibers, validation):
         self.dim = dim
+        self.validation = validation
         self.levels = tuple(tuple(level) for level in levels)
         self.fibers = dict(fibers)  # non-leaf Vertex -> FiberIFS
 
@@ -74,11 +81,12 @@ class LabeledTree:
 
 
 def build_labeled_tree(ifs):
-    """Build the labeled tree; rejects systems failing LG validation."""
+    """Build the labeled tree; rejects systems failing LG validation with
+    a TreeError that carries the report."""
     report = validate_lg(ifs)
     if not report.lg_type:
         raise TreeError("tree: input is not of Lalley-Gatzouras type: %s"
-                        % (report.violations,))
+                        % (report.violations,), report)
     levels = [(ROOT,)]
     fibers = {}
     for ell in range(1, ifs.dim + 1):
@@ -90,7 +98,7 @@ def build_labeled_tree(ifs):
             labels[v.projected_map[:-1]].append(v.projected_map[-1])
         fibers.update((u, FiberIFS(u, labels[u.projected_map]))
                       for u in levels[-2])
-    return LabeledTree(ifs.dim, levels, fibers)
+    return LabeledTree(ifs.dim, levels, fibers, report)
 
 
 def fiber_ifs(tree, vertex):

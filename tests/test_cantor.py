@@ -290,8 +290,8 @@ def _special_systems():
 
 def test_row_layout_matches_per_sibling_oracle(sys4):
     for sys_, consts in [sys4] + _special_systems():
-        tree = build_cantor_tree(sys_, consts, 3)
-        words = _words_up_to(sys_.m, 3)
+        tree = build_cantor_tree(sys_, consts, 4)
+        words = _words_up_to(sys_.m, 4)
         assert sorted(tree._intervals) == sorted(words)  # laid out eagerly
         for w in words:
             assert tree.interval(w) == _oracle_interval(sys_, consts, w)

@@ -1,10 +1,13 @@
+import contextlib
 import functools
+import io
 import json
 import sys
 import time
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sponge.cantor
 import sponge.cli
@@ -267,8 +270,7 @@ def test_report_runs_each_stage_once(capsys, monkeypatch, fixture):
     path = str(FIXTURES / (fixture + ".ifs"))
     counts = _count_stages(monkeypatch)
     assert main(["all", path]) == 0
-    # the second validate_lg is the labeled tree's own LG gate
-    assert counts == {"validate_lg": 2, "build_labeled_tree": 1,
+    assert counts == {"validate_lg": 1, "build_labeled_tree": 1,
                       "classification": 1}
     for subcommand, extra in STAGE_ARGV.items():
         counts.clear()
@@ -431,6 +433,94 @@ def test_all_subcommand(capsys):
     assert payload["classify"]["conformal_dim_class"] == "ExactlyOne"
     assert payload["product_decomposition"] == {"1": True, "2": True}
     assert "cantor" in payload
+
+
+SEGMENT_SYSTEMS = {
+    "interval": "dim 1\nmap 1/2 0\nmap 1/2 1/2\n",
+    "zero_gap": "dim 2\nmap 1/2 0 ; 1/3 0\nmap 1/2 1/2 ; 1/3 0\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEGMENT_SYSTEMS))
+def test_all_on_segment_has_no_cantor_section(tmp_path, capsys, name):
+    # ExactlyOne, but every gap vanishes: the attractor is a segment, which
+    # has no Cantor model; `cantor` rejects it, `all` leaves the section out
+    path = tmp_path / (name + ".ifs")
+    path.write_text(SEGMENT_SYSTEMS[name])
+    code, report = run_json(capsys, ["all", str(path)])
+    assert code == 0
+    payload = report["payload"]
+    assert payload["classify"]["conformal_dim_class"] == "ExactlyOne"
+    assert "cantor" not in payload
+    assert main(["cantor", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "sponge: cantor: all gaps vanish; the limit set " \
+        "is an interval, not a Cantor set\n"
+
+
+_RATIOS = ["1/2", "1/3", "1/4", "2/3", "1/5", "3/4"]
+_OFFSETS = ["0", "1/4", "1/3", "1/2", "2/3", "3/4"]
+_MALFORMED = ["x", "1/", "/2", "1//2", "1/0", "1.5", "-1/2", "7/3", "1"]
+# systems that pass validation, so that some examples reach every stage
+_VALID_TEXTS = [(FIXTURES / name).read_text()
+                for name in ("lg5.ifs", "lg4.ifs", "bedford_mcmullen.ifs")]
+_VALID_TEXTS += list(SEGMENT_SYSTEMS.values()) + [
+    "dim 2\nmap 1/2 0 ; 1/4 0\nmap 1/2 1/2 ; 1/4 1/2\n",
+    "dim 1\nmap 1/3 0\nmap 1/3 2/3\n",
+    "dim 3\nmap 1/2 0 ; 1/3 0 ; 1/4 0\nmap 1/2 1/2 ; 1/3 1/3 ; 1/5 1/2\n"]
+
+
+def _tokens(good):
+    """Mostly well-formed p/q tokens from `good`, some malformed ones."""
+    return st.one_of(st.sampled_from(good), st.sampled_from(good),
+                     st.sampled_from(_MALFORMED),
+                     st.builds("{}/{}".format, st.integers(-2, 9),
+                               st.integers(-1, 9)))
+
+
+@st.composite
+def _ifs_texts(draw):
+    dim = draw(st.integers(1, 3))
+    lines = [draw(st.sampled_from(["dim %d" % dim] * 4
+                                  + ["dim x", "dim 0", ""]))]
+    for _ in range(draw(st.integers(1, 5))):
+        coords = draw(st.sampled_from([dim] * 4 + [dim - 1, dim + 1]))
+        lines.append("map " + " ; ".join(
+            "%s %s" % (draw(_tokens(_RATIOS)), draw(_tokens(_OFFSETS)))
+            for _ in range(coords)))
+    return "\n".join(lines) + "\n"
+
+
+_OPTION_VALUES = st.sampled_from(["1/8", "1/8", "1/2", "1", "0", "-1/8",
+                                  "1/0", "x", ""])
+_WORDS = st.one_of(st.lists(st.integers(-1, 6), max_size=6).map(
+    lambda w: ",".join(map(str, w))), st.sampled_from(["a", "1,,2", " "]))
+
+
+@settings(max_examples=300)
+@given(text=st.one_of(st.sampled_from(_VALID_TEXTS), _ifs_texts()),
+       subcommand=st.sampled_from(sorted(sponge.cli._HANDLERS)),
+       depth=st.one_of(st.integers(-1, 6), st.integers(0, 4),
+                       st.just(10 ** 6)),
+       deltas=st.lists(_OPTION_VALUES, max_size=2),
+       word=st.one_of(st.none(), _WORDS),
+       cap=st.one_of(st.integers(12, 400), st.integers(100, 400),
+                     st.integers(1, 11)))
+def test_cli_fuzz_ends_in_an_exit_code(tmp_path_factory, text, subcommand,
+                                        depth, deltas, word, cap):
+    path = tmp_path_factory.getbasetemp() / "fuzz.ifs"
+    path.write_text(text)
+    argv = [subcommand, str(path), "--depth", str(depth), "--cap", str(cap)]
+    for delta in deltas:
+        argv += ["--delta", delta]
+    if word is not None:
+        argv += ["--word", word]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), err.getvalue()
+    assert len(err.getvalue().splitlines()) <= 1, err.getvalue()
 
 
 def test_json_determinism(capsys):

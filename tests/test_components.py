@@ -7,16 +7,18 @@ from hypothesis import given, settings, strategies as st
 
 import sponge.components
 import sponge.ifs
-from sponge import (AffineMap1D, Box, ComponentsError, IFSError, Interval,
-                    IntervalSet, PointSet, PreconditionError,
+import sponge.tree
+from sponge import (AffineMap1D, Box, ComponentsError, FiberIFS, IFSError,
+                    Interval, IntervalSet, PointSet, PreconditionError,
                     ResourceCapError, SimpleIFSFamily, Vertex,
-                    approx_square, check_premoran_bound,
+                    approx_square, build_labeled_tree, check_premoran_bound,
                     check_product_decomposition, check_union_bound,
-                    component_diameter_profile, cylinder_box,
+                    component_diameter_profile, compose_labels, cylinder_box,
                     delta0_sequence_exists, delta0_sequence_exists_sq,
                     delta_components, delta_components_sq,
-                    enumerate_cylinders, interval_components, parse_ifs,
-                    pre_moran_intervals, validate_lg)
+                    enumerate_cylinders, interval_components,
+                    major_projection, parse_ifs, pre_moran_intervals,
+                    validate_lg)
 
 from conftest import random_lg_system, random_point_set, random_simple_labels
 
@@ -307,6 +309,82 @@ def test_product_decomposition(lg5, lg4):
     for ifs in (lg5, lg4):
         for k in (0, 1, 2, 3):
             assert check_product_decomposition(ifs, k)
+
+
+def _oracle_product_decomposition(ifs, k):
+    """The depth-k cylinder boxes against the products of projected
+    cylinder boxes and fiber pre-Moran intervals, as sets of Fraction
+    Boxes: boxes from cylinder_box, fiber intervals composed map by map.
+    The fibers are read through sponge.components, as the fast path
+    reads them."""
+    proj = major_projection(ifs, ifs.dim - 1)
+    tree = build_labeled_tree(ifs)
+    fibers = [f.labels
+              for f in sponge.components.last_coordinate_fibers(tree)]
+    lhs = {cylinder_box(ifs, w)
+           for w in itertools.product(range(1, ifs.size + 1), repeat=k)}
+    rhs = set()
+    for word in itertools.product(range(1, proj.size + 1), repeat=k):
+        base = cylinder_box(proj, word).sides
+        for gs in itertools.product(*(fibers[j - 1] for j in word)):
+            lo, hi = F(0), F(1)
+            for g in reversed(gs):
+                lo, hi = g(lo), g(hi)
+            rhs.add(Box(base + (Interval(lo, hi),)))
+    return lhs == rhs
+
+
+def _product_systems(lg5, lg4, bedford_mcmullen):
+    systems = [lg5, lg4, bedford_mcmullen]
+    rng = random.Random(31)
+    while len(systems) < 15:
+        ifs = random_lg_system(rng, dim=2 + len(systems) % 2)
+        if validate_lg(ifs).lg_type:
+            systems.append(ifs)
+    return systems
+
+
+def test_product_decomposition_matches_box_oracle(lg5, lg4,
+                                                  bedford_mcmullen):
+    for ifs in _product_systems(lg5, lg4, bedford_mcmullen):
+        for k in (1, 2, 3):
+            assert check_product_decomposition(ifs, k) \
+                == _oracle_product_decomposition(ifs, k), (ifs, k)
+
+
+# the fibers' last-coordinate labels are over 4 and over 3, the full set
+# over 12, so the two sides' denominators differ before scaling
+MIXED_DENOMINATORS = ("dim 2\nmap 1/2 0 ; 1/4 0\nmap 1/2 0 ; 1/4 1/2\n"
+                      "map 1/2 1/2 ; 1/3 0\nmap 1/2 1/2 ; 1/3 1/3\n")
+
+
+def test_product_decomposition_across_fiber_denominators():
+    ifs = parse_ifs(MIXED_DENOMINATORS)
+    fibers = sponge.tree.last_coordinate_fibers(build_labeled_tree(ifs))
+    last = [m.coords[-1] for m in ifs.maps]
+    assert [compose_labels([f.labels])[0] for f in fibers] == [4, 3]
+    assert compose_labels([last])[0] == 12
+    for k in (1, 2, 3):
+        assert check_product_decomposition(ifs, k)
+        assert _oracle_product_decomposition(ifs, k)
+
+
+def test_product_decomposition_rejects_a_dropped_label(monkeypatch, lg5,
+                                                       bedford_mcmullen):
+    original = sponge.components.last_coordinate_fibers
+
+    def tampered(tree):
+        fibers = original(tree)
+        k = next(i for i, f in enumerate(fibers) if f.size > 1)
+        fibers[k] = FiberIFS(fibers[k].owner, fibers[k].labels[:-1])
+        return fibers
+
+    monkeypatch.setattr(sponge.components, "last_coordinate_fibers",
+                        tampered)
+    for ifs in (lg5, bedford_mcmullen, parse_ifs(MIXED_DENOMINATORS)):
+        for k in (1, 2):
+            assert check_product_decomposition(ifs, k) is False
+            assert _oracle_product_decomposition(ifs, k) is False
 
 
 @given(st.integers(0, 10 ** 6), st.integers(0, 3))
