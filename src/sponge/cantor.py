@@ -10,6 +10,7 @@ verified by exact arithmetic, with decimals only in reports.
 """
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -262,8 +263,11 @@ def bilipschitz_check(sys, constants, depth, lip=None, cap=DEFAULT_CAP,
 
     Enumerates x = phi_alpha(a), y = phi_beta(b) for all words of length
     <= depth and compares |u-v| / |x-y| (u, v the matching Cantor-tree
-    endpoints) against [1/c1, C0], via exact squared arithmetic.  A
-    `tree` for the same system shares its laid-out rows.
+    endpoints) against [1/c1, C0], via exact squared arithmetic.  Words
+    that share a value share their comparisons: each distinct pair of
+    (point, endpoint) values is compared once, while `pairs` and
+    `skipped` still count word pairs.  A `tree` for the same system
+    shares its laid-out rows.
     """
     if lip is None:
         lip = lipschitz_constants(sys, constants)
@@ -292,12 +296,16 @@ def bilipschitz_check(sys, constants, depth, lip=None, cap=DEFAULT_CAP,
         v for n in lengths for w in itertools.product(range(sys.m), repeat=n)
         for v in tree.interval(w))
     U, V = ends[0::2], ends[1::2]
-    # ratio^2 = (duv^2 / du^2) / (dist2 / M^2); track duv^2/dist2
-    min_n = min_d = max_n = max_d = None
-    pairs = 0
+    # phi_{w0}(a) = phi_w(a) and J_{w0} starts where J_w starts, as the last
+    # child shares b and J_w's end: compare each distinct (point, endpoint)
+    # once and weigh it by the words that share it
+    right = Counter(zip(Y, V)).items()
+    # ratio^2 = (duv^2 / du^2) / (dist2 / M^2); track duv^2/dist2, starting
+    # from an infinite minimum and a zero maximum
+    min_n, min_d, max_n, max_d = 1, 0, 0, 1
     skipped = 0
-    for xa, ua in zip(X, U):
-        for yb, vb in zip(Y, V):
+    for (xa, ua), wa in Counter(zip(X, U)).items():
+        for (yb, vb), wb in right:
             dist2 = 0
             for i in range(d):
                 t = xa[i] - yb[i]
@@ -306,15 +314,15 @@ def bilipschitz_check(sys, constants, depth, lip=None, cap=DEFAULT_CAP,
                 if ua != vb:
                     raise CantorError("cantor: identified codings map to "
                                       "distinct model points")
-                skipped += 1
+                skipped += wa * wb
                 continue
             duv = ua - vb
             num = duv * duv
-            pairs += 1
-            if min_n is None or num * min_d < min_n * dist2:
+            if num * min_d < min_n * dist2:
                 min_n, min_d = num, dist2
-            if max_n is None or num * max_d > max_n * dist2:
+            if num * max_d > max_n * dist2:
                 max_n, max_d = num, dist2
+    pairs = len(X) * len(Y) - skipped
     scale = Fraction(M * M, du * du)
     min_ratio_sq = Fraction(min_n, min_d) * scale
     max_ratio_sq = Fraction(max_n, max_d) * scale

@@ -9,6 +9,7 @@ configuration yield identical digests across runs.
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import re
@@ -314,7 +315,10 @@ def run(args):
     return code
 
 
+@functools.cache
 def build_parser():
+    """The one parser of the process: parse_args does not change it, and
+    the --delta list it appends to is a fresh one per call."""
     parser = argparse.ArgumentParser(
         prog="sponge",
         description="Exact uniform-disconnectedness reports for diagonal "

@@ -280,11 +280,15 @@ class IntervalSet(Sequence):
     def gap_list(self):
         """(order, starts, reach, gaps): the indices in order of left end,
         their left ends, the running maximum of their right ends, and
-        gaps[k - 1] = starts[k] - reach[k - 1]."""
+        gaps[k - 1] = starts[k] - reach[k - 1]; the order is a range when
+        the set is already in left-end order."""
         if self._gaps is None:
             ends = self.ends
             los = [lo for lo, _ in ends]
-            order = sorted(range(len(ends)), key=los.__getitem__)
+            if all(a <= b for a, b in zip(los, los[1:])):
+                order = range(len(ends))
+            else:
+                order = sorted(range(len(ends)), key=los.__getitem__)
             starts = [ends[k][0] for k in order]
             reach = list(accumulate((ends[k][1] for k in order), max))
             gaps = [s - r for s, r in zip(starts[1:], reach)]
@@ -318,9 +322,12 @@ def interval_components(intervals, delta):
     # an integer gap exceeds delta * den iff it exceeds its floor
     limit = delta.numerator * den // delta.denominator
     cuts = [k for k, gap in enumerate(gaps, start=1) if gap > limit]
-    pairs = sorted((tuple(sorted(order[a:b])),
-                    Fraction(reach[b - 1] - starts[a], den))
-                   for a, b in zip([0] + cuts, cuts + [n]))
+    runs = list(zip([0] + cuts, cuts + [n]))
+    diams = [Fraction(reach[b - 1] - starts[a], den) for a, b in runs]
+    if isinstance(order, range):  # left-end order is the input order
+        return tuple(tuple(range(a, b)) for a, b in runs), tuple(diams)
+    pairs = sorted((tuple(sorted(order[a:b])), diam)
+                   for (a, b), diam in zip(runs, diams))
     return tuple(b for b, _ in pairs), tuple(d for _, d in pairs)
 
 

@@ -290,14 +290,19 @@ def compose_labels(label_sets):
     give [0,1].
 
     Each level extends the previous level's ends over one running
-    denominator, so every word costs two integer multiply-adds.
+    denominator, so every word costs two integer multiply-adds.  A label
+    set that recurs in `label_sets` is scaled to integers once.
     """
     den, ends = 1, [(0, 1)]
+    scaled = {}
     for labels in reversed(label_sets):
-        scale, ints = common_denominator(
-            [v for g in labels for v in (g.ratio, g.offset)])
+        if id(labels) not in scaled:
+            scale, ints = common_denominator(
+                [v for g in labels for v in (g.ratio, g.offset)])
+            scaled[id(labels)] = scale, list(zip(ints[0::2], ints[1::2]))
+        scale, pairs = scaled[id(labels)]
         # g(x / den) = (r * x + o * den) / (scale * den), g = (r, o) / scale
-        steps = [(r, o * den) for r, o in zip(ints[0::2], ints[1::2])]
+        steps = [(r, o * den) for r, o in pairs]
         ends = [(r * lo + o, r * hi + o) for r, o in steps for lo, hi in ends]
         den *= scale
     return den, ends

@@ -2,14 +2,17 @@ import itertools
 import random
 import time
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from sponge import (CantorError, analyze_special_system, bilipschitz_check,
-                    build_cantor_tree, cylinder_length, gap_length,
-                    lipschitz_constants, parse_ifs, to_binary_tree)
-from sponge.cantor import SeriesConstants
-from sponge.util import ResourceCapError, sqrt_leq_quad
+                    build_cantor_tree, compose_labels, cylinder_length,
+                    gap_length, lipschitz_constants, parse_ifs,
+                    to_binary_tree)
+from sponge.cantor import CantorTree, RatioReport, SeriesConstants
+from sponge.util import ResourceCapError, common_denominator, sqrt_leq_quad
 
 from conftest import random_special_system
 
@@ -166,6 +169,78 @@ def test_bilipschitz_random_special_depth3(seed, pairs, min_ratio_sq,
     assert (rep.pairs, rep.skipped, rep.min_ratio_sq, rep.max_ratio_sq) == \
         (pairs, 0, F(min_ratio_sq), F(max_ratio_sq))
     assert rep.passed
+
+
+def _oracle_bilipschitz(sys_, consts, depth):
+    """bilipschitz_check by comparing every word pair (alpha, beta), one
+    at a time: x = phi_alpha(a), y = phi_beta(b) and the matching
+    Cantor-tree endpoints u, v in integers over one denominator each."""
+    lip = lipschitz_constants(sys_, consts)
+    tree = CantorTree(sys_, consts, 0)
+    lengths = range(depth + 1)
+    d = sys_.dim
+    P, ab = common_denominator(sys_.a + sys_.b)
+    sides = [[compose_labels([[mp.coords[j] for mp in sys_.base.maps]] * n)
+              for n in lengths] for j in range(d)]
+    top = lcm(*(levels[-1][0] for levels in sides))
+    M = top * P
+    cols = [[(lo * P + (hi - lo) * ab[k]) * (top // den)
+             for den, ends in levels for lo, hi in ends for k in (j, d + j)]
+            for j, levels in enumerate(sides)]
+    points = list(zip(*cols))
+    X, Y = points[0::2], points[1::2]
+    du, ends = common_denominator(
+        v for n in lengths for w in itertools.product(range(sys_.m), repeat=n)
+        for v in tree.interval(w))
+    U, V = ends[0::2], ends[1::2]
+    min_n = min_d = max_n = max_d = None
+    pairs = 0
+    skipped = 0
+    for xa, ua in zip(X, U):
+        for yb, vb in zip(Y, V):
+            dist2 = sum((s - t) ** 2 for s, t in zip(xa, yb))
+            if dist2 == 0:
+                if ua != vb:
+                    raise CantorError("cantor: identified codings map to "
+                                      "distinct model points")
+                skipped += 1
+                continue
+            num = (ua - vb) ** 2
+            pairs += 1
+            if min_n is None or num * min_d < min_n * dist2:
+                min_n, min_d = num, dist2
+            if max_n is None or num * max_d > max_n * dist2:
+                max_n, max_d = num, dist2
+    scale = F(M * M, du * du)
+    min_ratio_sq = F(min_n, min_d) * scale
+    max_ratio_sq = F(max_n, max_d) * scale
+    return RatioReport(
+        min_ratio_sq, max_ratio_sq, pairs, skipped,
+        min_ratio_sq * lip.c1_sq >= 1,
+        sqrt_leq_quad(max_ratio_sq, lip.C0_p, lip.C0_q, lip.radicand))
+
+
+@settings(max_examples=100)
+@given(st.integers(0, 10 ** 6), st.integers(0, 3))
+def test_bilipschitz_matches_pair_oracle(seed, depth):
+    sys_, consts = analyze_special_system(
+        random_special_system(random.Random(seed)))
+    assume(any(tau >= 2 for tau in sys_.taus))  # else no Cantor tree
+    assert bilipschitz_check(sys_, consts, depth) == \
+        _oracle_bilipschitz(sys_, consts, depth)
+
+
+@pytest.mark.parametrize("text, depth, skipped", [
+    (MIXED_TEXT, 3, 30),  # tau_1 = 0: touching endpoints are identified
+    (None, 4, 0),         # lg4
+])
+def test_bilipschitz_fixed_cases_match_pair_oracle(sys4, text, depth,
+                                                   skipped):
+    sys_, consts = sys4 if text is None else \
+        analyze_special_system(parse_ifs(text))
+    rep = bilipschitz_check(sys_, consts, depth)
+    assert rep == _oracle_bilipschitz(sys_, consts, depth)
+    assert rep.skipped == skipped
 
 
 def test_bilipschitz_root_pair(sys4):

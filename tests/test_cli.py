@@ -540,3 +540,19 @@ def test_text_format(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "lg_type = True" in out
+
+
+def test_one_parser_carries_no_state_between_calls(capsys):
+    assert sponge.cli.build_parser() is sponge.cli.build_parser()
+    # an appended --delta does not leak into the next call
+    code, _ = run_json(capsys, ["components", LG5, "--delta", "1/8"])
+    assert code == 0
+    assert main(["components", LG5]) == 1
+    assert "requires at least one --delta" in capsys.readouterr().err
+    # --help exits through argparse, and the parser still works after it
+    assert main(["--help"]) == 0
+    assert "usage: sponge" in capsys.readouterr().out
+    code, _ = run_json(capsys, ["classify", LG5])
+    assert code == 0
+    digests = [run_json(capsys, ["all", LG4])[1]["digest"] for _ in range(2)]
+    assert digests[0] == digests[1]
