@@ -15,7 +15,6 @@ import json
 import re
 import sys
 import time
-from fractions import Fraction
 
 from . import __version__
 from .cantor import (CantorError, analyze_special_system, bilipschitz_check,
@@ -41,16 +40,6 @@ EXIT_INTERNAL = 4
 
 class Rejection(Exception):
     """Missing or malformed option for the subcommand; exit code 1."""
-
-
-def _jsonable(value):
-    if isinstance(value, Fraction):
-        return frac_str(value)
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
 
 
 def _vertex_dict(vertex):
@@ -162,6 +151,8 @@ def _payload_premoran(a, args):
 def _payload_square(a, args):
     if args.word is None or not args.delta:
         raise Rejection("square requires --word and --delta")
+    if len(args.delta) > 1:
+        raise Rejection("square takes one --delta, got %d" % len(args.delta))
     delta = _parse_delta(args.delta[0])
     sq = approx_square(a.ifs, _parse_word(args.word), delta)
     return {
@@ -260,7 +251,8 @@ _CSV_COLUMNS = {
 def emit(report, fmt, subcommand):
     """Render a report; JSON is canonical (sorted keys, p/q rationals)."""
     if fmt == "json":
-        return json.dumps(report, sort_keys=True, indent=2) + "\n"
+        return json.dumps(report, sort_keys=True, indent=2,
+                          default=frac_str) + "\n"
     if fmt == "csv":
         cols = _CSV_COLUMNS.get(subcommand)
         if cols is None:
@@ -283,7 +275,8 @@ def emit(report, fmt, subcommand):
             for k in sorted(value):
                 walk("%s.%s" % (prefix, k) if prefix else k, value[k])
         elif isinstance(value, list):
-            lines.append("%s = %s" % (prefix, json.dumps(value)))
+            lines.append("%s = %s" % (prefix,
+                                      json.dumps(value, default=frac_str)))
         else:
             lines.append("%s = %s" % (prefix, value))
 
@@ -306,10 +299,12 @@ def run(args):
         "tool_version": __version__,
         "input_digest": hashlib.sha256(text.encode()).hexdigest(),
         "subcommand": args.subcommand,
-        "payload": _jsonable(payload),
+        "payload": payload,
     }
-    report["digest"] = hashlib.sha256(
-        json.dumps(report, sort_keys=True).encode()).hexdigest()
+    # frac_str writes every Fraction here, before emit, so a value too
+    # long to print is a DigitLimitError before any output
+    report["digest"] = hashlib.sha256(json.dumps(
+        report, sort_keys=True, default=frac_str).encode()).hexdigest()
     report["timing"] = round(elapsed, 6)
     sys.stdout.write(emit(report, args.format, args.subcommand))
     return code

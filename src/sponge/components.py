@@ -95,6 +95,12 @@ def _columns(objects):
             for den, ints in map(common_denominator, zip(*objects))]
 
 
+def _scaled(ends, den, scale):
+    """Integer (lo, hi) ends over `den` moved to the multiple `scale`."""
+    s = scale // den
+    return [(lo * s, hi * s) for lo, hi in ends]
+
+
 def _far_sq(a, b):
     """Squared max distance between points of two integer extents."""
     total = 0
@@ -117,9 +123,7 @@ class _SingleLinkage:
     def __init__(self, columns, max_delta_sq):
         # distances add across coordinates, so the columns share one scale
         den = lcm(*(c.den for c in columns))
-        steps = [(c.ends, den // c.den) for c in columns]
-        ext = list(zip(*([(lo * s, hi * s) for lo, hi in ends]
-                         for ends, s in steps)))
+        ext = list(zip(*(_scaled(c.ends, c.den, den) for c in columns)))
         n = len(ext)
         self.den_sq = den * den
         self.n = n
@@ -340,38 +344,49 @@ def delta0_sequence_exists(points, delta0):
 
 def delta0_sequence_exists_sq(points, delta0_sq):
     """Same search with the threshold given as an exact square, for
-    thresholds like 1/(2*M0) that are rational only after squaring."""
-    pts = PointSet(tuple(tuple(p) for p in _uniform(points))).points
+    thresholds like 1/(2*M0) that are rational only after squaring.
+
+    A delta0-sequence from a to b exists iff a and b are single-linkage
+    connected at squared threshold delta0_sq * |a - b|^2.  One
+    _SingleLinkage merges to each pair's threshold in ascending distance
+    order until a pair's ends share a block; that block holds the steps.
+    """
+    points = _uniform(points)
+    if points and isinstance(points[0], Box):
+        raise ComponentsError("components: the delta0 search takes points")
+    pts = PointSet(tuple(tuple(p) for p in points)).points
     if len(pts) < 2:
         raise ComponentsError("components: need at least 2 points")
     d0_sq = _positive("delta0_sq", delta0_sq)
     n = len(pts)
-    dist_sq = [[_point_dist_sq(pts[i], pts[j]) for j in range(n)]
-               for i in range(n)]
-    for a in range(n):
-        for b in range(n):
-            if a == b:
-                continue
-            step_sq = d0_sq * dist_sq[a][b]
-            # BFS from a to b along steps of squared length <= step_sq
-            prev = {a: None}
-            frontier = [a]
-            while frontier and b not in prev:
-                nxt = []
-                for u in frontier:
-                    for v in range(n):
-                        if v not in prev and dist_sq[u][v] <= step_sq:
-                            prev[v] = u
-                            nxt.append(v)
-                frontier = nxt
-            if b in prev:
-                path = []
-                v = b
-                while v is not None:
-                    path.append(pts[v])
-                    v = prev[v]
-                return True, tuple(reversed(path))
-    return False, None
+    pairs = sorted((_point_dist_sq(pts[i], pts[j]), i, j)
+                   for i in range(n) for j in range(i + 1, n))
+    linkage = _SingleLinkage(_columns(pts), d0_sq * pairs[-1][0])
+    for dist_sq, a, b in pairs:
+        linkage.merge_to(d0_sq * dist_sq)
+        if linkage._find(a) == linkage._find(b):
+            break
+    else:
+        return False, None
+    # breadth-first from a to b within their block, along the merged steps
+    limit = linkage._limit(d0_sq * dist_sq)
+    block, ext = linkage.members[linkage._find(a)], linkage.ext
+    prev = {a: None}
+    frontier = [a]
+    while b not in prev:
+        nxt = []
+        for u in frontier:
+            for v in block:
+                if v not in prev and _far_sq(ext[u], ext[v]) <= limit:
+                    prev[v] = u
+                    nxt.append(v)
+        frontier = nxt
+    path = []
+    v = b
+    while v is not None:
+        path.append(pts[v])
+        v = prev[v]
+    return True, tuple(reversed(path))
 
 
 def _cylinder_columns(ifs, depth, cap):
@@ -556,29 +571,22 @@ def approx_square(ifs, word, delta):
     for e in word:
         if not (1 <= e <= ifs.size):
             raise IFSError("ifs: symbol %d out of range 1..%d" % (e, ifs.size))
-    depths = [None] * ifs.dim
-    sides = [None] * ifs.dim
-    comp = None
-    for k, e in enumerate(word, start=1):
-        phi = ifs.maps[e - 1]
-        comp = phi if comp is None else comp.compose(phi)
-        for j, c in enumerate(comp.coords):
-            if depths[j] is None and c.ratio < delta:
-                depths[j], sides[j] = k, c.image()
-        if None not in depths:
-            break
-    else:
-        j = depths.index(None)
-        raise ComponentsError(
-            "components: word too short for coordinate %d at delta=%s"
-            % (j + 1, delta))
+    depths, sides = [], []
+    for j in range(ifs.dim):
+        labels = [ifs.maps[e - 1].coords[j] for e in word]
+        ratio = 1
+        for k, g in enumerate(labels, start=1):
+            ratio *= g.ratio
+            if ratio < delta:
+                break
+        else:
+            raise ComponentsError(
+                "components: word too short for coordinate %d at delta=%s"
+                % (j + 1, delta))
+        den, ((lo, hi),) = compose_labels([[g] for g in labels[:k]])
+        depths.append(k)
+        sides.append(Interval(Fraction(lo, den), Fraction(hi, den)))
     return ApproxSquare(Box(tuple(sides)), tuple(depths))
-
-
-def _scaled(ends, den, scale):
-    """Integer (lo, hi) ends over `den` moved to the multiple `scale`."""
-    s = scale // den
-    return [(lo * s, hi * s) for lo, hi in ends]
 
 
 def check_product_decomposition(ifs, k, cap=DEFAULT_CAP):

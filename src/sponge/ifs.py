@@ -44,11 +44,6 @@ class AffineMap1D:
         """Image of [0,1] as an Interval."""
         return Interval(self.offset, self.offset + self.ratio)
 
-    def compose(self, other):
-        """self after other: x -> self(other(x))."""
-        return AffineMap1D(self.ratio * other.ratio,
-                           self.ratio * other.offset + self.offset)
-
     def fixed_point(self):
         return self.offset / (1 - self.ratio)
 
@@ -71,10 +66,6 @@ class DiagonalAffineMap:
 
     def __call__(self, point):
         return tuple(c(x) for c, x in zip(self.coords, point))
-
-    def compose(self, other):
-        return DiagonalAffineMap(tuple(a.compose(b)
-                                       for a, b in zip(self.coords, other.coords)))
 
     def truncate(self, ell):
         return DiagonalAffineMap(self.coords[:ell])
@@ -121,9 +112,6 @@ class Interval:
         return max(self.lo, other.lo) < min(self.hi, other.hi)
 
 
-UNIT = Interval(Fraction(0), Fraction(1))
-
-
 @dataclass(frozen=True)
 class Box:
     sides: tuple
@@ -137,10 +125,6 @@ class Box:
 
     def open_intersects(self, other):
         return all(a.open_intersects(b) for a, b in zip(self.sides, other.sides))
-
-
-def unit_cube(dim):
-    return Box(tuple(UNIT for _ in range(dim)))
 
 
 @dataclass(frozen=True)
@@ -268,19 +252,18 @@ def major_projection(ifs, ell):
 
 
 def cylinder_box(ifs, word):
-    """Image of the unit cube under the composition along `word` (1-based)."""
-    box = unit_cube(ifs.dim)
-    current = None
+    """Image of the unit cube under the composition along `word` (1-based):
+    side j is compose_labels over coordinate j's maps, one map a level."""
+    maps = []
     for e in word:
         if not (1 <= e <= ifs.size):
             raise IFSError("ifs: symbol %d out of range 1..%d" % (e, ifs.size))
-        m = ifs.maps[e - 1]
-        current = m if current is None else current.compose(m)
-    if current is None:
-        return box
-    sides = tuple(Interval(c(s.lo), c(s.hi))
-                  for c, s in zip(current.coords, box.sides))
-    return Box(sides)
+        maps.append(ifs.maps[e - 1])
+    sides = []
+    for j in range(ifs.dim):
+        den, ((lo, hi),) = compose_labels([[m.coords[j]] for m in maps])
+        sides.append(Interval(Fraction(lo, den), Fraction(hi, den)))
+    return Box(tuple(sides))
 
 
 def compose_labels(label_sets):

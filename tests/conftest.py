@@ -41,6 +41,23 @@ def bedford_mcmullen():
     return load_fixture("bedford_mcmullen.ifs")
 
 
+def compose(maps):
+    """maps[0] o maps[1] o ... in Fraction, of AffineMap1Ds or of
+    DiagonalAffineMaps; None for no maps.  The composition oracle that
+    ifs.compose_labels, the package's one composition, is checked on."""
+    comp = None
+    for m in maps:
+        comp = m if comp is None else _after(comp, m)
+    return comp
+
+
+def _after(f, g):
+    """f o g, coordinate by coordinate for DiagonalAffineMaps."""
+    if isinstance(f, DiagonalAffineMap):
+        return DiagonalAffineMap(tuple(map(_after, f.coords, g.coords)))
+    return AffineMap1D(f.ratio * g.ratio, f.ratio * g.offset + f.offset)
+
+
 def random_simple_labels(rng, max_maps=4, max_den=24, tiling=None):
     """A random simple IFS of [0,1] as a tuple of AffineMap1D.
 

@@ -14,7 +14,7 @@ from sponge import (CantorError, analyze_special_system, bilipschitz_check,
 from sponge.cantor import CantorTree, RatioReport, SeriesConstants
 from sponge.util import ResourceCapError, common_denominator, sqrt_leq_quad
 
-from conftest import random_special_system
+from conftest import compose, random_special_system
 
 
 def F(s, d=None):
@@ -314,10 +314,7 @@ def test_c0c1_desk_scale(sys4):
         frontier = [w + (j,) for w in frontier for j in range(sys_.m)]
         words.extend(frontier)
     for w in words:
-        mp = None
-        for j in w:
-            mj = sys_.base.maps[j]
-            mp = mj if mp is None else mp.compose(mj)
+        mp = compose(sys_.base.maps[j] for j in w)
         x = sys_.a if mp is None else mp(sys_.a)
         y = sys_.b if mp is None else mp(sys_.b)
         dist_sq = sum((p - q) ** 2 for p, q in zip(x, y))

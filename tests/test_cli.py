@@ -298,20 +298,14 @@ def test_report_builds_one_fiber_per_vertex(capsys, monkeypatch, fixture,
 
 
 @pytest.mark.parametrize("fixture", ["lg5", "lg4", "bedford_mcmullen"])
-def test_report_composes_no_maps(capsys, monkeypatch, fixture):
+def test_report_composes_no_maps(capsys, fixture):
     # cylinder sides, pre-Moran intervals and Lipschitz points all compose
-    # in integers through ifs.compose_labels
-    calls = []
-    original = sponge.ifs.AffineMap1D.compose
-
-    def counting(self, other):
-        calls.append(None)
-        return original(self, other)
-
-    monkeypatch.setattr(sponge.ifs.AffineMap1D, "compose", counting)
+    # in integers through ifs.compose_labels, the one composition: the
+    # maps have no Fraction composition to call
+    assert not hasattr(sponge.ifs.AffineMap1D, "compose")
+    assert not hasattr(sponge.ifs.DiagonalAffineMap, "compose")
     assert main(["all", str(FIXTURES / (fixture + ".ifs"))]) == 0
     capsys.readouterr()
-    assert calls == []
 
 
 def test_non_utf8_input_exit(tmp_path, capsys):
@@ -381,6 +375,15 @@ def test_square(capsys):
     assert code == 0
     assert report["payload"]["depths"] == [3, 2]
     assert report["payload"]["box"] == [["0", "1/27"], ["0", "1/36"]]
+
+
+def test_square_takes_one_delta(capsys):
+    # a second --delta is an error, not silently dropped
+    assert main(["square", LG5, "--word", "1,1,1,1", "--delta", "1/10",
+                 "--delta", "1/2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "sponge: square takes one --delta, got 2\n"
 
 
 @pytest.mark.parametrize("word", ["0,0,0,0,0,0", "9"])

@@ -20,7 +20,8 @@ from sponge import (AffineMap1D, Box, ComponentsError, FiberIFS, IFSError,
                     major_projection, parse_ifs, pre_moran_intervals,
                     validate_lg)
 
-from conftest import random_lg_system, random_point_set, random_simple_labels
+from conftest import (compose, random_lg_system, random_point_set,
+                      random_simple_labels)
 
 
 def F(s, d=None):
@@ -73,6 +74,61 @@ def test_delta0_sequence_two_points():
 def test_delta0_sequence_needs_two_points():
     with pytest.raises(ComponentsError):
         delta0_sequence_exists([(F(0),)], F(1))
+
+
+def _oracle_delta0_sequence(points, delta0_sq):
+    """One breadth-first search per ordered pair (a, b) along steps of
+    squared length <= delta0_sq * |a - b|^2: (found, sequence or None)."""
+    pts = sorted(set(map(tuple, points)))
+    n = len(pts)
+    dist_sq = [[sum((x - y) ** 2 for x, y in zip(p, q)) for q in pts]
+               for p in pts]
+    for a in range(n):
+        for b in range(n):
+            if a == b:
+                continue
+            step_sq = delta0_sq * dist_sq[a][b]
+            prev = {a: None}
+            frontier = [a]
+            while frontier and b not in prev:
+                nxt = []
+                for u in frontier:
+                    for v in range(n):
+                        if v not in prev and dist_sq[u][v] <= step_sq:
+                            prev[v] = u
+                            nxt.append(v)
+                frontier = nxt
+            if b in prev:
+                path = []
+                v = b
+                while v is not None:
+                    path.append(pts[v])
+                    v = prev[v]
+                return True, tuple(reversed(path))
+    return False, None
+
+
+@given(st.integers(0, 10 ** 6), st.integers(1, 3))
+def test_delta0_search_matches_bfs_oracle(seed, dim):
+    # the single-linkage search finds a delta0-sequence exactly when some
+    # ordered pair's breadth-first search does, and what it returns is one;
+    # delta0^2 is a ratio of two squared distances of the set, so that
+    # steps fall exactly on the threshold
+    rng = random.Random(seed)
+    pts = random_point_set(rng, dim=dim)
+    dists = [sum((x - y) ** 2 for x, y in zip(p, q))
+             for p, q in itertools.combinations(pts, 2)]
+    delta0_sq = rng.choice(dists) / rng.choice(dists)
+    found, seq = delta0_sequence_exists_sq(pts, delta0_sq)
+    assert found == _oracle_delta0_sequence(pts, delta0_sq)[0]
+    if not found:
+        assert seq is None
+        return
+    assert len(seq) >= 2 and len(set(seq)) == len(seq)
+    assert set(seq) <= set(pts)
+    total_sq = sum((x - y) ** 2 for x, y in zip(seq[0], seq[-1]))
+    for p, q in zip(seq, seq[1:]):
+        assert sum((x - y) ** 2 for x, y in zip(p, q)) <= delta0_sq * total_sq
 
 
 def test_profile_lg5_depth4(lg5):
@@ -276,12 +332,11 @@ def _oracle_approx_square(ifs, word, delta):
     product first drops below delta: (depths, sides) or the error."""
     depths, sides = [], []
     for j in range(ifs.dim):
-        product, comp = Fraction(1), None
+        product = Fraction(1)
         for k, e in enumerate(word, start=1):
-            part = ifs.maps[e - 1].coords[j]
-            comp = part if comp is None else comp.compose(part)
-            product *= part.ratio
+            product *= ifs.maps[e - 1].coords[j].ratio
             if product < delta:
+                comp = compose(ifs.maps[w - 1].coords[j] for w in word[:k])
                 depths.append(k)
                 sides.append((comp(F(0)), comp(F(1))))
                 break
@@ -879,21 +934,33 @@ def test_thresholds_are_exact(lg5, entry):
             assert str(err.value).endswith("must be positive, got %s" % bad)
 
 
-@pytest.mark.parametrize("objects", [
-    [(0,), (1, 5)],
-    [(0,), (1, 5), (2, 0)],
-    PointSet(((F(0), F(1)), (F(1), F(5), F(2)))),
-    [Box((Interval(F(0), F(1)),)),
-     Box((Interval(F(0), F(1)), Interval(F(2), F(3))))],
-    [Box((Interval(F(0), F(1)),)), (F(2),)],
-    [(F(2),), Box((Interval(F(0), F(1)),))],
-], ids=["points", "three points", "point set", "boxes", "box then point",
-        "point then box"])
-@pytest.mark.parametrize("call", [
-    delta_components, delta_components_sq, delta0_sequence_exists,
-    delta0_sequence_exists_sq], ids=lambda f: f.__name__)
-def test_mixed_objects_rejected(objects, call):
+_MIXED = {
+    "points": [(0,), (1, 5)],
+    "three points": [(0,), (1, 5), (2, 0)],
+    "point set": PointSet(((F(0), F(1)), (F(1), F(5), F(2)))),
+    "boxes": [Box((Interval(F(0), F(1)),)),
+              Box((Interval(F(0), F(1)), Interval(F(2), F(3))))],
+    "box then point": [Box((Interval(F(0), F(1)),)), (F(2),)],
+    "point then box": [(F(2),), Box((Interval(F(0), F(1)),))],
+}
+_DELTA0_CALLS = [delta0_sequence_exists, delta0_sequence_exists_sq]
+
+
+@pytest.mark.parametrize("call, objects, match", [
+    pytest.param(call, objects, "must all be boxes or all points, of one",
+                 id="%s-%s" % (call.__name__, name))
+    for call in [delta_components, delta_components_sq] + _DELTA0_CALLS
+    for name, objects in _MIXED.items()
+] + [
+    # boxes of one dimension are fine for delta-components, not for the
+    # delta0 search, whose sequences are sequences of points
+    pytest.param(call, [Box((Interval(F(0), F(1)),)),
+                        Box((Interval(F(2), F(3)),))],
+                 "the delta0 search takes points",
+                 id="%s-boxes of one dimension" % call.__name__)
+    for call in _DELTA0_CALLS
+])
+def test_mixed_objects_rejected(call, objects, match):
     # zipping coordinates would drop the extra ones and answer wrongly
-    with pytest.raises(ComponentsError,
-                       match="must all be boxes or all points, of one"):
+    with pytest.raises(ComponentsError, match=match):
         call(objects, 4)

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,9 +9,8 @@ from sponge import (AffineMap1D, Box, DiagonalAffineMap, IFSError, Interval,
                     ParseError, SpongeIFS, compose_labels, cylinder_box,
                     enumerate_cylinders, fixed_point, major_projection,
                     parse_ifs, serialize_ifs, validate_lg, width)
-from sponge.ifs import unit_cube
 
-from conftest import random_lg_system, random_special_system
+from conftest import compose, random_lg_system, random_special_system
 
 
 def F(s):
@@ -133,10 +133,7 @@ def test_cylinder_composition(lg5, lg4):
             v = [rng.randint(1, ifs.size) for _ in range(rng.randint(0, 4))]
             whole = cylinder_box(ifs, u + v)
             inner = cylinder_box(ifs, v)
-            comp = None
-            for e in u:
-                m = ifs.maps[e - 1]
-                comp = m if comp is None else comp.compose(m)
+            comp = compose(ifs.maps[e - 1] for e in u)
             if comp is None:
                 assert whole == inner
             else:
@@ -175,11 +172,8 @@ def _oracle_compose_words(maps, n):
     """The words of length n over `maps`, lexicographic, as (word,
     composition) pairs: word is a tuple of 0-based indices and composition
     is maps[w1] o ... o maps[wn] in Fraction, or None for the empty word."""
-    level = [((), None)]
-    for _ in range(n):
-        level = [(w + (j,), m if c is None else c.compose(m))
-                 for w, c in level for j, m in enumerate(maps)]
-    return level
+    return [(w, compose(maps[j] for j in w))
+            for w in itertools.product(range(len(maps)), repeat=n)]
 
 
 @settings(max_examples=60)
@@ -189,7 +183,7 @@ def test_cylinder_sides_match_composition_oracle(seed, kind, depth):
     rng = random.Random(seed)
     ifs = random_special_system(rng) if kind == "special" \
         else random_lg_system(rng, dim=kind)
-    boxes = [unit_cube(ifs.dim) if c is None
+    boxes = [Box((Interval(F(0), F(1)),) * ifs.dim) if c is None
              else Box(tuple(s.image() for s in c.coords))
              for _, c in _oracle_compose_words(ifs.maps, depth)]
     for j in range(ifs.dim):

@@ -1,4 +1,6 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -95,3 +97,21 @@ def test_capped_power():
     assert capped_power(4, 0, 0) == 1
     assert capped_power(1, 10 ** 8, 0) == 1
     assert capped_power(2, 10, 10 ** 6) == 1024
+
+
+def test_no_float_in_the_package():
+    # no float enters any decision: no module of the package writes a
+    # float literal or calls float()
+    src = Path(__file__).resolve().parent.parent / "src" / "sponge"
+    paths = sorted(src.glob("*.py"))
+    assert len(paths) > 1
+    found = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Constant)
+                    and isinstance(node.value, (float, complex))) or (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "float"):
+                found.append("%s:%d" % (path.name, node.lineno))
+    assert found == []
