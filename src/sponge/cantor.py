@@ -10,7 +10,6 @@ verified by exact arithmetic, with decimals only in reports.
 """
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -139,16 +138,19 @@ def gap_length(sys, constants, word, j):
 
 
 class CantorTree:
-    """Lazy interval layout of the m-branch Cantor tree on [0, L].
+    """Lazy interval layout of the m-branch Cantor tree on [0, L], in
+    integers.
 
-    Intervals are memoized one sibling row at a time; laying out a row
-    checks additivity at its parent.  Construction lays out every row
-    above `depth`.
-
-    The closed forms of cylinder_length and gap_length are sums of ratio
-    products along the word, so each word keeps its products over the
-    coordinates they read: a child's are its parent's times one map's
-    ratios.
+    Row k holds the words of length k with integer (lo, hi) ends over one
+    denominator D_k = W * Q**k.  The closed forms of cylinder_length and
+    gap_length are sums of ratio products along the word over coordinate 1
+    and the gap coordinates, so each word keeps those products as integer
+    numerators over Q**k: a child's are its parent's times one map's.  Q is
+    the lcm of the ratio denominators on these coordinates, and W the lcm
+    of the length weights' denominators and L's.  Rows are laid out one
+    sibling row at a time, which checks additivity at the parent in
+    integers; construction lays out every row above `depth`.  `interval`
+    reads a word's ends as Fractions.
     """
 
     def __init__(self, sys, constants, depth, cap=DEFAULT_CAP):
@@ -168,41 +170,62 @@ class CantorTree:
         for tau, s in zip(sys.taus, constants.s):
             if tau >= 2:
                 weights[coords.index(tau)] += 1 / (1 - s)
-        self.sys = sys
-        self.constants = constants
-        self._weights = weights
-        self._ratios = [[mp.coords[t - 1].ratio for t in coords]
-                        for mp in sys.base.maps]
+        self.W, ints = common_denominator(weights + [constants.L])
+        self._weights = ints[:-1]
+        self.Q, ratios = common_denominator(
+            mp.coords[t - 1].ratio for mp in sys.base.maps for t in coords)
+        c = len(coords)
+        self._ratios = [tuple(ratios[i:i + c])
+                        for i in range(0, len(ratios), c)]
         # the gap before child j reads the product at its tau, if any
         self._gap_at = [None] + [coords.index(tau) if tau else None
                                  for tau in sys.taus]
-        self._intervals = {(): (Fraction(0), constants.L)}
-        self._products = {(): [Fraction(1)] * len(coords)}
+        self.sys = sys
+        # word -> (lo, hi, products), all integers
+        self._nodes = {(): (0, ints[-1], (1,) * c)}
         for word in itertools.product(range(sys.m), repeat=depth):
-            self.interval(word)
+            self._node(word)
 
     def interval(self, word):
         word = tuple(word)
-        if word not in self._intervals:
+        lo, hi = self.ends(word)
+        den = self.den(len(word))
+        return Fraction(lo, den), Fraction(hi, den)
+
+    def den(self, k):
+        """D_k, the denominator of row k."""
+        return self.W * self.Q ** k
+
+    def ends(self, word):
+        """The integer (lo, hi) ends of J_word over D_len(word)."""
+        return self._node(word)[:2]
+
+    def row(self, k):
+        """ends() of the words of length k, in lexicographic order."""
+        return [self.ends(w)
+                for w in itertools.product(range(self.sys.m), repeat=k)]
+
+    def _node(self, word):
+        if word not in self._nodes:
             self._lay_out_row(word[:-1])
-        return self._intervals[word]
+        return self._nodes[word]
 
     def _lay_out_row(self, parent):
         """Place the children of `parent` left to right with the gaps
         between them; the last child must end where the parent ends."""
-        lo, hi = self.interval(parent)
-        products = self._products[parent]
+        lo, hi, products = self._node(parent)
+        Q = self.Q
+        lo *= Q  # onto the children's row denominator
+        gap_scale = self.W * Q
         weights = self._weights
         for j, (ratios, gap) in enumerate(zip(self._ratios, self._gap_at)):
             if gap is not None:
-                lo += products[gap]
-            child = parent + (j,)
-            own = [p * r for p, r in zip(products, ratios)]
+                lo += gap_scale * products[gap]
+            own = tuple(p * r for p, r in zip(products, ratios))
             end = lo + sum(w * p for w, p in zip(weights, own))
-            self._intervals[child] = (lo, end)
-            self._products[child] = own
+            self._nodes[parent + (j,)] = (lo, end, own)
             lo = end
-        if lo != hi:
+        if lo != hi * Q:
             raise CantorError("cantor: additivity fails at %s" % (parent,))
 
 
@@ -261,69 +284,146 @@ def bilipschitz_check(sys, constants, depth, lip=None, cap=DEFAULT_CAP,
                       tree=None):
     """Envelope check over the canonical dense pair family.
 
-    Enumerates x = phi_alpha(a), y = phi_beta(b) for all words of length
-    <= depth and compares |u-v| / |x-y| (u, v the matching Cantor-tree
-    endpoints) against [1/c1, C0], via exact squared arithmetic.  Words
-    that share a value share their comparisons: each distinct pair of
-    (point, endpoint) values is compared once, while `pairs` and
-    `skipped` still count word pairs.  A `tree` for the same system
-    shares its laid-out rows.
+    Compares |u-v| / |x-y| against [1/c1, C0] in exact squared arithmetic
+    for x = phi_alpha(a), y = phi_beta(b) over all words of length <= depth,
+    with u, v the left end of J_alpha and the right end of J_beta.  As
+    phi_{w0}(a) = phi_w(a) and J_{w0} starts where J_w starts (and the last
+    child shares b and J_w's end), the words of length `depth` carry every
+    value: a leaf stands for 1 + its trailing 0s on the a side and 1 + its
+    trailing (m-1)s on the b side.
+
+    The extreme ratios come from a dual-tree branch and bound over pairs of
+    word-tree nodes (alpha, beta).  Every point below alpha lies in the
+    cylinder box of alpha and every endpoint in J_alpha, so the ratios
+    below a node pair lie in [gapJ^2 / far^2, farJ^2 / gap^2], from the
+    nearest and farthest points of the two boxes and of the two intervals.
+    A node pair whose boxes are disjoint and whose range lies inside the
+    current [min, max] is dropped; otherwise its shallower node is split.
+    A dropped pair holds no x = y, so `pairs` and `skipped` still count
+    word pairs over the whole family.  A `tree` for the same system shares
+    its laid-out rows.
     """
     if lip is None:
         lip = lipschitz_constants(sys, constants)
     if tree is None:
         tree = CantorTree(sys, constants, 0, cap)
-    lengths = range(max(depth, 0) + 1)
+    n = max(depth, 0)
     n_words = 0
-    for n in lengths:  # stops summing once the pairs are past the budget
-        n_words += capped_power(sys.m, n, cap * 40)
+    for k in range(n + 1):  # stops summing once the pairs are past the budget
+        n_words += capped_power(sys.m, k, cap * 40)
         if n_words ** 2 > cap * 40:
             raise ResourceCapError("cantor", n_words ** 2, cap * 40)
-    d = sys.dim
+    m, d = sys.m, sys.dim
     # phi_w(p) is p's relative position in cylinder box w, lo + (hi - lo) * p
-    # per coordinate; with p = ab / P, every coordinate is over M = top * P
+    # per coordinate; with p = ab / P, every coordinate is over M, P times
+    # the lcm of the depth-n side denominators, and every end of a tree row
+    # over the leaves' row denominator D_n
     P, ab = common_denominator(sys.a + sys.b)
-    sides = [[compose_labels([[mp.coords[j] for mp in sys.base.maps]] * n)
-              for n in lengths] for j in range(d)]
-    top = lcm(*(levels[-1][0] for levels in sides))
-    M = top * P
-    cols = [[(lo * P + (hi - lo) * ab[k]) * (top // den)
-             for den, ends in levels for lo, hi in ends for k in (j, d + j)]
-            for j, levels in enumerate(sides)]
-    points = list(zip(*cols))
-    X, Y = points[0::2], points[1::2]
-    du, ends = common_denominator(
-        v for n in lengths for w in itertools.product(range(sys.m), repeat=n)
-        for v in tree.interval(w))
-    U, V = ends[0::2], ends[1::2]
-    # phi_{w0}(a) = phi_w(a) and J_{w0} starts where J_w starts, as the last
-    # child shares b and J_w's end: compare each distinct (point, endpoint)
-    # once and weigh it by the words that share it
-    right = Counter(zip(Y, V)).items()
-    # ratio^2 = (duv^2 / du^2) / (dist2 / M^2); track duv^2/dist2, starting
-    # from an infinite minimum and a zero maximum
+    sides = [[compose_labels([[mp.coords[j] for mp in sys.base.maps]] * k)
+              for k in range(n + 1)] for j in range(d)]
+    M = lcm(*(levels[-1][0] for levels in sides)) * P
+    # a node of level k < n is (box los, box his, J_w); a leaf is (point,
+    # point, (endpoint, endpoint)) on its side
+    a_side, b_side = [], []
+    for k in range(n + 1):
+        up = tree.Q ** (n - k)
+        J = [(lo * up, hi * up) for lo, hi in tree.row(k)]
+        cols = [[(lo * (M // den), hi * (M // den)) for lo, hi in ends]
+                for den, ends in (levels[k] for levels in sides)]
+        if k < n:
+            los = zip(*([lo for lo, _ in col] for col in cols))
+            his = zip(*([hi for _, hi in col] for col in cols))
+            a_side.append(list(zip(los, his, J)))
+            b_side.append(a_side[-1])
+            continue
+        for side, p, e in ((a_side, ab[:d], 0), (b_side, ab[d:], 1)):
+            # hi - lo is a multiple of M // den, itself a multiple of P
+            pts = zip(*([lo + (hi - lo) // P * pj for lo, hi in col]
+                        for col, pj in zip(cols, p)))
+            side.append([(x, x, (iv[e],) * 2) for x, iv in zip(pts, J)])
+    # a leaf stands for 1 + its trailing 0s (a side), (m-1)s (b side) words
+    weights = []
+    for digit in (0, m - 1):
+        ws = [1]
+        for _ in range(n):
+            ws = [w + 1 if c == digit else 1 for w in ws for c in range(m)]
+        weights.append(ws)
+    wa, wb = weights
+    a_leaves, b_leaves = a_side[n], b_side[n]
+    # ratio^2 = ((u - v)^2 / D_n^2) / (|x - y|^2 / M^2); track
+    # (u - v)^2 / |x - y|^2, from an infinite minimum and a zero maximum
     min_n, min_d, max_n, max_d = 1, 0, 0, 1
     skipped = 0
-    for (xa, ua), wa in Counter(zip(X, U)).items():
-        for (yb, vb), wb in right:
-            dist2 = 0
-            for i in range(d):
-                t = xa[i] - yb[i]
-                dist2 += t * t
-            if dist2 == 0:
-                if ua != vb:
-                    raise CantorError("cantor: identified codings map to "
-                                      "distinct model points")
-                skipped += wa * wb
-                continue
-            duv = ua - vb
-            num = duv * duv
-            if num * min_d < min_n * dist2:
-                min_n, min_d = num, dist2
-            if num * max_d > max_n * dist2:
-                max_n, max_d = num, dist2
-    pairs = len(X) * len(Y) - skipped
-    scale = Fraction(M * M, du * du)
+    # node pairs (level a, node a, level b, node b) to bound, and runs
+    # (a leaf, first b leaf, end) of leaf pairs to compare
+    stack = [(0, 0, 0, 0)] if n else []
+    runs = [] if n else [(0, 0, 1)]
+    pop, push = stack.pop, stack.append
+    while stack or runs:
+        if runs:
+            ia, start, end = runs.pop()
+            x, _, (u, _) = a_leaves[ia]
+            for ib in range(start, end):
+                y, _, (v, _) = b_leaves[ib]
+                dist2 = 0
+                for p, q in zip(x, y):
+                    dist2 += (p - q) * (p - q)
+                if dist2 == 0:
+                    if u != v:
+                        raise CantorError("cantor: identified codings map "
+                                          "to distinct model points")
+                    skipped += wa[ia] * wb[ib]
+                    continue
+                num = (u - v) * (u - v)
+                if num * min_d < min_n * dist2:
+                    min_n, min_d = num, dist2
+                if num * max_d > max_n * dist2:
+                    max_n, max_d = num, dist2
+            continue
+        ka, ia, kb, ib = pop()
+        alos, ahis, (ulo, uhi) = a_side[ka][ia]
+        blos, bhis, (vlo, vhi) = b_side[kb][ib]
+        # squared nearest and farthest distances of the boxes and of the
+        # intervals (explicit branches: builtin max costs a call per pair)
+        gap2 = far2 = 0
+        for alo, ahi, blo, bhi in zip(alos, ahis, blos, bhis):
+            t = blo - ahi
+            if t < 0:
+                t = alo - bhi
+                if t < 0:
+                    t = 0
+            gap2 += t * t
+            t = bhi - alo
+            f = ahi - blo
+            if f > t:
+                t = f
+            far2 += t * t
+        t = vlo - uhi
+        if t < 0:
+            t = ulo - vhi
+            if t < 0:
+                t = 0
+        near = t * t
+        t = vhi - ulo
+        f = uhi - vlo
+        if f > t:
+            t = f
+        span = t * t
+        if gap2 and near * min_d >= min_n * far2 \
+                and span * max_d <= max_n * gap2:
+            continue
+        if ka <= kb:
+            base = ia * m
+            for c in range(m):
+                push((ka + 1, base + c, kb, ib))
+        elif kb + 1 < n:
+            base = ib * m
+            for c in range(m):
+                push((ka, ia, kb + 1, base + c))
+        else:  # ka = n: compare the leaf with b's leaf children
+            runs.append((ia, ib * m, ib * m + m))
+    pairs = n_words * n_words - skipped
+    scale = Fraction(M * M, tree.den(n) ** 2)
     min_ratio_sq = Fraction(min_n, min_d) * scale
     max_ratio_sq = Fraction(max_n, max_d) * scale
     lower_ok = min_ratio_sq * lip.c1_sq >= 1
@@ -357,7 +457,9 @@ class BinaryCantorTree:
 def to_binary_tree(sys, constants, depth, tree=None, cap=DEFAULT_CAP):
     """Binary grouping of the Cantor tree: left child strips the leftmost
     cylinder, right child keeps the rest.  Verifies T-balance with
-    T = L/r* at every split and tabulates the per-depth min gap ratio."""
+    T = L/r* at every split and tabulates the per-depth min gap ratio.
+    A split reads its three cylinders from one tree row, so both checks
+    compare the row's integer ends."""
     nodes = capped_power(2, depth + 1, cap + 1) - 1  # 2^(depth+1) - 1 nodes
     if nodes > cap:
         raise ResourceCapError("cantor", nodes, cap)
@@ -365,10 +467,11 @@ def to_binary_tree(sys, constants, depth, tree=None, cap=DEFAULT_CAP):
         tree = CantorTree(sys, constants, 0, cap)
     m = sys.m
     T = constants.L / sys.r_star
+    tn, td = T.as_integer_ratio()
     lo0, hi0 = tree.interval(())
     root = BinaryNode((), (), 0, m - 1, lo0, hi0)
     nodes = {(): root}
-    gap_table = {}
+    gaps = {}  # depth -> (length, gap) of the min gap ratio
     balance_ok = True
     frontier = [root]
     for level in range(depth):
@@ -380,23 +483,26 @@ def to_binary_tree(sys, constants, depth, tree=None, cap=DEFAULT_CAP):
             else:
                 alpha = node.alpha
                 k1, k2 = node.k1, node.k2
-            left_lo, left_hi = tree.interval(alpha + (k1,))
-            left = BinaryNode(node.word + (0,), alpha, k1, k1, left_lo, left_hi)
-            right_lo, _ = tree.interval(alpha + (k1 + 1,))
-            _, right_hi = tree.interval(alpha + (k2,))
-            right = BinaryNode(node.word + (1,), alpha, k1 + 1, k2,
-                               right_lo, right_hi)
-            ratio = left.length / right.length
-            if not (1 / T <= ratio <= T):
+            left_lo, left_hi = tree.ends(alpha + (k1,))
+            right_lo = tree.ends(alpha + (k1 + 1,))[0]
+            right_hi = tree.ends(alpha + (k2,))[1]
+            # 1/T <= left / right <= T
+            a, b = left_hi - left_lo, right_hi - right_lo
+            if not (b * td <= tn * a and a * td <= tn * b):
                 balance_ok = False
-            dist = right.lo - left.hi
+            dist = right_lo - left_hi
             if dist > 0:
-                r = left.length / dist
                 key = level + 1
-                if key not in gap_table or r < gap_table[key]:
-                    gap_table[key] = r
+                if key not in gaps or a * gaps[key][1] < gaps[key][0] * dist:
+                    gaps[key] = a, dist
+            den = tree.den(len(alpha) + 1)
+            left = BinaryNode(node.word + (0,), alpha, k1, k1,
+                              Fraction(left_lo, den), Fraction(left_hi, den))
+            right = BinaryNode(node.word + (1,), alpha, k1 + 1, k2,
+                               Fraction(right_lo, den), Fraction(right_hi, den))
             nodes[left.word] = left
             nodes[right.word] = right
             nxt.extend((left, right))
         frontier = nxt
+    gap_table = {key: Fraction(a, dist) for key, (a, dist) in gaps.items()}
     return BinaryCantorTree(nodes, T, balance_ok, gap_table)

@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import itertools
 import random
 import time
@@ -11,7 +13,7 @@ from sponge import (CantorError, analyze_special_system, bilipschitz_check,
                     build_cantor_tree, compose_labels, cylinder_length,
                     gap_length, lipschitz_constants, parse_ifs,
                     to_binary_tree)
-from sponge.cantor import CantorTree, RatioReport, SeriesConstants
+from sponge.cantor import RatioReport, SeriesConstants
 from sponge.util import ResourceCapError, common_denominator, sqrt_leq_quad
 
 from conftest import compose, random_special_system
@@ -153,6 +155,35 @@ def test_bilipschitz_lg4_depth4(sys4):
     assert rep.max_ratio_sq == F(45846441, 181186)
 
 
+def _acceptance_08_systems():
+    """The five systems acceptance criterion 08 draws after lg4, the same
+    way: random special systems (seed 88) that have a gap coordinate."""
+    rng = random.Random(88)
+    systems = []
+    while len(systems) < 5:
+        sys_, consts = analyze_special_system(random_special_system(rng))
+        if any(tau >= 2 for tau in sys_.taus):
+            systems.append((sys_, consts))
+    return systems
+
+
+# depth-5 RatioReports recorded with the word-pair loop (the pair oracle
+# takes seconds per system at this depth)
+def test_bilipschitz_lg4_depth5(sys4):
+    sys_, consts = sys4
+    assert bilipschitz_check(sys_, consts, 5) == RatioReport(
+        F(8271376, 5462225), F(45846441, 181186), pairs=1863225, skipped=0,
+        lower_ok=True, upper_ok=True)
+
+
+def test_bilipschitz_acceptance_08_m3_depth5():
+    sys_, consts = _acceptance_08_systems()[0]
+    assert (sys_.m, sys_.taus) == (3, (2, 2))
+    assert bilipschitz_check(sys_, consts, 5) == RatioReport(
+        F(100, 49), F(5329, 9), pairs=132496, skipped=0,
+        lower_ok=True, upper_ok=True)
+
+
 # exact RatioReports with phi_w(a), phi_w(b) from the per-word Fraction
 # composition; the cylinder-box formula lo + (hi - lo) * p must match them
 @pytest.mark.parametrize("seed, pairs, min_ratio_sq, max_ratio_sq", [
@@ -171,12 +202,36 @@ def test_bilipschitz_random_special_depth3(seed, pairs, min_ratio_sq,
     assert rep.passed
 
 
+@functools.cache
+def _oracle_intervals(sys_, consts):
+    """word -> J_word of one system by the per-sibling formula: it starts
+    after its earlier siblings and the gaps between them, each length by
+    the closed form.  Memoized per system and per word."""
+    @functools.cache
+    def interval(word):
+        if not word:
+            return F(0), consts.L
+        parent, j = word[:-1], word[-1]
+        lo = interval(parent)[0]
+        for i in range(j):
+            lo += cylinder_length(sys_, consts, parent + (i,))
+            lo += gap_length(sys_, consts, parent, i + 1)
+        return lo, lo + cylinder_length(sys_, consts, word)
+    return interval
+
+
+def _words_up_to(m, depth):
+    return [w for n in range(depth + 1)
+            for w in itertools.product(range(m), repeat=n)]
+
+
 def _oracle_bilipschitz(sys_, consts, depth):
     """bilipschitz_check by comparing every word pair (alpha, beta), one
     at a time: x = phi_alpha(a), y = phi_beta(b) and the matching
-    Cantor-tree endpoints u, v in integers over one denominator each."""
+    endpoints u, v of the oracle intervals, in integers over one
+    denominator each."""
     lip = lipschitz_constants(sys_, consts)
-    tree = CantorTree(sys_, consts, 0)
+    interval = _oracle_intervals(sys_, consts)
     lengths = range(depth + 1)
     d = sys_.dim
     P, ab = common_denominator(sys_.a + sys_.b)
@@ -190,8 +245,7 @@ def _oracle_bilipschitz(sys_, consts, depth):
     points = list(zip(*cols))
     X, Y = points[0::2], points[1::2]
     du, ends = common_denominator(
-        v for n in lengths for w in itertools.product(range(sys_.m), repeat=n)
-        for v in tree.interval(w))
+        v for w in _words_up_to(sys_.m, depth) for v in interval(w))
     U, V = ends[0::2], ends[1::2]
     min_n = min_d = max_n = max_d = None
     pairs = 0
@@ -230,14 +284,20 @@ def test_bilipschitz_matches_pair_oracle(seed, depth):
         _oracle_bilipschitz(sys_, consts, depth)
 
 
-@pytest.mark.parametrize("text, depth, skipped", [
+# a system is lg4 (None), an .ifs text or an index into _special_systems()
+@pytest.mark.parametrize("system, depth, skipped", [
     (MIXED_TEXT, 3, 30),  # tau_1 = 0: touching endpoints are identified
     (None, 4, 0),         # lg4
-])
-def test_bilipschitz_fixed_cases_match_pair_oracle(sys4, text, depth,
+] + [pytest.param(k, 4, skipped, id="special%d-4-%d" % (k, skipped))
+     for k, skipped in enumerate((106, 0, 0, 0, 0, 0))])
+def test_bilipschitz_fixed_cases_match_pair_oracle(sys4, system, depth,
                                                    skipped):
-    sys_, consts = sys4 if text is None else \
-        analyze_special_system(parse_ifs(text))
+    if system is None:
+        sys_, consts = sys4
+    elif isinstance(system, int):
+        sys_, consts = _special_systems()[system]
+    else:
+        sys_, consts = analyze_special_system(parse_ifs(system))
     rep = bilipschitz_check(sys_, consts, depth)
     assert rep == _oracle_bilipschitz(sys_, consts, depth)
     assert rep.skipped == skipped
@@ -295,6 +355,18 @@ def test_binary_tree_m2_matches_cantor_tree():
         assert (node.lo, node.hi) == tree.interval(sigma)
 
 
+def test_binary_balance_fails_past_T(sys4):
+    # with r* = L, T = 1 asks every split for equal halves; lg4's first
+    # split, J_0 against J_1 .. J_3, is far from that
+    sys_, consts = sys4
+    assert to_binary_tree(sys_, consts, 3).balance_ok
+    tight = dataclasses.replace(sys_, r_star=consts.L)
+    bt = to_binary_tree(tight, consts, 3)
+    assert bt.T == 1
+    assert not bt.balance_ok
+    assert bt.gap_ratio_table == to_binary_tree(sys_, consts, 3).gap_ratio_table
+
+
 def test_binary_gap_ratio_lower_bound(sys4):
     sys_, consts = sys4
     bt = to_binary_tree(sys_, consts, 8)
@@ -332,24 +404,7 @@ def test_random_special_systems_roundtrip():
             build_cantor_tree(sys_, consts, 3)  # additivity-checked inside
 
 
-def _oracle_interval(sys_, consts, word):
-    """J_word by the per-sibling formula: it starts after its earlier
-    siblings and the gaps between them, each length by the closed form."""
-    if not word:
-        return F(0), consts.L
-    parent, j = word[:-1], word[-1]
-    lo = _oracle_interval(sys_, consts, parent)[0]
-    for i in range(j):
-        lo += cylinder_length(sys_, consts, parent + (i,))
-        lo += gap_length(sys_, consts, parent, i + 1)
-    return lo, lo + cylinder_length(sys_, consts, word)
-
-
-def _words_up_to(m, depth):
-    return [w for n in range(depth + 1)
-            for w in itertools.product(range(m), repeat=n)]
-
-
+@functools.cache
 def _special_systems():
     rng = random.Random(23)
     systems = [analyze_special_system(parse_ifs(MIXED_TEXT))]
@@ -357,28 +412,30 @@ def _special_systems():
         sys_, consts = analyze_special_system(random_special_system(rng))
         if any(tau >= 2 for tau in sys_.taus):
             systems.append((sys_, consts))
-    return systems
+    return tuple(systems)
 
 
 def test_row_layout_matches_per_sibling_oracle(sys4):
-    for sys_, consts in [sys4] + _special_systems():
+    for sys_, consts in [sys4, *_special_systems()]:
         tree = build_cantor_tree(sys_, consts, 4)
         words = _words_up_to(sys_.m, 4)
-        assert sorted(tree._intervals) == sorted(words)  # laid out eagerly
+        assert sorted(tree._nodes) == sorted(words)  # laid out eagerly
+        interval = _oracle_intervals(sys_, consts)
         for w in words:
-            assert tree.interval(w) == _oracle_interval(sys_, consts, w)
+            assert tree.interval(w) == interval(w)
 
 
 def test_binary_tree_lazy_intervals_match_oracle(sys4):
-    for sys_, consts in [sys4] + _special_systems()[:3]:
+    for sys_, consts in [sys4, *_special_systems()[:3]]:
         tree = build_cantor_tree(sys_, consts, 0)
         bt = to_binary_tree(sys_, consts, 8, tree=tree)
-        assert len(tree._intervals) > 1
-        for w, iv in tree._intervals.items():
-            assert iv == _oracle_interval(sys_, consts, w)
+        assert len(tree._nodes) > 1
+        interval = _oracle_intervals(sys_, consts)
+        for w in tree._nodes:
+            assert tree.interval(w) == interval(w)
         for node in bt.nodes.values():
-            lo = _oracle_interval(sys_, consts, node.alpha + (node.k1,))[0]
-            hi = _oracle_interval(sys_, consts, node.alpha + (node.k2,))[1]
+            lo = interval(node.alpha + (node.k1,))[0]
+            hi = interval(node.alpha + (node.k2,))[1]
             assert (node.lo, node.hi) == (lo, hi)
 
 
@@ -403,15 +460,18 @@ def test_shared_tree_gives_same_results(sys4, binary_first):
 
 
 def test_wrong_length_fails_in_every_consumer(sys4):
-    # with L + 1 the root row ends one short of the root interval
+    # with L + 1 the root row ends one short of the root interval; no
+    # weight has the denominator 7, so L + 1/7 also needs L's denominator
+    # in the row denominators
     sys_, consts = sys4
-    bad = SeriesConstants(consts.s, consts.L + 1)
-    with pytest.raises(CantorError, match="additivity fails at"):
-        build_cantor_tree(sys_, bad, 1)
-    with pytest.raises(CantorError, match="additivity fails at"):
-        bilipschitz_check(sys_, bad, 1)
-    with pytest.raises(CantorError, match="additivity fails at"):
-        to_binary_tree(sys_, bad, 1)
+    for extra in (F(1), F(1, 7)):
+        bad = SeriesConstants(consts.s, consts.L + extra)
+        with pytest.raises(CantorError, match="additivity fails at"):
+            build_cantor_tree(sys_, bad, 1)
+        with pytest.raises(CantorError, match="additivity fails at"):
+            bilipschitz_check(sys_, bad, 1)
+        with pytest.raises(CantorError, match="additivity fails at"):
+            to_binary_tree(sys_, bad, 1)
 
 
 def test_binary_tree_node_cap(sys4):
