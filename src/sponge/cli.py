@@ -15,6 +15,7 @@ import json
 import re
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .cantor import (CantorError, analyze_special_system, bilipschitz_check,
@@ -248,11 +249,48 @@ _CSV_COLUMNS = {
 }
 
 
+_FLOAT_CONSTANTS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _indented_json(value, pad="\n"):
+    """`value`, its dict keys all str, as json.dumps(value, sort_keys=True,
+    indent=2, default=frac_str) writes it: the containers are laid out
+    here and every scalar is written by a C encoder or frac_str, not by
+    the pure-Python encoder that indent selects."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        return "{%s%s%s}" % (inner, ("," + inner).join(
+            "%s: %s" % (encode_basestring_ascii(k),
+                        _indented_json(value[k], inner))
+            for k in sorted(value)), pad)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        return "[%s%s%s]" % (inner, ("," + inner).join(
+            _indented_json(v, inner) for v in value), pad)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _FLOAT_CONSTANTS.get(text, text)
+    return encode_basestring_ascii(frac_str(value))
+
+
 def emit(report, fmt, subcommand):
     """Render a report; JSON is canonical (sorted keys, p/q rationals)."""
     if fmt == "json":
-        return json.dumps(report, sort_keys=True, indent=2,
-                          default=frac_str) + "\n"
+        return _indented_json(report) + "\n"
     if fmt == "csv":
         cols = _CSV_COLUMNS.get(subcommand)
         if cols is None:

@@ -7,6 +7,7 @@ pure functions.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .util import common_denominator, frac_str, parse_fraction
 
@@ -24,21 +25,35 @@ class ParseError(IFSError):
 
 @dataclass(frozen=True)
 class AffineMap1D:
-    """x -> ratio*x + offset with ratio in (0,1)."""
+    """x -> ratio*x + offset with ratio in (0,1), ratio and offset ints or
+    Fractions (anything else, a float included, is a TypeError).
+
+    `ints` is the map's integer form (r, o, q): ratio == r/q and offset ==
+    o/q over q, the lcm of their denominators.  Equal maps have equal
+    forms, so the hash is taken from the form once, and every consumer
+    (compose_labels, unit_preserving, validate_lg) reads the integers.
+    """
 
     ratio: Fraction
     offset: Fraction
 
     def __post_init__(self):
-        if not (0 < self.ratio < 1):
+        q, (r, o) = common_denominator((self.ratio, self.offset))
+        if not 0 < r < q:
             raise IFSError("ifs: ratio %s outside (0,1)" % frac_str(self.ratio))
+        object.__setattr__(self, "ints", (r, o, q))
+        object.__setattr__(self, "_hash", hash(self.ints))
+
+    def __hash__(self):
+        return self._hash
 
     def __call__(self, x):
         return self.ratio * x + self.offset
 
     def unit_preserving(self):
         """Membership in the affine self-maps of [0,1]."""
-        return 0 <= self.offset <= 1 - self.ratio
+        r, o, q = self.ints
+        return 0 <= o <= q - r
 
     def image(self):
         """Image of [0,1] as an Interval."""
@@ -219,7 +234,9 @@ def validate_lg(ifs):
                 unit_cube_ok = False
                 violations.append(("unit_cube", (k, i)))
         for i in range(ifs.dim - 1):
-            if not (m.coords[i].ratio > m.coords[i + 1].ratio):
+            (r, _, q), (r_next, _, q_next) = (m.coords[i].ints,
+                                              m.coords[i + 1].ints)
+            if not r * q_next > r_next * q:
                 ordering_ok = False
                 violations.append(("coordinate_ordering", (k, i + 1)))
     neat_ok = True
@@ -274,15 +291,17 @@ def compose_labels(label_sets):
 
     Each level extends the previous level's ends over one running
     denominator, so every word costs two integer multiply-adds.  A label
-    set that recurs in `label_sets` is scaled to integers once.
+    set is scaled from its labels' integer forms to the lcm of their q,
+    once however often it recurs in `label_sets`.
     """
     den, ends = 1, [(0, 1)]
     scaled = {}
     for labels in reversed(label_sets):
         if id(labels) not in scaled:
-            scale, ints = common_denominator(
-                [v for g in labels for v in (g.ratio, g.offset)])
-            scaled[id(labels)] = scale, list(zip(ints[0::2], ints[1::2]))
+            forms = [g.ints for g in labels]
+            scale = lcm(*(q for _, _, q in forms))
+            scaled[id(labels)] = scale, [(r * (scale // q), o * (scale // q))
+                                         for r, o, q in forms]
         scale, pairs = scaled[id(labels)]
         # g(x / den) = (r * x + o * den) / (scale * den), g = (r, o) / scale
         steps = [(r, o * den) for r, o in pairs]

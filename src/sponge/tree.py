@@ -6,8 +6,9 @@ extending 1-D maps form the vertex's fiber IFS, a simple IFS of [0,1].
 """
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 
-from .ifs import validate_lg
+from .ifs import compose_labels, validate_lg
 
 
 class TreeError(Exception):
@@ -48,13 +49,15 @@ class FiberIFS:
             if not g.unit_preserving():
                 raise TreeError("tree: fiber label %s is not a self-map of [0,1]"
                                 % g)
-        images = sorted((g.image() for g in self.labels), key=lambda iv: iv.lo)
-        ends = [0] + [v for iv in images for v in (iv.lo, iv.hi)] + [1]
-        gaps = tuple(b - a for a, b in zip(ends[::2], ends[1::2]))
+        # the images as integer (lo, hi) ends over one denominator
+        den, images = compose_labels([self.labels])
+        ends = [0] + [v for iv in sorted(images) for v in iv] + [den]
+        gaps = [b - a for a, b in zip(ends[::2], ends[1::2])]
         # if two images overlap, some pair of neighbours does
         if min(gaps) < 0:
             raise TreeError("tree: fiber images overlap")
-        object.__setattr__(self, "gaps", gaps)
+        object.__setattr__(self, "gaps",
+                           tuple(Fraction(g, den) for g in gaps))
 
     @property
     def size(self):

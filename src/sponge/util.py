@@ -49,16 +49,20 @@ def common_denominator(values):
 
 
 def frac_str(fr):
-    """Serialize a Fraction as 'p/q' (or 'p' when integral); a DigitLimitError
-    when a part is too long for Python to convert to text."""
-    fr = Fraction(fr)
+    """Serialize an int or Fraction as 'p/q' (or 'p' when integral); a
+    DigitLimitError when a part is too long for Python to convert to text.
+    Anything else, a float included, is a TypeError, as in exact_fraction."""
+    if not isinstance(fr, (int, Fraction)):
+        raise TypeError("frac_str takes ints and Fractions, got %s"
+                        % type(fr).__name__)
+    num, den = fr.numerator, fr.denominator
     try:
-        if fr.denominator == 1:
-            return str(fr.numerator)
-        return "%d/%d" % (fr.numerator, fr.denominator)
+        if den == 1:
+            return str(num)
+        return "%d/%d" % (num, den)
     except ValueError:
         # log10(2) > 30102/100000, so this undercounts the digits
-        bits = max(abs(fr.numerator), fr.denominator).bit_length()
+        bits = max(abs(num), den).bit_length()
         raise DigitLimitError("output", (bits - 1) * 30102 // 100000 + 1,
                               sys.get_int_max_str_digits()) from None
 

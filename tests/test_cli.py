@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 import sponge.cantor
 import sponge.cli
 from sponge import Analysis
-from sponge.cli import main
+from sponge.cli import emit, main
+from sponge.util import frac_str
 
 from conftest import FIXTURES
 
@@ -559,3 +560,49 @@ def test_one_parser_carries_no_state_between_calls(capsys):
     assert code == 0
     digests = [run_json(capsys, ["all", LG4])[1]["digest"] for _ in range(2)]
     assert digests[0] == digests[1]
+
+
+def _indent2(report):
+    """The JSON oracle: the standard library's indented encoder."""
+    return json.dumps(report, sort_keys=True, indent=2, default=frac_str) + "\n"
+
+
+_SUBCOMMANDS = {
+    "validate": [], "classify": [], "tree": [], "all": [],
+    "components": ["--depth", "2", "--delta", "1/8", "--delta", "1/3"],
+    "premoran": ["--word", "1,2,1"],
+    "square": ["--word", "1,2,1,2,1,2", "--delta", "1/8"],
+    "cantor": ["--depth", "3"],
+}
+
+
+@pytest.mark.parametrize("fixture", ["lg5", "lg4", "bedford_mcmullen"])
+@pytest.mark.parametrize("subcommand", sorted(_SUBCOMMANDS))
+def test_json_output_matches_indented_encoder(capsys, monkeypatch, fixture,
+                                              subcommand):
+    reports = []
+
+    def keeping(report, fmt, sub):
+        reports.append(report)
+        return emit(report, fmt, sub)
+
+    monkeypatch.setattr(sponge.cli, "emit", keeping)
+    main([subcommand, str(FIXTURES / (fixture + ".ifs"))]
+         + _SUBCOMMANDS[subcommand])
+    out = capsys.readouterr().out
+    # a rejected subcommand (cantor on a non-special system) writes nothing
+    assert out == "".join(map(_indent2, reports))
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text() | st.fractions(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=20)
+
+
+@given(_json_values)
+def test_emit_json_matches_indented_encoder(value):
+    assert emit(value, "json", "all") == _indent2(value)

@@ -17,8 +17,8 @@ from sponge import (AffineMap1D, Box, ComponentsError, FiberIFS, IFSError,
                     delta0_sequence_exists, delta0_sequence_exists_sq,
                     delta_components, delta_components_sq,
                     enumerate_cylinders, interval_components,
-                    major_projection, parse_ifs, pre_moran_intervals,
-                    validate_lg)
+                    last_coordinate_fibers, major_projection, parse_ifs,
+                    pre_moran_intervals, validate_lg)
 
 from conftest import (compose, random_lg_system, random_point_set,
                       random_simple_labels)
@@ -892,6 +892,26 @@ def test_union_bound_scales_each_set_once(monkeypatch):
     C = 2 / (fam.g_star * fam.alpha_star) + 1
     assert check_union_bound([ivs, shifted], grid, C)
     assert len(calls) == 3
+
+
+def test_pre_moran_sets_scale_no_family_again(monkeypatch, lg5):
+    # compose_labels scales each member from its labels' integer forms,
+    # made when the labels were: no word rescales a family member
+    fam = SimpleIFSFamily(last_coordinate_fibers(build_labeled_tree(lg5)))
+    calls = []
+    for module in (sponge.ifs, sponge.components):
+        original = module.common_denominator
+
+        def counting(values, original=original):
+            calls.append(None)
+            return original(values)
+
+        monkeypatch.setattr(module, "common_denominator", counting)
+    words = [w for n in range(1, 5)
+             for w in itertools.product(range(1, fam.size + 1), repeat=n)]
+    sets = [pre_moran_intervals(fam, w).intervals for w in words]
+    assert sum(map(len, sets)) > len(words)
+    assert calls == []
 
 
 def _threshold_calls(lg5):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -59,6 +60,9 @@ def test_validate_ordering_violation():
     report = validate_lg(ifs)
     assert not report.coordinate_ordering_ok
     assert ("coordinate_ordering", (1, 1)) in report.violations
+    # strict: equal ratios over different denominators are a violation
+    equal = parse_ifs("dim 2\nmap 1/2 0 ; 2/4 0")
+    assert validate_lg(equal).violations == (("coordinate_ordering", (1, 1)),)
 
 
 def test_validate_neat_projection_violation():
@@ -191,3 +195,74 @@ def test_cylinder_sides_match_composition_oracle(seed, kind, depth):
         assert [(Fraction(lo, den), Fraction(hi, den)) for lo, hi in ends] \
             == [(b.sides[j].lo, b.sides[j].hi) for b in boxes]
     assert enumerate_cylinders(ifs, depth) == boxes
+
+
+def _over(dens, lo, hi):
+    """Rationals p/d in (lo, hi) with d drawn from `dens`."""
+    return st.sampled_from(dens).flatmap(lambda d: st.integers(
+        lo * d + 1, hi * d - 1).map(lambda n: Fraction(n, d)))
+
+
+_DENS = [2, 3, 4, 5, 6, 10, 12, 60]
+_ratios = _over(_DENS, 0, 1)
+# offsets as ints or as Fractions over mixed denominators
+_offsets = st.one_of(st.integers(-1, 2), _over(_DENS, -1, 2))
+_labels = st.builds(AffineMap1D, _ratios, _offsets)
+
+
+@given(_ratios, _offsets)
+def test_integer_form_gives_back_the_map(ratio, offset):
+    g = AffineMap1D(ratio, offset)
+    r, o, q = g.ints
+    assert (Fraction(r, q), Fraction(o, q)) == (ratio, offset)
+    assert q == math.lcm(Fraction(ratio).denominator,
+                         Fraction(offset).denominator)
+    # the same map with its values written another way
+    same = AffineMap1D(Fraction(ratio), Fraction(offset * 6, 6))
+    assert same == g and same.ints == g.ints and hash(same) == hash(g)
+
+
+@given(st.lists(st.builds(AffineMap1D, _over([2, 4], 0, 1),
+                          st.one_of(st.integers(0, 1), _over([2, 4], 0, 1))),
+                min_size=2, max_size=8))
+def test_equal_maps_hash_equal(maps):
+    # few values, so that equal maps, written as ints or Fractions, recur
+    for f, g in itertools.product(maps, repeat=2):
+        assert (f == g) == (f.ints == g.ints)
+        if f == g:
+            assert hash(f) == hash(g)
+    assert len(dict.fromkeys(maps)) == len({g.ints for g in maps})
+
+
+@given(_labels)
+def test_unit_preserving_matches_fraction_predicate(g):
+    assert g.unit_preserving() == (0 <= g.offset <= 1 - g.ratio)
+
+
+@settings(max_examples=60)
+@given(st.lists(st.lists(_labels, min_size=1, max_size=3), max_size=3),
+       st.lists(st.integers(0, 5), max_size=4))
+def test_compose_labels_matches_composition_oracle(sets, picks):
+    # a set may recur, as a family member recurs in a pre-Moran word
+    label_sets = sets + [sets[k % len(sets)] for k in picks if sets]
+    den, ends = compose_labels(label_sets)
+    words = itertools.product(*label_sets)
+    want = [c.image() if c is not None else Interval(F(0), F(1))
+            for c in map(compose, words)]
+    assert [Interval(Fraction(lo, den), Fraction(hi, den))
+            for lo, hi in ends] == want
+
+
+@given(_ratios, _ratios)
+def test_coordinate_ordering_matches_fraction_predicate(a, b):
+    ifs = SpongeIFS(2, (DiagonalAffineMap((AffineMap1D(a, 0),
+                                           AffineMap1D(b, 0))),))
+    assert validate_lg(ifs).coordinate_ordering_ok == (a > b)
+
+
+@pytest.mark.parametrize("ratio, offset", [
+    (0.5, 0.25), (Fraction(1, 2), 0.25), (0.5, Fraction(1, 4)), (1.5, 0)])
+def test_float_label_is_a_type_error(ratio, offset):
+    # a float is rejected when the map is built, not converted
+    with pytest.raises(TypeError):
+        AffineMap1D(ratio, offset)

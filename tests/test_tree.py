@@ -10,7 +10,7 @@ from sponge import (AffineMap1D, DiagonalAffineMap, FiberIFS, SpongeIFS,
                     last_coordinate_fibers, major_projection, parse_ifs,
                     validate_lg)
 
-from conftest import random_lg_system
+from conftest import load_fixture, random_lg_system
 
 
 def F(s):
@@ -244,3 +244,21 @@ def test_fiber_gaps_match_pairwise_and_scan_oracles(labels):
     assert min(fib.gaps) >= 0
     assert attractor_is_unit_interval(fib) == _oracle_tiles(labels)
     assert max(fib.gaps) == _oracle_biggest_gap(labels)
+
+
+@pytest.mark.parametrize("fixture", ["lg5", "lg4", "bedford_mcmullen"])
+def test_tree_hashes_no_fraction(monkeypatch, fixture):
+    # Vertex, label-tuple and truncated-map keys hash through each map's
+    # hash, taken once from its integer form; no Fraction is hashed
+    ifs = load_fixture(fixture + ".ifs")
+    calls = []
+    original = Fraction.__hash__
+
+    def counting(self):
+        calls.append(None)
+        return original(self)
+
+    monkeypatch.setattr(Fraction, "__hash__", counting)
+    tree = build_labeled_tree(ifs)
+    assert len(tree.levels) == ifs.dim + 1
+    assert calls == []

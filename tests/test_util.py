@@ -46,6 +46,11 @@ def test_exact_fraction():
 def test_frac_str():
     assert frac_str(Fraction(613, 73)) == "613/73"
     assert frac_str(Fraction(4, 2)) == "2"
+    assert frac_str(-3) == "-3"
+    # ints and Fractions only: a float or a string is rejected, not converted
+    for bad in (0.5, 2.0, "1/2", None):
+        with pytest.raises(TypeError):
+            frac_str(bad)
 
 
 def test_frac_str_too_long_to_print():
