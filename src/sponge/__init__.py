@@ -6,6 +6,8 @@ conditions, and ships brute-force oracles for the quantitative bounds
 the decision rests on.
 """
 
+from importlib import import_module
+
 from .ifs import (AffineMap1D, Box, DiagonalAffineMap, IFSError, Interval,
                   ParseError, SpongeIFS, ValidationReport, compose_labels,
                   cylinder_box, fixed_point, major_projection, parse_ifs,
@@ -24,11 +26,20 @@ from .components import (ApproxSquare, ComponentPartition, ComponentsError,
                          delta0_sequence_exists_sq, delta_components,
                          delta_components_sq, enumerate_cylinders,
                          interval_components, pre_moran_intervals)
-from .cantor import (BinaryCantorTree, CantorError, CantorTree,
-                     LipschitzConstants, SeriesConstants, SpecialSystem,
-                     analyze_special_system, bilipschitz_check,
-                     build_cantor_tree, cylinder_length, gap_length,
-                     lipschitz_constants, to_binary_tree)
 from .util import DEFAULT_CAP, ResourceCapError
 
 __version__ = "0.1.0"
+
+# The Cantor-model stage runs only for ExactlyOne systems: its module
+# loads when one of these names is first read (PEP 562).
+_CANTOR_NAMES = frozenset("""cantor BinaryCantorTree CantorError CantorTree
+    LipschitzConstants SeriesConstants SpecialSystem analyze_special_system
+    bilipschitz_check build_cantor_tree cylinder_length gap_length
+    lipschitz_constants to_binary_tree""".split())
+
+
+def __getattr__(name):
+    if name not in _CANTOR_NAMES:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    cantor = import_module(".cantor", __name__)
+    return cantor if name == "cantor" else getattr(cantor, name)

@@ -10,13 +10,12 @@ verified by exact arithmetic, with decimals only in reports.
 """
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
 from .classify import EXACTLY_ONE, Analysis, classify
 from .ifs import SpongeIFS, compose_labels, fixed_point
-from .util import (DEFAULT_CAP, ResourceCapError, capped_power,
+from .util import (DEFAULT_CAP, Record, ResourceCapError, capped_power,
                    common_denominator, quad_leq, sqrt_leq_quad)
 
 
@@ -24,8 +23,7 @@ class CantorError(Exception):
     """Domain error from the cantor module."""
 
 
-@dataclass(frozen=True)
-class SpecialSystem:
+class SpecialSystem(Record):
     base: SpongeIFS     # maps reordered left-to-right by first coordinate
     a: tuple            # fixed point of the leftmost map
     b: tuple            # fixed point of the rightmost map
@@ -52,8 +50,7 @@ class SpecialSystem:
         return product
 
 
-@dataclass(frozen=True)
-class SeriesConstants:
+class SeriesConstants(Record):
     s: tuple       # geometric-series base per gap index (0 when tau_j = 0)
     L: Fraction
 
@@ -233,8 +230,7 @@ def build_cantor_tree(sys, constants, depth, cap=DEFAULT_CAP):
     return CantorTree(sys, constants, depth, cap)
 
 
-@dataclass(frozen=True)
-class LipschitzConstants:
+class LipschitzConstants(Record):
     c0: Fraction
     c1_sq: Fraction      # c1 = dim * |a-b|, kept as its exact square
     radicand: Fraction   # s = |a-b|^2; irrationals live in Q(sqrt(s))
@@ -266,8 +262,7 @@ def lipschitz_constants(sys, constants):
     return LipschitzConstants(c0, c1_sq, ab_sq, Cprime, p, q)
 
 
-@dataclass(frozen=True)
-class RatioReport:
+class RatioReport(Record):
     min_ratio_sq: Fraction
     max_ratio_sq: Fraction
     pairs: int
@@ -432,8 +427,7 @@ def bilipschitz_check(sys, constants, depth, lip=None, cap=DEFAULT_CAP,
                        lower_ok, upper_ok)
 
 
-@dataclass(frozen=True)
-class BinaryNode:
+class BinaryNode(Record):
     word: tuple        # binary address sigma
     alpha: tuple       # underlying m-ary word
     k1: int

@@ -7,13 +7,13 @@ the system itself is of the special form (root fiber tiles with full
 cardinality, all deeper fibers singletons).
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from .ifs import DiagonalAffineMap, SpongeIFS, fixed_point
 from .tree import (TreeError, Vertex, all_fiber_ifs, build_labeled_tree,
                    fiber_ifs)
+from .util import Record
 
 ZERO = "Zero"
 AT_LEAST_ONE = "AtLeastOne"
@@ -24,15 +24,13 @@ class ClassifyError(Exception):
     """Domain error from the classify module."""
 
 
-@dataclass(frozen=True)
-class FiberVerdict:
+class FiberVerdict(Record):
     owner: Vertex
     ratio_sum: Fraction
     tiles: bool
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(Record):
     uniformly_disconnected: bool
     conformal_dim_class: str
     witness: Vertex | None
@@ -58,8 +56,7 @@ class Classification:
         }
 
 
-@dataclass(frozen=True)
-class SubsystemF0:
+class SubsystemF0(Record):
     prefix_maps: tuple   # witness vertex coordinates g_1..g_s
     sub_ifs: SpongeIFS   # dimension d-s
     anchor_point: tuple  # fixed point of (g_1..g_s); empty when s=0

@@ -18,8 +18,6 @@ import time
 from json.encoder import encode_basestring_ascii
 
 from . import __version__
-from .cantor import (CantorError, analyze_special_system, bilipschitz_check,
-                     build_cantor_tree, lipschitz_constants, to_binary_tree)
 from .classify import EXACTLY_ONE, Analysis, ClassifyError, classify
 from .components import (ComponentsError, SimpleIFSFamily, approx_square,
                          check_product_decomposition,
@@ -44,11 +42,21 @@ class Rejection(Exception):
 
 
 def _vertex_dict(vertex):
+    """A vertex as written in a report; a report builds it once
+    (functools.cache over one run), so no caller may change it."""
     return {
         "rank": vertex.rank,
         "coords": [[frac_str(c.ratio), frac_str(c.offset)]
                    for c in vertex.projected_map],
     }
+
+
+def _rejections():
+    """The domain errors that exit 2; CantorError only once sponge.cantor
+    is loaded, since nothing can raise it before."""
+    cantor = sys.modules.get("sponge.cantor")
+    return (IFSError, TreeError, ComponentsError, ClassifyError) + (
+        (cantor.CantorError,) if cantor else ())
 
 
 def _parse_delta(text):
@@ -82,16 +90,17 @@ def _payload_validate(a, args):
     return payload, EXIT_OK
 
 
-def _payload_classify(a, args):
+def _payload_classify(a, args, vertex_dict=None):
+    vertex_dict = vertex_dict or functools.cache(_vertex_dict)
     result = classify(a)
     payload = {
         "uniformly_disconnected": result.uniformly_disconnected,
         "conformal_dim_class": result.conformal_dim_class,
-        "witness": (_vertex_dict(result.witness)
+        "witness": (vertex_dict(result.witness)
                     if result.witness is not None else None),
         "fiber_report": [
             {
-                "owner": _vertex_dict(v.owner),
+                "owner": vertex_dict(v.owner),
                 "ratio_sum": v.ratio_sum,
                 "tiles_unit_interval": v.tiles,
             }
@@ -101,18 +110,17 @@ def _payload_classify(a, args):
     return payload, EXIT_OK
 
 
-def _payload_tree(a, args):
+def _payload_tree(a, args, vertex_dict=None):
+    vertex_dict = vertex_dict or functools.cache(_vertex_dict)
     tree = a.tree
     vertices = []
     for level in tree.levels:
         for vertex in level:
-            entry = _vertex_dict(vertex)
-            entry["offspring"] = [
+            vertices.append(dict(vertex_dict(vertex), offspring=[
                 {"label": [frac_str(label.ratio), frac_str(label.offset)],
-                 "child": _vertex_dict(child)}
+                 "child": vertex_dict(child)}
                 for label, child in tree.children(vertex)
-            ]
-            vertices.append(entry)
+            ]))
     return {"dim": tree.dim, "vertices": vertices}, EXIT_OK
 
 
@@ -164,6 +172,9 @@ def _payload_square(a, args):
 
 
 def _payload_cantor(a, args, special=None):
+    from .cantor import (analyze_special_system, bilipschitz_check,
+                         build_cantor_tree, lipschitz_constants,
+                         to_binary_tree)
     sys_, consts = special or analyze_special_system(a)
     lip = lipschitz_constants(sys_, consts)
     check = args.check or "all"
@@ -216,14 +227,16 @@ def _payload_all(a, args):
     payload["validate"] = val
     if code != EXIT_OK:
         return payload, code
-    payload["classify"], _ = _payload_classify(a, args)
-    payload["tree"], _ = _payload_tree(a, args)
+    vertex_dict = functools.cache(_vertex_dict)
+    payload["classify"], _ = _payload_classify(a, args, vertex_dict)
+    payload["tree"], _ = _payload_tree(a, args, vertex_dict)
     if a.ifs.dim >= 2:
         payload["product_decomposition"] = {
             str(k): check_product_decomposition(a, k, cap=args.cap)
             for k in (1, 2)
         }
     if a.classification.conformal_dim_class == EXACTLY_ONE:
+        from .cantor import analyze_special_system
         special = analyze_special_system(a)
         # when every gap vanishes the attractor is a segment: no Cantor model
         if any(special[0].taus):
@@ -414,8 +427,7 @@ def main(argv=None):
     except ResourceCapError as exc:
         print("sponge: %s" % exc, file=sys.stderr)
         return EXIT_CAP
-    except (IFSError, TreeError, CantorError, ComponentsError,
-            ClassifyError) as exc:
+    except _rejections() as exc:
         print("sponge: %s" % exc, file=sys.stderr)
         return EXIT_REJECTED
     except Exception as exc:

@@ -6,7 +6,6 @@ exact squared thresholds; no floating point enters any decision.
 """
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, product
 from math import isqrt, lcm
@@ -16,7 +15,7 @@ from .ifs import (Box, IFSError, Interval, compose_labels, major_projection,
                   validate_lg)
 from .classify import Analysis
 from .tree import ROOT, FiberIFS, TreeError, last_coordinate_fibers
-from .util import (DEFAULT_CAP, ResourceCapError, capped_power,
+from .util import (DEFAULT_CAP, Record, ResourceCapError, capped_power,
                    common_denominator, exact_fraction)
 
 
@@ -28,8 +27,7 @@ class PreconditionError(ComponentsError):
     """A stated hypothesis failed; reported distinctly from a bound failure."""
 
 
-@dataclass(frozen=True)
-class PointSet:
+class PointSet(Record):
     points: tuple
 
     def __post_init__(self):
@@ -46,8 +44,7 @@ def _point_dist_sq(p, q):
     return sum((a - b) * (a - b) for a, b in zip(p, q))
 
 
-@dataclass(frozen=True)
-class ComponentPartition:
+class ComponentPartition(Record):
     delta_sq: Fraction
     blocks: tuple      # tuple of tuples of object indices
     diam_sqs: tuple    # exact squared diameter per block
@@ -468,8 +465,7 @@ class SimpleIFSFamily:
         return len(self.members)
 
 
-@dataclass(frozen=True)
-class PreMoranSet:
+class PreMoranSet(Record):
     family: SimpleIFSFamily
     word: tuple
     intervals: IntervalSet  # sorted by left endpoint
@@ -494,8 +490,7 @@ def pre_moran_intervals(family, word, cap=DEFAULT_CAP):
     return PreMoranSet(family, word, IntervalSet(den, ends))
 
 
-@dataclass(frozen=True)
-class MoranBoundReport:
+class MoranBoundReport(Record):
     admissible: bool
     bound: Fraction
     max_component_diam: Fraction
@@ -557,8 +552,7 @@ def check_union_bound(sets, deltas, C):
     return all(_within(union, delta, M) for delta in deltas)
 
 
-@dataclass(frozen=True)
-class ApproxSquare:
+class ApproxSquare(Record):
     box: Box
     depths: tuple  # per-coordinate l(j)
 

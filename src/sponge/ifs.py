@@ -5,11 +5,10 @@ exact rational coefficients.  Everything is immutable; operations are
 pure functions.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .util import common_denominator, frac_str, parse_fraction
+from .util import Record, common_denominator, frac_str, parse_fraction
 
 
 class IFSError(Exception):
@@ -23,8 +22,7 @@ class ParseError(IFSError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class AffineMap1D:
+class AffineMap1D(Record):
     """x -> ratio*x + offset with ratio in (0,1), ratio and offset ints or
     Fractions (anything else, a float included, is a TypeError).
 
@@ -66,8 +64,7 @@ class AffineMap1D:
         return "%s %s" % (frac_str(self.ratio), frac_str(self.offset))
 
 
-@dataclass(frozen=True)
-class DiagonalAffineMap:
+class DiagonalAffineMap(Record):
     """A d-tuple of coordinatewise 1-D affine contractions."""
 
     coords: tuple
@@ -86,8 +83,7 @@ class DiagonalAffineMap:
         return DiagonalAffineMap(self.coords[:ell])
 
 
-@dataclass(frozen=True)
-class SpongeIFS:
+class SpongeIFS(Record):
     dim: int
     maps: tuple
 
@@ -109,8 +105,7 @@ class SpongeIFS:
         return len(self.maps)
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(Record):
     lo: Fraction
     hi: Fraction
 
@@ -127,8 +122,7 @@ class Interval:
         return max(self.lo, other.lo) < min(self.hi, other.hi)
 
 
-@dataclass(frozen=True)
-class Box:
+class Box(Record):
     sides: tuple
 
     def __post_init__(self):
@@ -142,8 +136,7 @@ class Box:
         return all(a.open_intersects(b) for a, b in zip(self.sides, other.sides))
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Record):
     unit_cube_ok: bool
     coordinate_ordering_ok: bool
     neat_projection_ok: bool

@@ -5,10 +5,10 @@ maps; the children of a vertex extend it by one coordinate, and the
 extending 1-D maps form the vertex's fiber IFS, a simple IFS of [0,1].
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .ifs import compose_labels, validate_lg
+from .util import Record
 
 
 class TreeError(Exception):
@@ -20,8 +20,7 @@ class TreeError(Exception):
         self.validation = validation
 
 
-@dataclass(frozen=True)
-class Vertex:
+class Vertex(Record):
     rank: int
     projected_map: tuple  # tuple of AffineMap1D, length == rank
 
@@ -34,14 +33,12 @@ class Vertex:
 ROOT = Vertex(0, ())
 
 
-@dataclass(frozen=True)
-class FiberIFS:
+class FiberIFS(Record):
     """Labels of a vertex's offspring and the gaps their images leave in
     [0,1]: before the first, between neighbours and after the last."""
 
     owner: Vertex
     labels: tuple
-    gaps: tuple = field(init=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(self.labels))

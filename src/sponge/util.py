@@ -1,4 +1,5 @@
-"""Exact-arithmetic helpers shared across modules.
+"""Exact-arithmetic helpers and the immutable-record base shared across
+modules.
 
 All predicates in this package compare exact rationals.  Square roots
 appear only in human-readable output; where an irrational quantity must
@@ -10,6 +11,52 @@ import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import isqrt, lcm
+from operator import attrgetter
+
+
+class Record:
+    """Base of the package's immutable records.  The fields are the names
+    annotated in the class body, in order, passed by position or keyword
+    and then checked by __post_init__.  A record equals only records of
+    its class with equal field tuples, hashes as its field tuple, prints
+    as Name(field=value, ...) and refuses assignment and deletion."""
+
+    _fields = ()
+
+    def __init_subclass__(cls):
+        cls._fields = fields = cls._fields + tuple(cls.__annotations__)
+        get = attrgetter(*fields)
+        # attrgetter of one name gives the value, not a 1-tuple
+        cls._values = staticmethod(
+            get if len(fields) > 1 else lambda record: (get(record),))
+        # the one generated method: a constructor taking the fields
+        namespace = {"_set": object.__setattr__}
+        exec("def __init__(self, %s):%s\n    self.__post_init__()" % (
+            ", ".join(fields),
+            "".join("\n    _set(self, %r, %s)" % (f, f) for f in fields)),
+            namespace)
+        cls.__init__ = namespace["__init__"]
+
+    def __post_init__(self):
+        """Checks and derived attributes (set with object.__setattr__)."""
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            get = self._values
+            return get(self) == get(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % item for item in zip(self._fields, self._values(self))))
+
+    def _immutable(self, name, *value):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    __setattr__ = __delattr__ = _immutable
 
 
 def parse_fraction(text):

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import itertools
 import random
@@ -13,7 +12,7 @@ from sponge import (CantorError, analyze_special_system, bilipschitz_check,
                     build_cantor_tree, compose_labels, cylinder_length,
                     gap_length, lipschitz_constants, parse_ifs,
                     to_binary_tree)
-from sponge.cantor import RatioReport, SeriesConstants
+from sponge.cantor import RatioReport, SeriesConstants, SpecialSystem
 from sponge.util import ResourceCapError, common_denominator, sqrt_leq_quad
 
 from conftest import compose, random_special_system
@@ -360,7 +359,8 @@ def test_binary_balance_fails_past_T(sys4):
     # split, J_0 against J_1 .. J_3, is far from that
     sys_, consts = sys4
     assert to_binary_tree(sys_, consts, 3).balance_ok
-    tight = dataclasses.replace(sys_, r_star=consts.L)
+    tight = SpecialSystem(sys_.base, sys_.a, sys_.b, sys_.a_pts, sys_.b_pts,
+                          sys_.deltas, sys_.taus, r_star=consts.L)
     bt = to_binary_tree(tight, consts, 3)
     assert bt.T == 1
     assert not bt.balance_ok

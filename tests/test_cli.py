@@ -2,6 +2,7 @@ import contextlib
 import functools
 import io
 import json
+import subprocess
 import sys
 import time
 from collections import Counter
@@ -9,6 +10,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sponge
 import sponge.cantor
 import sponge.cli
 from sponge import Analysis
@@ -296,6 +298,54 @@ def test_report_builds_one_fiber_per_vertex(capsys, monkeypatch, fixture,
     capsys.readouterr()
     # one FiberIFS per non-leaf vertex, each built once
     assert len(owners) == len(set(owners)) == vertices
+
+
+def test_report_writes_each_vertex_dict_once(capsys, monkeypatch):
+    # a vertex is written as a tree entry, an offspring child, a fiber
+    # owner and the witness; its dict (and frac_str text) is built once
+    built = []
+    original = sponge.cli._vertex_dict
+
+    def counting(vertex):
+        built.append(vertex)
+        return original(vertex)
+
+    monkeypatch.setattr(sponge.cli, "_vertex_dict", counting)
+    assert main(["all", LG4]) == 0
+    capsys.readouterr()
+    tree = Analysis(sponge.parse_ifs((FIXTURES / "lg4.ifs").read_text())).tree
+    assert Counter(built) == Counter(v for level in tree.levels for v in level)
+
+
+_IMPORT_GRAPH = """
+import sys
+import sponge
+loaded = [m for m in ("dataclasses", "inspect", "sponge.cantor", "sponge.cli")
+          if m in sys.modules]
+assert loaded == [], loaded
+import sponge.components
+assert sponge.classify is sys.modules["sponge.classify"].classify
+import sponge.cli
+assert sponge.cli.main(["validate", %r]) == 0
+assert "sponge.cantor" not in sys.modules
+try:
+    sponge.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("sponge.no_such_name resolved")
+assert sponge.bilipschitz_check is sponge.cantor.bilipschitz_check
+assert sys.modules["sponge.cantor"] is sponge.cantor
+"""
+
+
+def test_import_graph_in_a_fresh_interpreter():
+    # importing sponge loads neither dataclasses (nor its inspect) nor the
+    # Cantor-model stage, which loads on first use of one of its names
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_GRAPH % LG5],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("fixture", ["lg5", "lg4", "bedford_mcmullen"])

@@ -1,13 +1,18 @@
 import ast
+import dataclasses
+import functools
+import importlib
+import itertools
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sponge.util import (DigitLimitError, ResourceCapError, capped_power,
-                         common_denominator, decimal_str, exact_fraction,
-                         frac_str, parse_fraction, quad_leq, sqrt_bracket,
-                         sqrt_decimal_str, sqrt_leq_quad)
+from sponge.util import (DigitLimitError, Record, ResourceCapError,
+                         capped_power, common_denominator, decimal_str,
+                         exact_fraction, frac_str, parse_fraction, quad_leq,
+                         sqrt_bracket, sqrt_decimal_str, sqrt_leq_quad)
 
 
 def test_parse_fraction():
@@ -120,3 +125,86 @@ def test_no_float_in_the_package():
                     and node.func.id == "float"):
                 found.append("%s:%d" % (path.name, node.lineno))
     assert found == []
+
+
+# every record class of the package, in the modules that define them
+RECORDS = [cls for name in ("ifs", "tree", "classify", "components", "cantor")
+           for cls in vars(importlib.import_module("sponge." + name)).values()
+           if isinstance(cls, type) and issubclass(cls, Record)
+           and cls.__module__ == "sponge." + name]
+
+_VALUES = st.one_of(st.integers(-3, 3), st.fractions(max_denominator=4),
+                    st.booleans(), st.none(), st.text(max_size=2),
+                    st.tuples(st.integers(0, 2), st.fractions(max_denominator=3)))
+
+
+def test_every_record_class_is_found():
+    assert len(RECORDS) == 21
+    assert all(cls._fields for cls in RECORDS)
+
+
+@functools.cache
+def _oracle(cls):
+    """A frozen dataclass with the fields of record class `cls`."""
+    return dataclasses.make_dataclass(cls.__name__, cls._fields, frozen=True)
+
+
+def _field_values(cls):
+    n = len(cls._fields)
+    return st.lists(_VALUES, min_size=n, max_size=n)
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+@settings(max_examples=20)
+@given(data=st.data())
+def test_record_matches_frozen_dataclass(cls, data):
+    # a frozen dataclass with the same fields is the oracle for ==, hash
+    # and repr; __post_init__ is switched off so that any values will do
+    oracle = _oracle(cls)
+    xs = data.draw(_field_values(cls))
+    ys = data.draw(st.one_of(st.just(list(xs)), _field_values(cls)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cls, "__post_init__", lambda self: None)
+        x, y = cls(*xs), cls(**dict(zip(cls._fields, ys)))
+    ox, oy = oracle(*xs), oracle(*ys)
+    assert (x == y, x != y) == (ox == oy, ox != oy)
+    assert repr(x) == repr(ox)
+    # AffineMap1D hashes its integer form, which __post_init__ sets
+    if "__hash__" not in vars(cls):
+        assert hash(x) == hash(ox)
+    assert x != ox and ox != x
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_record_signature_and_immutability(cls, monkeypatch):
+    monkeypatch.setattr(cls, "__post_init__", lambda self: None)
+    values = list(range(len(cls._fields)))
+    record = cls(*values)
+    assert [getattr(record, f) for f in cls._fields] == values
+    assert cls(**dict(zip(cls._fields, values))) == record
+    with pytest.raises(TypeError):
+        cls(*values[:-1])
+    with pytest.raises(TypeError):
+        cls(*values, 0)
+    with pytest.raises(TypeError):
+        cls(*values, no_such_field=0)
+    with pytest.raises(TypeError):
+        cls(*values, **{cls._fields[0]: 0})
+    for name in cls._fields + ("no_such_field",):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert [getattr(record, f) for f in cls._fields] == values
+
+
+def test_records_of_different_classes_are_unequal(monkeypatch):
+    pairs = [(a, b) for a, b in itertools.combinations(RECORDS, 2)
+             if len(a._fields) == len(b._fields)]
+    assert pairs
+    for a, b in pairs:
+        monkeypatch.setattr(a, "__post_init__", lambda self: None)
+        monkeypatch.setattr(b, "__post_init__", lambda self: None)
+        values = range(len(a._fields))
+        assert a(*values) != b(*values)
+        assert not a(*values) == b(*values)
