@@ -26,7 +26,7 @@ from .components import (ApproxSquare, ComponentPartition, ComponentsError,
                          delta0_sequence_exists_sq, delta_components,
                          delta_components_sq, enumerate_cylinders,
                          interval_components, pre_moran_intervals)
-from .util import DEFAULT_CAP, ResourceCapError
+from .util import DEFAULT_CAP, DomainError, ResourceCapError
 
 __version__ = "0.1.0"
 

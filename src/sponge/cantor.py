@@ -15,11 +15,11 @@ from math import lcm
 
 from .classify import EXACTLY_ONE, Analysis, classify
 from .ifs import SpongeIFS, compose_labels, fixed_point
-from .util import (DEFAULT_CAP, Record, ResourceCapError, capped_power,
-                   common_denominator, quad_leq, sqrt_leq_quad)
+from .util import (DEFAULT_CAP, DomainError, Record, ResourceCapError,
+                   capped_power, common_denominator, sqrt_leq_quad)
 
 
-class CantorError(Exception):
+class CantorError(DomainError):
     """Domain error from the cantor module."""
 
 
@@ -96,25 +96,10 @@ def analyze_special_system(ifs):
                 raise CantorError("cantor: series base %s >= 1" % s)
             s_values.append(s)
     L = 1 + sum(1 / (1 - s) for s, tau in zip(s_values, taus) if tau >= 2)
-    _bracket_check(s_values, taus, L)
     r_star = min(mp.coords[0].ratio for mp in maps)
     sys = SpecialSystem(base, a, b, a_pts, b_pts, tuple(deltas), tuple(taus),
                         r_star)
     return sys, SeriesConstants(tuple(s_values), L)
-
-
-def _bracket_check(s_values, taus, L, terms=10):
-    """Monotone bracketing of the closed form by truncated summation."""
-    lower = Fraction(0)
-    upper = Fraction(0)
-    for s, tau in zip(s_values, taus):
-        if tau < 2:
-            continue
-        partial = sum(s ** n for n in range(terms + 1))
-        lower += partial
-        upper += partial + s ** (terms + 1) / (1 - s)
-    if not (lower <= L - 1 <= upper):
-        raise CantorError("cantor: closed-form L fails series bracketing")
 
 
 def cylinder_length(sys, constants, word):
@@ -252,14 +237,11 @@ def lipschitz_constants(sys, constants):
         raise CantorError("cantor: degenerate system, c0 = 0")
     L = constants.L
     Cprime = L / sys.r_star
-    # C0 = max{c1, (1 + 2*c1*L(1+2C') + 2*c0*L(1+2C')) / c0} in Q(sqrt(s))
+    # C0 = max{c1, (1 + 2*c1*L(1+2C') + 2*c0*L(1+2C')) / c0} in Q(sqrt(s)),
+    # which is the second term: L >= 1 and c0 <= |a1-b1| <= 1 make it > 2*c1
     A = (1 + 2 * c0 * L * (1 + 2 * Cprime)) / c0
     B = 2 * L * (1 + 2 * Cprime) / c0 * d  # coefficient of sqrt(s)
-    if quad_leq(A, B, Fraction(0), Fraction(d), ab_sq):
-        p, q = Fraction(0), Fraction(d)  # C0 = c1
-    else:
-        p, q = A, B
-    return LipschitzConstants(c0, c1_sq, ab_sq, Cprime, p, q)
+    return LipschitzConstants(c0, c1_sq, ab_sq, Cprime, A, B)
 
 
 class RatioReport(Record):
@@ -275,8 +257,7 @@ class RatioReport(Record):
         return self.lower_ok and self.upper_ok
 
 
-def bilipschitz_check(sys, constants, depth, lip=None, cap=DEFAULT_CAP,
-                      tree=None):
+def bilipschitz_check(sys, constants, depth, cap=DEFAULT_CAP, tree=None):
     """Envelope check over the canonical dense pair family.
 
     Compares |u-v| / |x-y| against [1/c1, C0] in exact squared arithmetic
@@ -298,8 +279,7 @@ def bilipschitz_check(sys, constants, depth, lip=None, cap=DEFAULT_CAP,
     word pairs over the whole family.  A `tree` for the same system shares
     its laid-out rows.
     """
-    if lip is None:
-        lip = lipschitz_constants(sys, constants)
+    lip = lipschitz_constants(sys, constants)
     if tree is None:
         tree = CantorTree(sys, constants, 0, cap)
     n = max(depth, 0)
@@ -434,10 +414,6 @@ class BinaryNode(Record):
     k2: int            # F_sigma = union of J_{alpha k1} .. J_{alpha k2}
     lo: Fraction
     hi: Fraction
-
-    @property
-    def length(self):
-        return self.hi - self.lo
 
 
 class BinaryCantorTree:

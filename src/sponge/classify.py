@@ -13,14 +13,14 @@ from functools import cached_property
 from .ifs import DiagonalAffineMap, SpongeIFS, fixed_point
 from .tree import (TreeError, Vertex, all_fiber_ifs, build_labeled_tree,
                    fiber_ifs)
-from .util import Record
+from .util import DomainError, Record
 
 ZERO = "Zero"
 AT_LEAST_ONE = "AtLeastOne"
 EXACTLY_ONE = "ExactlyOne"
 
 
-class ClassifyError(Exception):
+class ClassifyError(DomainError):
     """Domain error from the classify module."""
 
 

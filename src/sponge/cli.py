@@ -18,17 +18,17 @@ import time
 from json.encoder import encode_basestring_ascii
 
 from . import __version__
-from .classify import EXACTLY_ONE, Analysis, ClassifyError, classify
-from .components import (ComponentsError, SimpleIFSFamily, approx_square,
+from .classify import EXACTLY_ONE, Analysis, classify
+from .components import (SimpleIFSFamily, approx_square,
                          check_product_decomposition,
                          component_diameter_profile, pre_moran_intervals)
 # validate_lg runs inside the labeled tree's LG gate, not here; the name
 # stays bound because bench/test_bench.py checks that the benchmark's
 # tracer rebinds it in every module that imports it
-from .ifs import IFSError, ParseError, parse_ifs, validate_lg  # noqa: F401
-from .tree import TreeError, last_coordinate_fibers
-from .util import (DEFAULT_CAP, ResourceCapError, decimal_str, frac_str,
-                   parse_fraction, sqrt_bracket, sqrt_decimal_str)
+from .ifs import ParseError, parse_ifs, validate_lg  # noqa: F401
+from .tree import last_coordinate_fibers
+from .util import (DEFAULT_CAP, DomainError, ResourceCapError, decimal_str,
+                   frac_str, parse_fraction, sqrt_bracket, sqrt_decimal_str)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -49,14 +49,6 @@ def _vertex_dict(vertex):
         "coords": [[frac_str(c.ratio), frac_str(c.offset)]
                    for c in vertex.projected_map],
     }
-
-
-def _rejections():
-    """The domain errors that exit 2; CantorError only once sponge.cantor
-    is loaded, since nothing can raise it before."""
-    cantor = sys.modules.get("sponge.cantor")
-    return (IFSError, TreeError, ComponentsError, ClassifyError) + (
-        (cantor.CantorError,) if cantor else ())
 
 
 def _parse_delta(text):
@@ -197,7 +189,7 @@ def _payload_cantor(a, args, special=None):
         payload["tree_additivity_ok"] = True
         payload["tree_depth_checked"] = tree_depth
     if check in ("lipschitz", "all"):
-        rep = bilipschitz_check(sys_, consts, min(args.depth, 4), lip=lip,
+        rep = bilipschitz_check(sys_, consts, min(args.depth, 4),
                                 cap=args.cap, tree=tree)
         payload["lipschitz"] = {
             "pairs": rep.pairs,
@@ -305,9 +297,7 @@ def emit(report, fmt, subcommand):
     if fmt == "json":
         return _indented_json(report) + "\n"
     if fmt == "csv":
-        cols = _CSV_COLUMNS.get(subcommand)
-        if cols is None:
-            raise Rejection("no CSV schema for subcommand %r" % subcommand)
+        cols = _CSV_COLUMNS[subcommand]  # _check_options made sure of it
         lines = [",".join(cols)]
         payload = report["payload"]
         if subcommand == "components":
@@ -384,7 +374,7 @@ def build_parser():
     return parser
 
 
-def _check_numeric_options(args):
+def _check_options(args):
     if args.precision < 1:
         raise Rejection("--precision must be >= 1, got %d" % args.precision)
     if args.depth < 0:
@@ -394,6 +384,8 @@ def _check_numeric_options(args):
     # every output digit costs work, so the precision counts against the cap
     if args.precision > args.cap:
         raise ResourceCapError("cli", args.precision, args.cap)
+    if args.format == "csv" and args.subcommand not in _CSV_COLUMNS:
+        raise Rejection("no CSV schema for subcommand %r" % args.subcommand)
 
 
 def _attach_negative_values(argv):
@@ -418,16 +410,16 @@ def main(argv=None):
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        _check_numeric_options(args)
+        _check_options(args)
         return run(args)
-    # ParseError before IFSError: it is a subclass
+    # ParseError before DomainError: it is a subclass
     except (ParseError, Rejection) as exc:
         print("sponge: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     except ResourceCapError as exc:
         print("sponge: %s" % exc, file=sys.stderr)
         return EXIT_CAP
-    except _rejections() as exc:
+    except DomainError as exc:
         print("sponge: %s" % exc, file=sys.stderr)
         return EXIT_REJECTED
     except Exception as exc:

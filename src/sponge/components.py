@@ -12,14 +12,14 @@ from math import isqrt, lcm
 from operator import itemgetter
 
 from .ifs import (Box, IFSError, Interval, compose_labels, major_projection,
-                  validate_lg)
+                  validate_lg, word_maps)
 from .classify import Analysis
 from .tree import ROOT, FiberIFS, TreeError, last_coordinate_fibers
-from .util import (DEFAULT_CAP, Record, ResourceCapError, capped_power,
-                   common_denominator, exact_fraction)
+from .util import (DEFAULT_CAP, DomainError, Record, ResourceCapError,
+                   capped_power, common_denominator, exact_fraction)
 
 
-class ComponentsError(Exception):
+class ComponentsError(DomainError):
     """Domain error from the components module."""
 
 
@@ -35,9 +35,6 @@ class PointSet(Record):
         for p in self.points:
             seen.setdefault(tuple(p), None)
         object.__setattr__(self, "points", tuple(seen))
-
-    def __len__(self):
-        return len(self.points)
 
 
 def _point_dist_sq(p, q):
@@ -561,13 +558,10 @@ def approx_square(ifs, word, delta):
     """The delta-approximate square along `word`: in each coordinate,
     iterate until the ratio product first drops strictly below delta."""
     delta = _positive("delta", delta)
-    word = tuple(word)
-    for e in word:
-        if not (1 <= e <= ifs.size):
-            raise IFSError("ifs: symbol %d out of range 1..%d" % (e, ifs.size))
+    maps = word_maps(ifs, word)
     depths, sides = [], []
     for j in range(ifs.dim):
-        labels = [ifs.maps[e - 1].coords[j] for e in word]
+        labels = [mp.coords[j] for mp in maps]
         ratio = 1
         for k, g in enumerate(labels, start=1):
             ratio *= g.ratio

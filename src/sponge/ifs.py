@@ -8,10 +8,11 @@ pure functions.
 from fractions import Fraction
 from math import lcm
 
-from .util import Record, common_denominator, frac_str, parse_fraction
+from .util import (DomainError, Record, common_denominator, frac_str,
+                   parse_fraction)
 
 
-class IFSError(Exception):
+class IFSError(DomainError):
     """Domain error from the ifs module."""
 
 
@@ -261,14 +262,20 @@ def major_projection(ifs, ell):
     return SpongeIFS(ell, tuple(seen))
 
 
-def cylinder_box(ifs, word):
-    """Image of the unit cube under the composition along `word` (1-based):
-    side j is compose_labels over coordinate j's maps, one map a level."""
+def word_maps(ifs, word):
+    """The maps along `word`, whose symbols are 1..M (M = ifs.size)."""
     maps = []
     for e in word:
         if not (1 <= e <= ifs.size):
             raise IFSError("ifs: symbol %d out of range 1..%d" % (e, ifs.size))
         maps.append(ifs.maps[e - 1])
+    return maps
+
+
+def cylinder_box(ifs, word):
+    """Image of the unit cube under the composition along `word` (1-based):
+    side j is compose_labels over coordinate j's maps, one map a level."""
+    maps = word_maps(ifs, word)
     sides = []
     for j in range(ifs.dim):
         den, ((lo, hi),) = compose_labels([[m.coords[j]] for m in maps])
@@ -284,20 +291,15 @@ def compose_labels(label_sets):
 
     Each level extends the previous level's ends over one running
     denominator, so every word costs two integer multiply-adds.  A label
-    set is scaled from its labels' integer forms to the lcm of their q,
-    once however often it recurs in `label_sets`.
+    set is scaled from its labels' integer forms to the lcm of their q.
     """
     den, ends = 1, [(0, 1)]
-    scaled = {}
     for labels in reversed(label_sets):
-        if id(labels) not in scaled:
-            forms = [g.ints for g in labels]
-            scale = lcm(*(q for _, _, q in forms))
-            scaled[id(labels)] = scale, [(r * (scale // q), o * (scale // q))
-                                         for r, o, q in forms]
-        scale, pairs = scaled[id(labels)]
+        forms = [g.ints for g in labels]
+        scale = lcm(*(q for _, _, q in forms))
         # g(x / den) = (r * x + o * den) / (scale * den), g = (r, o) / scale
-        steps = [(r, o * den) for r, o in pairs]
+        steps = [(r * (scale // q), o * (scale // q) * den)
+                 for r, o, q in forms]
         ends = [(r * lo + o, r * hi + o) for r, o in steps for lo, hi in ends]
         den *= scale
     return den, ends

@@ -8,10 +8,10 @@ extending 1-D maps form the vertex's fiber IFS, a simple IFS of [0,1].
 from fractions import Fraction
 
 from .ifs import compose_labels, validate_lg
-from .util import Record
+from .util import DomainError, Record
 
 
-class TreeError(Exception):
+class TreeError(DomainError):
     """Domain error from the tree module; a rejection by the LG gate
     carries the gate's ValidationReport as `validation`."""
 

@@ -1,5 +1,5 @@
-"""Exact-arithmetic helpers and the immutable-record base shared across
-modules.
+"""Exact-arithmetic helpers, the immutable-record base and the error
+bases shared across modules.
 
 All predicates in this package compare exact rationals.  Square roots
 appear only in human-readable output; where an irrational quantity must
@@ -179,6 +179,11 @@ def quad_leq(p1, q1, p2, q2, s):
         return dq * dq * s >= dp * dp
     # dq < 0, dp >= 0: need dp >= -dq*sqrt(s)
     return dp * dp >= dq * dq * s
+
+
+class DomainError(Exception):
+    """A rejected input; base of IFSError, TreeError, ClassifyError,
+    ComponentsError and CantorError."""
 
 
 class ResourceCapError(Exception):

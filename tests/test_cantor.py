@@ -13,7 +13,8 @@ from sponge import (CantorError, analyze_special_system, bilipschitz_check,
                     gap_length, lipschitz_constants, parse_ifs,
                     to_binary_tree)
 from sponge.cantor import RatioReport, SeriesConstants, SpecialSystem
-from sponge.util import ResourceCapError, common_denominator, sqrt_leq_quad
+from sponge.util import (ResourceCapError, common_denominator, quad_leq,
+                         sqrt_leq_quad)
 
 from conftest import compose, random_special_system
 
@@ -123,6 +124,18 @@ def test_lipschitz_constants_lg4(sys4):
     assert lip.radicand == 2
     assert lip.Cprime == F(7356, 73)
     assert (lip.C0_p, lip.C0_q) == (F(18142397, 5329), F(108758460, 5329))
+
+
+def test_c0_is_the_second_term_of_its_max(lg4):
+    # the paper's C0 = max{c1, A + B*sqrt(s)} is always A + B*sqrt(s),
+    # which is at least 2*c1 = 2d*sqrt(s), so lipschitz_constants keeps it
+    rng = random.Random(29)
+    systems = [lg4, parse_ifs(M2_TEXT), parse_ifs(MIXED_TEXT)]
+    systems += [random_special_system(rng) for _ in range(30)]
+    for ifs in systems:
+        sys_, consts = analyze_special_system(ifs)
+        lip = lipschitz_constants(sys_, consts)
+        assert quad_leq(0, 2 * sys_.dim, lip.C0_p, lip.C0_q, lip.radicand)
 
 
 def test_lipschitz_constants_single_term():

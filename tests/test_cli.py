@@ -1,7 +1,9 @@
 import contextlib
 import functools
+import importlib
 import io
 import json
+import pkgutil
 import subprocess
 import sys
 import time
@@ -15,7 +17,7 @@ import sponge.cantor
 import sponge.cli
 from sponge import Analysis
 from sponge.cli import emit, main
-from sponge.util import frac_str
+from sponge.util import DomainError, ResourceCapError, frac_str
 
 from conftest import FIXTURES
 
@@ -444,6 +446,39 @@ def test_square_symbol_out_of_range(capsys, word):
     assert captured.out == ""
     assert captured.err == "sponge: ifs: symbol %s out of range 1..5\n" \
         % word.split(",")[0]
+
+
+@pytest.mark.parametrize("subcommand", [
+    "all", "cantor", "classify", "square", "tree", "validate"])
+def test_csv_without_schema_exits_before_any_work(capsys, monkeypatch,
+                                                  subcommand):
+    def parse_ifs(text):
+        raise AssertionError("a stage ran")
+    monkeypatch.setattr(sponge.cli, "parse_ifs", parse_ifs)
+    assert subcommand not in sponge.cli._CSV_COLUMNS
+    assert main([subcommand, LG4, "--format", "csv"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        "sponge: no CSV schema for subcommand %r\n" % subcommand
+
+
+def test_every_error_class_has_one_exit_code():
+    # main exits 1 on ParseError and Rejection, 3 on ResourceCapError and
+    # 2 on DomainError; an error class outside all three would exit 4
+    classes = [cls for info in pkgutil.iter_modules(sponge.__path__)
+               for cls in vars(importlib.import_module(
+                   "sponge." + info.name)).values()
+               if isinstance(cls, type) and issubclass(cls, Exception)
+               and cls.__module__ == "sponge." + info.name]
+    assert {"IFSError", "ParseError", "TreeError", "ClassifyError",
+            "ComponentsError", "PreconditionError", "CantorError",
+            "DigitLimitError", "Rejection"} <= {c.__name__ for c in classes}
+    for cls in classes:
+        kinds = (issubclass(cls, DomainError),
+                 issubclass(cls, ResourceCapError),
+                 cls is sponge.cli.Rejection)
+        assert kinds.count(True) == 1, cls
 
 
 @pytest.mark.parametrize("head, option, value, tail, err", [

@@ -984,3 +984,17 @@ def test_mixed_objects_rejected(call, objects, match):
     # zipping coordinates would drop the extra ones and answer wrongly
     with pytest.raises(ComponentsError, match=match):
         call(objects, 4)
+
+
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda: SimpleIFSFamily([]), "empty family",
+                 id="empty family"),
+    pytest.param(lambda: delta_components_sq([], 1), "empty object list",
+                 id="no objects"),
+    pytest.param(lambda: check_product_decomposition(
+        parse_ifs("dim 1\nmap 1/3 0\nmap 1/3 2/3\n"), 1), "needs d >= 2",
+        id="1-D product decomposition"),
+])
+def test_components_errors(call, match):
+    with pytest.raises(ComponentsError, match=match):
+        call()

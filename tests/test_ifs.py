@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sponge import (AffineMap1D, Box, DiagonalAffineMap, IFSError, Interval,
-                    ParseError, SpongeIFS, compose_labels, cylinder_box,
-                    enumerate_cylinders, fixed_point, major_projection,
-                    parse_ifs, serialize_ifs, validate_lg, width)
+                    ParseError, SpongeIFS, approx_square, compose_labels,
+                    cylinder_box, enumerate_cylinders, fixed_point,
+                    major_projection, parse_ifs, serialize_ifs, validate_lg,
+                    width)
 
 from conftest import compose, random_lg_system, random_special_system
 
@@ -170,6 +171,8 @@ def test_sponge_ifs_invariants():
         SpongeIFS(1, (m, m))
     with pytest.raises(IFSError):
         SpongeIFS(2, (m,))
+    with pytest.raises(IFSError, match="at least one map required"):
+        SpongeIFS(2, ())
 
 
 def _oracle_compose_words(maps, n):
@@ -266,3 +269,20 @@ def test_float_label_is_a_type_error(ratio, offset):
     # a float is rejected when the map is built, not converted
     with pytest.raises(TypeError):
         AffineMap1D(ratio, offset)
+
+
+@pytest.mark.parametrize("build, match", [
+    pytest.param(lambda ifs: Interval(1, 0), "interval with lo > hi",
+                 id="reversed interval"),
+    pytest.param(lambda ifs: AffineMap1D(2, 0), r"ratio 2 outside \(0,1\)",
+                 id="ratio 2"),
+    pytest.param(lambda ifs: cylinder_box(ifs, (1, 0)),
+                 r"symbol 0 out of range 1\.\.5", id="symbol 0"),
+    pytest.param(lambda ifs: cylinder_box(ifs, (6, 1)),
+                 r"symbol 6 out of range 1\.\.5", id="symbol M+1"),
+    pytest.param(lambda ifs: approx_square(ifs, (1, 6), F("1/2")),
+                 r"symbol 6 out of range 1\.\.5", id="square symbol M+1"),
+])
+def test_ifs_errors(lg5, build, match):
+    with pytest.raises(IFSError, match=match):
+        build(lg5)

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sponge import (AffineMap1D, DiagonalAffineMap, FiberIFS, SpongeIFS,
                     TreeError, Vertex, all_fiber_ifs,
@@ -262,3 +262,55 @@ def test_tree_hashes_no_fraction(monkeypatch, fixture):
     tree = build_labeled_tree(ifs)
     assert len(tree.levels) == ifs.dim + 1
     assert calls == []
+
+
+@st.composite
+def unit_systems(draw):
+    """Distinct self-maps of the unit cube in d = 1..3 over one small
+    denominator, so that cylinders often overlap or touch."""
+    dim = draw(st.integers(1, 3))
+    q = draw(st.integers(2, 4))
+    maps = {}
+    for _ in range(draw(st.integers(1, 5))):
+        coords = []
+        for _ in range(dim):
+            r = draw(st.integers(1, q - 1))
+            coords.append(AffineMap1D(Fraction(r, q),
+                                      Fraction(draw(st.integers(0, q - r)), q)))
+        maps[DiagonalAffineMap(tuple(coords))] = None
+    return SpongeIFS(dim, tuple(maps))
+
+
+def _fibers_do_not_overlap(ifs):
+    """Oracle: at every rank the truncations, grouped by their parent
+    truncation, give fibers that build without TreeError."""
+    for ell in range(1, ifs.dim + 1):
+        fibers = {}
+        for m in major_projection(ifs, ell).maps:
+            fibers.setdefault(m.coords[:-1], []).append(m.coords[-1])
+        for parent, labels in fibers.items():
+            try:
+                FiberIFS(Vertex(ell - 1, parent), labels)
+            except TreeError:
+                return False
+    return True
+
+
+def _system(*rows):
+    return SpongeIFS(len(rows[0]), tuple(
+        DiagonalAffineMap(_maps(*row)) for row in rows))
+
+
+@settings(max_examples=300)
+@given(unit_systems())
+@example(_system([("1/2", 0), ("1/2", 0)], [("1/2", "1/2"), ("1/2", 0)],
+                 [("1/2", "1/2"), ("1/2", "1/2")]))      # touching
+@example(_system([("1/2", 0), ("1/2", 0)],
+                 [("1/2", 0), ("1/2", "1/4")]))          # one parent
+@example(_system([("1/2", 0), ("1/4", 0)],
+                 [("1/2", "1/4"), ("1/4", "3/4")]))      # two parents
+def test_neat_projection_iff_fibers_do_not_overlap(ifs):
+    # two rank-l cylinders with one parent overlap iff their fiber images
+    # do; with different parents, only if the parents' cylinders do.  This
+    # is the exact oracle for taking validate_lg's check from the fibers
+    assert validate_lg(ifs).neat_projection_ok == _fibers_do_not_overlap(ifs)
