@@ -11,8 +11,8 @@ from itertools import accumulate, product
 from math import isqrt, lcm
 from operator import itemgetter
 
-from .ifs import (Box, IFSError, Interval, compose_labels, major_projection,
-                  validate_lg, word_maps)
+from .ifs import (Box, Interval, check_interval_ends, compose_labels,
+                  major_projection, validate_lg, word_maps)
 from .classify import Analysis
 from .tree import ROOT, FiberIFS, TreeError, last_coordinate_fibers
 from .util import (DEFAULT_CAP, DomainError, Record, ResourceCapError,
@@ -110,8 +110,11 @@ class _SingleLinkage:
     The objects come as one IntervalSet per coordinate.  The pairs
     within the largest threshold are scaled to integers and sorted once;
     merge_to then unions them in ascending gap order, so one pass
-    answers every threshold up to that largest one.  Each block
-    carries its exact squared diameter, which only grows under merging.
+    answers every threshold up to that largest one.  It keeps only the
+    largest squared block diameter, max_diam, and each block's integer
+    extent: a union skips the cross pairs of a smaller-side box, or of
+    its whole extent, within far distance max_diam of the larger extent.
+    No block's diameter exceeds max_diam; partition computes each one.
     """
 
     def __init__(self, columns, max_delta_sq):
@@ -148,9 +151,9 @@ class _SingleLinkage:
         self.next_key = 0
         self.parent = list(range(n))
         self.members = [[i] for i in range(n)]
-        self.diam = [_far_sq(e, e) for e in ext]
+        self.extent = list(ext)
         self.count = n
-        self.max_diam = max(self.diam)
+        self.max_diam = max(_far_sq(e, e) for e in ext)
 
     def _limit(self, delta_sq):
         """floor(delta_sq * den^2): exact, since every gap is an integer."""
@@ -169,7 +172,8 @@ class _SingleLinkage:
         n = self.n
         bound = (self._limit(delta_sq) + 1) * n * n
         keys, k = self.keys, self.next_key
-        ext, members, diam = self.ext, self.members, self.diam
+        ext, members, extent = self.ext, self.members, self.extent
+        top = self.max_diam
         while k < len(keys) and keys[k] < bound:
             rest, j = divmod(keys[k], n)
             i = rest % n
@@ -179,26 +183,32 @@ class _SingleLinkage:
                 continue
             if len(members[ri]) < len(members[rj]):
                 ri, rj = rj, ri
-            big, small = members[ri], members[rj]
-            cross = max(_far_sq(ext[a], ext[b]) for a in big for b in small)
-            diam[ri] = max(diam[ri], diam[rj], cross)
+            big, small, span = members[ri], members[rj], extent[ri]
+            # exact: a box inside an extent is no farther than the extent
+            if _far_sq(span, extent[rj]) > top:
+                for b in small:
+                    eb = ext[b]
+                    if _far_sq(span, eb) > top:
+                        top = max(top, *(_far_sq(ext[a], eb) for a in big))
+            extent[ri] = [(min(alo, blo), max(ahi, bhi))
+                          for (alo, ahi), (blo, bhi) in zip(span, extent[rj])]
             big.extend(small)
             members[rj] = None
             self.parent[rj] = ri
             self.count -= 1
-            if diam[ri] > self.max_diam:
-                self.max_diam = diam[ri]
+        self.max_diam = top
         self.next_key = k
 
     def max_diam_sq(self):
         return Fraction(self.max_diam, self.den_sq)
 
     def partition(self, delta_sq):
-        roots = [r for r in range(self.n) if self.parent[r] == r]
-        blocks = sorted((tuple(sorted(self.members[r])), r) for r in roots)
-        return ComponentPartition(
-            delta_sq, tuple(b for b, _ in blocks),
-            tuple(Fraction(self.diam[r], self.den_sq) for _, r in blocks))
+        """The blocks and their exact squared diameters, pair by pair."""
+        ext = self.ext
+        blocks = sorted(tuple(sorted(m)) for m in self.members if m)
+        return ComponentPartition(delta_sq, tuple(blocks), tuple(
+            Fraction(max(_far_sq(ext[a], ext[b]) for k, a in enumerate(block)
+                         for b in block[k:]), self.den_sq) for block in blocks))
 
 
 def delta_components_sq(objects, delta_sq):
@@ -235,8 +245,7 @@ class IntervalSet(Sequence):
         if not den > 0:
             raise ComponentsError("components: interval denominator must "
                                   "be positive")
-        if any(lo > hi for lo, hi in ends):
-            raise IFSError("ifs: interval with lo > hi")
+        check_interval_ends(ends)
 
     @classmethod
     def of(cls, intervals):

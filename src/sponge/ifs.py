@@ -106,13 +106,19 @@ class SpongeIFS(Record):
         return len(self.maps)
 
 
+def check_interval_ends(ends):
+    """Raise IFSError unless lo <= hi for every (lo, hi) pair of ends."""
+    for lo, hi in ends:
+        if lo > hi:
+            raise IFSError("ifs: interval with lo > hi")
+
+
 class Interval(Record):
     lo: Fraction
     hi: Fraction
 
     def __post_init__(self):
-        if self.lo > self.hi:
-            raise IFSError("ifs: interval with lo > hi")
+        check_interval_ends(((self.lo, self.hi),))
 
     @property
     def length(self):

@@ -162,6 +162,30 @@ def test_profile_lg4_depth4(lg4):
     assert ratios == sorted(ratios)
 
 
+# Recorded from the pair-loop kernel before the extent pruning; lg4 has
+# the same rows at depth 5 as at depth 4.
+@pytest.mark.parametrize("name, depth, expected", [
+    ("bedford_mcmullen", 4, [
+        (F(1, 8), 2, F(394594, 390625), F(25254016, 390625)),
+        (F(1, 16), 6, F(426346, 3515625), F(109144576, 3515625)),
+        (F(1, 32), 12, F(392146, 3515625), F(401557504, 3515625)),
+        (F(1, 64), 36, F(404314, 31640625), F(1656070144, 31640625)),
+    ]),
+    ("lg4", 5, [
+        (F(1, 8), 4, F(5, 16), F(20)),
+        (F(1, 16), 6, F(5, 32), F(40)),
+        (F(1, 32), 10, F(17, 256), F(68)),
+        (F(1, 64), 18, F(5, 288), F(640, 9)),
+    ]),
+])
+def test_profile_at_depth(request, name, depth, expected):
+    grid = [F(1, 8), F(1, 16), F(1, 32), F(1, 64)]
+    rows = component_diameter_profile(request.getfixturevalue(name), depth,
+                                      grid)
+    assert [(r["delta"], r["num_components"], r["max_diam_sq"],
+             r["ratio_sq"]) for r in rows] == expected
+
+
 def test_profile_single_map():
     ifs = parse_ifs("dim 1\nmap 1/3 0")
     rows = component_diameter_profile(ifs, 2, [F(1, 2)])
@@ -608,6 +632,49 @@ def test_delta_components_sq_matches_oracle(data):
     assert part.max_diam_sq() == max(diam_sqs)
 
 
+@st.composite
+def box_layouts(draw):
+    """Up to 30 boxes in d = 1..3, each fresh, in an earlier box's
+    first-coordinate range (a column, as in bedford_mcmullen) or nested
+    in an earlier box.  Coordinate j's ends are k / den_j, k <= 12."""
+    dens = draw(st.lists(st.sampled_from([1, 2, 3]), min_size=1, max_size=3))
+    boxes = []
+    for _ in range(draw(st.integers(1, 30))):
+        kind = draw(st.sampled_from(["fresh", "column", "nested"]))
+        outer = draw(st.sampled_from(boxes)).sides if boxes else None
+        sides = []
+        for j, den in enumerate(dens):
+            ends = [Fraction(k, den) for k in range(13)]
+            if outer and kind == "column" and j == 0:
+                sides.append(outer[0])
+                continue
+            if outer and kind == "nested":
+                ends = [v for v in ends if outer[j].lo <= v <= outer[j].hi]
+            sides.append(Interval(*sorted(draw(st.sampled_from(ends))
+                                          for _ in range(2))))
+        boxes.append(Box(tuple(sides)))
+    return boxes
+
+
+@settings(max_examples=40, deadline=None)
+@given(box_layouts())
+def test_single_linkage_stepwise_matches_oracle(boxes):
+    # every distinct gap in ascending order, so each union of the kernel,
+    # pruned or not, is checked against the oracle's max diameter
+    gaps = sorted({_oracle_box_dist_sq(a, b) for k, a in enumerate(boxes)
+                   for b in boxes[k + 1:]})
+    top = gaps[-1] if gaps else F(1)
+    linkage = sponge.components._SingleLinkage(
+        sponge.components._columns(boxes), top)
+    for delta_sq in gaps or [top]:
+        linkage.merge_to(delta_sq)
+        blocks, diam_sqs = _oracle_components_sq(boxes, delta_sq)
+        assert linkage.count == len(blocks)
+        assert linkage.max_diam_sq() == max(diam_sqs)
+    part = linkage.partition(delta_sq)
+    assert (part.blocks, part.diam_sqs) == (blocks, diam_sqs)
+
+
 def _touching_deltas(boxes):
     """Thresholds delta whose square is exactly some pair's gap: pairs
     apart in a single coordinate."""
@@ -810,8 +877,11 @@ def test_one_interval_set_answers_a_shuffled_grid(data):
 
 
 def test_interval_set_rejects_reversed_ends():
-    with pytest.raises(IFSError, match="lo > hi"):
-        IntervalSet(4, [(0, 1), (3, 2)])
+    # one check, one message, for Fraction and for integer ends
+    for reversed_ends in (lambda: IntervalSet(4, [(0, 1), (3, 2)]),
+                          lambda: Interval(F(3, 4), F(1, 2))):
+        with pytest.raises(IFSError, match=r"^ifs: interval with lo > hi$"):
+            reversed_ends()
     with pytest.raises(ComponentsError):
         IntervalSet(0, [(0, 1)])
     assert IntervalSet(4, [(2, 2)]) == (Interval(F(1, 2), F(1, 2)),)
