@@ -5,6 +5,7 @@ All connectivity predicates compare exact squared distances against
 exact squared thresholds; no floating point enters any decision.
 """
 
+from bisect import bisect_right
 from collections.abc import Sequence
 from fractions import Fraction
 from itertools import accumulate, product
@@ -99,7 +100,9 @@ def _far_sq(a, b):
     """Squared max distance between points of two integer extents."""
     total = 0
     for (alo, ahi), (blo, bhi) in zip(a, b):
-        f = max(ahi - blo, bhi - alo)
+        f, g = ahi - blo, bhi - alo
+        if g > f:
+            f = g
         total += f * f
     return total
 
@@ -110,11 +113,16 @@ class _SingleLinkage:
     The objects come as one IntervalSet per coordinate.  The pairs
     within the largest threshold are scaled to integers and sorted once;
     merge_to then unions them in ascending gap order, so one pass
-    answers every threshold up to that largest one.  It keeps only the
-    largest squared block diameter, max_diam, and each block's integer
-    extent: a union skips the cross pairs of a smaller-side box, or of
-    its whole extent, within far distance max_diam of the larger extent.
-    No block's diameter exceeds max_diam; partition computes each one.
+    answers every threshold up to that largest one.  A box starting
+    more than sqrt(limit) past another's end on any coordinate is too
+    far, so the pairs come from a sweep along the coordinate, axis,
+    whose windows hold the fewest pairs (the first on a tie).  root[x]
+    is x's block; a union relabels the smaller block's members, at most
+    n log n relabels in all.  It keeps only the largest squared block
+    diameter, max_diam, and each block's integer extent: a union skips
+    the cross pairs of a smaller-side box, or of its whole extent,
+    within far distance max_diam of the larger extent.  No block's
+    diameter exceeds max_diam; partition computes each one.
     """
 
     def __init__(self, columns, max_delta_sq):
@@ -127,19 +135,22 @@ class _SingleLinkage:
         self.ext = ext
         limit = self._limit(max_delta_sq)
         reach = isqrt(limit)
-        # sweep along the first coordinate: once the next box starts more
-        # than sqrt(limit) past the current one's end, so do all later ones
-        order = sorted(range(n), key=lambda i: ext[i][0][0])
+        # per coordinate, the boxes by start and each one's window end;
+        # the windows hold sum(stops) - n(n+1)/2 pairs
+        sweeps = []
+        for c in range(len(columns)):
+            order = sorted(range(n), key=lambda i: ext[i][c][0])
+            starts = [ext[i][c][0] for i in order]
+            stops = [bisect_right(starts, ext[i][c][1] + reach, pos + 1)
+                     for pos, i in enumerate(order)]
+            sweeps.append((sum(stops), c, order, stops))
+        _, self.axis, order, stops = min(sweeps)
         keys = []
         for pos, i in enumerate(order):
             a = ext[i]
-            end = a[0][1] + reach
-            for j in order[pos + 1:]:
-                b = ext[j]
-                if b[0][0] > end:
-                    break
+            for j in order[pos + 1:stops[pos]]:
                 gap = 0
-                for (alo, ahi), (blo, bhi) in zip(a, b):
+                for (alo, ahi), (blo, bhi) in zip(a, ext[j]):
                     g = blo - ahi if blo > ahi else alo - bhi
                     if g > 0:
                         gap += g * g
@@ -149,36 +160,29 @@ class _SingleLinkage:
         keys.sort()
         self.keys = keys
         self.next_key = 0
-        self.parent = list(range(n))
+        self.root = list(range(n))
         self.members = [[i] for i in range(n)]
         self.extent = list(ext)
         self.count = n
-        self.max_diam = max(_far_sq(e, e) for e in ext)
+        self.max_diam = max(sum((hi - lo) * (hi - lo) for lo, hi in e)
+                            for e in ext)
 
     def _limit(self, delta_sq):
         """floor(delta_sq * den^2): exact, since every gap is an integer."""
         return delta_sq.numerator * self.den_sq // delta_sq.denominator
-
-    def _find(self, x):
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
     def merge_to(self, delta_sq):
         """Union every pair with squared gap <= delta_sq; thresholds must
         come in ascending order and not exceed the constructor's."""
         n = self.n
         bound = (self._limit(delta_sq) + 1) * n * n
-        keys, k = self.keys, self.next_key
-        ext, members, extent = self.ext, self.members, self.extent
+        keys, k, ext = self.keys, self.next_key, self.ext
+        members, extent, root = self.members, self.extent, self.root
         top = self.max_diam
         while k < len(keys) and keys[k] < bound:
             rest, j = divmod(keys[k], n)
-            i = rest % n
+            ri, rj = root[rest % n], root[j]
             k += 1
-            ri, rj = self._find(i), self._find(j)
             if ri == rj:
                 continue
             if len(members[ri]) < len(members[rj]):
@@ -192,9 +196,10 @@ class _SingleLinkage:
                         top = max(top, *(_far_sq(ext[a], eb) for a in big))
             extent[ri] = [(min(alo, blo), max(ahi, bhi))
                           for (alo, ahi), (blo, bhi) in zip(span, extent[rj])]
+            for b in small:
+                root[b] = ri
             big.extend(small)
             members[rj] = None
-            self.parent[rj] = ri
             self.count -= 1
         self.max_diam = top
         self.next_key = k
@@ -367,13 +372,13 @@ def delta0_sequence_exists_sq(points, delta0_sq):
     linkage = _SingleLinkage(_columns(pts), d0_sq * pairs[-1][0])
     for dist_sq, a, b in pairs:
         linkage.merge_to(d0_sq * dist_sq)
-        if linkage._find(a) == linkage._find(b):
+        if linkage.root[a] == linkage.root[b]:
             break
     else:
         return False, None
     # breadth-first from a to b within their block, along the merged steps
     limit = linkage._limit(d0_sq * dist_sq)
-    block, ext = linkage.members[linkage._find(a)], linkage.ext
+    block, ext = linkage.members[linkage.root[a]], linkage.ext
     prev = {a: None}
     frontier = [a]
     while b not in prev:

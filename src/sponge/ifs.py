@@ -72,6 +72,10 @@ class DiagonalAffineMap(Record):
 
     def __post_init__(self):
         object.__setattr__(self, "coords", tuple(self.coords))
+        object.__setattr__(self, "_hash", hash(self._values(self)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def dim(self):

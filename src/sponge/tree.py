@@ -28,6 +28,10 @@ class Vertex(Record):
         object.__setattr__(self, "projected_map", tuple(self.projected_map))
         if len(self.projected_map) != self.rank:
             raise TreeError("tree: vertex rank/coefficient mismatch")
+        object.__setattr__(self, "_hash", hash(self._values(self)))
+
+    def __hash__(self):
+        return self._hash
 
 
 ROOT = Vertex(0, ())

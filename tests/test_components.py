@@ -162,8 +162,9 @@ def test_profile_lg4_depth4(lg4):
     assert ratios == sorted(ratios)
 
 
-# Recorded from the pair-loop kernel before the extent pruning; lg4 has
-# the same rows at depth 5 as at depth 4.
+# Recorded from the pair-loop kernel before the extent pruning, and lg5
+# at depth 5 from the first-coordinate sweep before the axis choice; lg4
+# and lg5 have the same rows at depth 5 as at depth 4.
 @pytest.mark.parametrize("name, depth, expected", [
     ("bedford_mcmullen", 4, [
         (F(1, 8), 2, F(394594, 390625), F(25254016, 390625)),
@@ -176,6 +177,12 @@ def test_profile_lg4_depth4(lg4):
         (F(1, 16), 6, F(5, 32), F(40)),
         (F(1, 32), 10, F(17, 256), F(68)),
         (F(1, 64), 18, F(5, 288), F(640, 9)),
+    ]),
+    ("lg5", 5, [
+        (F(1, 8), 5, F(29, 100), F(464, 25)),
+        (F(1, 16), 11, F(5, 36), F(320, 9)),
+        (F(1, 32), 32, F(17, 450), F(8704, 225)),
+        (F(1, 64), 59, F(29, 3600), F(7424, 225)),
     ]),
 ])
 def test_profile_at_depth(request, name, depth, expected):
@@ -633,11 +640,12 @@ def test_delta_components_sq_matches_oracle(data):
 
 
 @st.composite
-def box_layouts(draw):
-    """Up to 30 boxes in d = 1..3, each fresh, in an earlier box's
+def box_layouts(draw, min_dim=1):
+    """Up to 30 boxes in d = min_dim..3, each fresh, in an earlier box's
     first-coordinate range (a column, as in bedford_mcmullen) or nested
     in an earlier box.  Coordinate j's ends are k / den_j, k <= 12."""
-    dens = draw(st.lists(st.sampled_from([1, 2, 3]), min_size=1, max_size=3))
+    dens = draw(st.lists(st.sampled_from([1, 2, 3]), min_size=min_dim,
+                         max_size=3))
     boxes = []
     for _ in range(draw(st.integers(1, 30))):
         kind = draw(st.sampled_from(["fresh", "column", "nested"]))
@@ -673,6 +681,43 @@ def test_single_linkage_stepwise_matches_oracle(boxes):
         assert linkage.max_diam_sq() == max(diam_sqs)
     part = linkage.partition(delta_sq)
     assert (part.blocks, part.diam_sqs) == (blocks, diam_sqs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(box_layouts(min_dim=2), st.data())
+def test_single_linkage_invariant_under_coordinate_permutation(boxes, data):
+    # the swept axis follows the coordinates, the results must not: after
+    # every merge_to up to a drawn largest gap, the kernel on permuted
+    # coordinates has the same count, max diameter and partition
+    perm = data.draw(st.permutations(range(boxes[0].dim)))
+    permuted = [Box(tuple(b.sides[p] for p in perm)) for b in boxes]
+    gaps = sorted({_oracle_box_dist_sq(a, b) for k, a in enumerate(boxes)
+                   for b in boxes[k + 1:]}) or [F(1)]
+    top = data.draw(st.sampled_from(gaps))
+    kernels = [sponge.components._SingleLinkage(
+        sponge.components._columns(layout), top)
+        for layout in (boxes, permuted)]
+    for delta_sq in gaps[:gaps.index(top) + 1]:
+        for linkage in kernels:
+            linkage.merge_to(delta_sq)
+        a, b = kernels
+        assert (a.count, a.max_diam_sq()) == (b.count, b.max_diam_sq())
+        assert a.partition(delta_sq) == b.partition(delta_sq)
+
+
+def test_single_linkage_sweeps_the_axis_with_fewest_pairs():
+    # a grid of 3 columns of 4 maps: at depth 2 each of the 9 columns
+    # holds 16 boxes and shares its x-window, so y holds fewer pairs; the
+    # transposed layout is rows and sweeps x, as does a tie
+    grid = parse_ifs("dim 2\n" + "".join(
+        "map 1/3 %d/3 ; 1/4 %d/4\n" % (c, r) for c in range(3)
+        for r in range(4)))
+    columns = enumerate_cylinders(grid, 2)
+    rows = [Box(b.sides[::-1]) for b in columns]
+    single = [Box((Interval(F(0), F(1)), Interval(F(0), F(1))))]
+    assert [sponge.components._SingleLinkage(
+        sponge.components._columns(layout), F(1, 64)).axis
+        for layout in (columns, rows, single)] == [1, 0, 0]
 
 
 def _touching_deltas(boxes):

@@ -1,4 +1,5 @@
 import ast
+import collections
 import dataclasses
 import functools
 import importlib
@@ -169,10 +170,35 @@ def test_record_matches_frozen_dataclass(cls, data):
     ox, oy = oracle(*xs), oracle(*ys)
     assert (x == y, x != y) == (ox == oy, ox != oy)
     assert repr(x) == repr(ox)
-    # AffineMap1D hashes its integer form, which __post_init__ sets
+    # AffineMap1D, DiagonalAffineMap and Vertex cache their hash in
+    # __post_init__, switched off here
     if "__hash__" not in vars(cls):
         assert hash(x) == hash(ox)
     assert x != ox and ox != x
+
+
+def test_vertex_and_map_hash_once(lg4):
+    # both hash as their field tuple, computed at construction, so a
+    # classify never reaches Record.__hash__ for them
+    from sponge import Interval, build_labeled_tree, classify
+    for level in build_labeled_tree(lg4).levels:
+        for v in level:
+            assert hash(v) == hash((v.rank, v.projected_map))
+    for m in lg4.maps:
+        assert hash(m) == hash((m.coords,))
+    counts = collections.Counter()
+    record_hash = Record.__hash__
+
+    def counting(self):
+        counts[type(self).__name__] += 1
+        return record_hash(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Record, "__hash__", counting)
+        hash(Interval(0, 1))
+        classify(lg4)
+    assert counts["Interval"] >= 1
+    assert counts["Vertex"] == counts["DiagonalAffineMap"] == 0
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
