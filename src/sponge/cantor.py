@@ -76,9 +76,6 @@ def analyze_special_system(ifs):
     taus = []
     for j in range(1, m):
         delta = tuple(x - y for x, y in zip(a_pts[j], b_pts[j - 1]))
-        if delta[0] != 0:
-            raise CantorError("cantor: first coordinate of offset %d is "
-                              "nonzero; root fiber does not tile" % j)
         tau = 0
         for i, x in enumerate(delta, start=1):
             if x != 0:
@@ -86,15 +83,8 @@ def analyze_special_system(ifs):
                 break
         deltas.append(delta)
         taus.append(tau)
-    s_values = []
-    for tau in taus:
-        if tau == 0:
-            s_values.append(Fraction(0))
-        else:
-            s = sum(mp.coords[tau - 1].ratio for mp in maps)
-            if s >= 1:
-                raise CantorError("cantor: series base %s >= 1" % s)
-            s_values.append(s)
+    s_values = [sum(mp.coords[tau - 1].ratio for mp in maps) if tau
+                else Fraction(0) for tau in taus]
     L = 1 + sum(1 / (1 - s) for s, tau in zip(s_values, taus) if tau >= 2)
     r_star = min(mp.coords[0].ratio for mp in maps)
     sys = SpecialSystem(base, a, b, a_pts, b_pts, tuple(deltas), tuple(taus),
@@ -233,8 +223,6 @@ def lipschitz_constants(sys, constants):
         if tau >= 2:
             candidates.append(abs(sys.deltas[j - 1][tau - 1]))
     c0 = min(candidates)
-    if c0 <= 0:
-        raise CantorError("cantor: degenerate system, c0 = 0")
     L = constants.L
     Cprime = L / sys.r_star
     # C0 = max{c1, (1 + 2*c1*L(1+2C') + 2*c0*L(1+2C')) / c0} in Q(sqrt(s)),

@@ -158,17 +158,10 @@ def extract_special_subsystem(ifs, witness):
         raise ClassifyError("classify: %s" % exc)
     if not attractor_is_unit_interval(fib):
         raise ClassifyError("classify: witness fiber does not tile [0,1]")
-    sub_maps = []
-    for h in fib.labels:
-        for m in ifs.maps:
-            if m.coords[:s] == witness.projected_map and m.coords[s] == h:
-                sub_maps.append(DiagonalAffineMap(m.coords[s:]))
-                break
-        else:
-            raise ClassifyError("classify: no map extends the witness by %s" % h)
-    sub_ifs = SpongeIFS(ifs.dim - s, tuple(sub_maps))
-    if classify(sub_ifs).conformal_dim_class != EXACTLY_ONE:
-        raise ClassifyError("classify: extracted subsystem is not of the "
-                            "special form")
+    # every label of a tree fiber comes from a map extending the vertex
+    sub_maps = tuple(next(DiagonalAffineMap(m.coords[s:]) for m in ifs.maps
+                          if m.coords[:s + 1] == witness.projected_map + (h,))
+                     for h in fib.labels)
+    sub_ifs = SpongeIFS(ifs.dim - s, sub_maps)
     anchor = fixed_point(DiagonalAffineMap(witness.projected_map)) if s else ()
     return SubsystemF0(witness.projected_map, sub_ifs, anchor)

@@ -13,7 +13,7 @@ from math import isqrt, lcm
 from operator import itemgetter
 
 from .ifs import (Box, Interval, check_interval_ends, compose_labels,
-                  major_projection, validate_lg, word_maps)
+                  cylinder_box, major_projection, validate_lg, word_maps)
 from .classify import Analysis
 from .tree import ROOT, FiberIFS, TreeError, last_coordinate_fibers
 from .util import (DEFAULT_CAP, DomainError, Record, ResourceCapError,
@@ -36,10 +36,6 @@ class PointSet(Record):
         for p in self.points:
             seen.setdefault(tuple(p), None)
         object.__setattr__(self, "points", tuple(seen))
-
-
-def _point_dist_sq(p, q):
-    return sum((a - b) * (a - b) for a, b in zip(p, q))
 
 
 class ComponentPartition(Record):
@@ -356,8 +352,8 @@ def delta0_sequence_exists_sq(points, delta0_sq):
 
     A delta0-sequence from a to b exists iff a and b are single-linkage
     connected at squared threshold delta0_sq * |a - b|^2.  One
-    _SingleLinkage merges to each pair's threshold in ascending distance
-    order until a pair's ends share a block; that block holds the steps.
+    _SingleLinkage keeps every pair and merges to each one's threshold in
+    its own order until a pair's ends share a block, which holds the steps.
     """
     points = _uniform(points)
     if points and isinstance(points[0], Box):
@@ -367,17 +363,19 @@ def delta0_sequence_exists_sq(points, delta0_sq):
         raise ComponentsError("components: need at least 2 points")
     d0_sq = _positive("delta0_sq", delta0_sq)
     n = len(pts)
-    pairs = sorted((_point_dist_sq(pts[i], pts[j]), i, j)
-                   for i in range(n) for j in range(i + 1, n))
-    linkage = _SingleLinkage(_columns(pts), d0_sq * pairs[-1][0])
-    for dist_sq, a, b in pairs:
-        linkage.merge_to(d0_sq * dist_sq)
+    # the bounding box's squared diagonal keeps every pair
+    linkage = _SingleLinkage(_columns(pts),
+                             sum((max(c) - min(c)) ** 2 for c in zip(*pts)))
+    for key in linkage.keys:
+        a, b = divmod(key % (n * n), n)
+        step_sq = d0_sq * Fraction(key // (n * n), linkage.den_sq)
+        linkage.merge_to(step_sq)
         if linkage.root[a] == linkage.root[b]:
             break
     else:
         return False, None
     # breadth-first from a to b within their block, along the merged steps
-    limit = linkage._limit(d0_sq * dist_sq)
+    limit = linkage._limit(step_sq)
     block, ext = linkage.members[linkage.root[a]], linkage.ext
     prev = {a: None}
     frontier = [a]
@@ -414,6 +412,17 @@ def enumerate_cylinders(ifs, depth, cap=DEFAULT_CAP):
     return [Box(sides) for sides in zip(*_cylinder_columns(ifs, depth, cap))]
 
 
+def _walk(columns, grid):
+    """One _SingleLinkage over the columns, merged once up the distinct
+    deltas of the grid, smallest first: yields each delta and the kernel
+    merged to it."""
+    deltas = sorted(set(grid))
+    linkage = _SingleLinkage(columns, deltas[-1] ** 2) if deltas else None
+    for delta in deltas:
+        linkage.merge_to(delta * delta)
+        yield delta, linkage
+
+
 def component_diameter_profile(ifs, depth, deltas, cap=DEFAULT_CAP):
     """Per delta: component count, exact max squared diameter, and the
     squared ratio (max diam / delta)^2 over depth-n cylinder boxes."""
@@ -423,13 +432,8 @@ def component_diameter_profile(ifs, depth, deltas, cap=DEFAULT_CAP):
         raise ComponentsError("components: input is not of Lalley-Gatzouras type")
     columns = _cylinder_columns(ifs, depth, cap)
     grid = [_positive("delta", delta) for delta in deltas]
-    if not grid:
-        return []
-    # one pass over the distinct thresholds, smallest first
-    linkage = _SingleLinkage(columns, max(grid) ** 2)
     rows = {}
-    for delta in sorted(set(grid)):
-        linkage.merge_to(delta * delta)
+    for delta, linkage in _walk(columns, grid):
         mx = linkage.max_diam_sq()
         rows[delta] = {"delta": delta, "num_components": linkage.count,
                        "max_diam_sq": mx, "ratio_sq": mx / (delta * delta)}
@@ -526,41 +530,38 @@ def check_premoran_bound(family, word, delta, cap=DEFAULT_CAP):
     return MoranBoundReport(admissible, bound, max_diam, max_diam <= bound)
 
 
-def _within(objects, delta, factor):
-    """Is every delta-component of an IntervalSet or a list of points of
-    diameter <= factor * delta?"""
-    if isinstance(objects, IntervalSet):
-        return max(interval_components(objects, delta)[1]) <= factor * delta
-    part = delta_components(objects, delta)
-    return part.max_diam_sq() <= (factor * delta) ** 2
+def _first_above(columns, grid, factor):
+    """The smallest delta of the grid at which some delta-component of
+    the columns' objects is wider than factor * delta, or None."""
+    return next((delta for delta, linkage in _walk(columns, grid) if factor < 0
+                 or linkage.max_diam_sq() > (factor * delta) ** 2), None)
 
 
 def check_union_bound(sets, deltas, C):
     """Union-of-n-sets bound with constant (9C)^(2^(n-1))/9.
 
-    Verifies first that each input set satisfies diam <= C*delta for
-    every delta in the grid (PreconditionError otherwise), then checks
-    the union bound across the grid.  A set of Intervals, and their
-    union, become one IntervalSet each, whose gap list every delta reuses.
+    Checks every delta, then each input set's diam <= C*delta across the
+    grid (PreconditionError otherwise), then the union bound.  Each set
+    and their union walk one kernel up the grid (a set of Intervals is
+    one IntervalSet column).
     """
     C = exact_fraction(C)
-    deltas = [exact_fraction(delta) for delta in deltas]
+    grid = [_positive("delta", delta) for delta in deltas]
     sets = [list(s) for s in sets]
     if not sets or not all(sets):
         raise ComponentsError("components: union bound needs nonempty sets")
     n = len(sets)
-    union = [x for s in sets for x in s]
-    if isinstance(union[0], Interval):
-        sets = [IntervalSet.of(s) for s in sets]
-        union = IntervalSet.of(union)
-    for delta in deltas:
-        for k, s in enumerate(sets, start=1):
-            if not _within(s, delta, C):
-                raise PreconditionError(
-                    "components: set %d violates the C*delta bound at "
-                    "delta=%s" % (k, delta))
+    sets.append([x for s in sets for x in s])
+    interval = isinstance(sets[-1][0], Interval)
+    kernels = [[IntervalSet.of(s)] if interval else _columns(s) for s in sets]
+    for k, columns in enumerate(kernels[:-1], start=1):
+        delta = _first_above(columns, grid, C)
+        if delta is not None:
+            raise PreconditionError(
+                "components: set %d violates the C*delta bound at "
+                "delta=%s" % (k, delta))
     M = (9 * C) ** (2 ** (n - 1)) / 9
-    return all(_within(union, delta, M) for delta in deltas)
+    return _first_above(kernels[-1], grid, M) is None
 
 
 class ApproxSquare(Record):
@@ -572,22 +573,21 @@ def approx_square(ifs, word, delta):
     """The delta-approximate square along `word`: in each coordinate,
     iterate until the ratio product first drops strictly below delta."""
     delta = _positive("delta", delta)
+    word = tuple(word)
     maps = word_maps(ifs, word)
     depths, sides = [], []
     for j in range(ifs.dim):
-        labels = [mp.coords[j] for mp in maps]
         ratio = 1
-        for k, g in enumerate(labels, start=1):
-            ratio *= g.ratio
+        for k, mp in enumerate(maps, start=1):
+            ratio *= mp.coords[j].ratio
             if ratio < delta:
                 break
         else:
             raise ComponentsError(
                 "components: word too short for coordinate %d at delta=%s"
                 % (j + 1, delta))
-        den, ((lo, hi),) = compose_labels([[g] for g in labels[:k]])
         depths.append(k)
-        sides.append(Interval(Fraction(lo, den), Fraction(hi, den)))
+        sides.append(cylinder_box(ifs, word[:k]).sides[j])
     return ApproxSquare(Box(tuple(sides)), tuple(depths))
 
 

@@ -119,13 +119,10 @@ def fiber_ifs(tree, vertex):
 def last_coordinate_fibers(tree):
     """The fiber IFS' of the rank d-1 vertices, in level order: the
     last-coordinate labels of the maps."""
-    return [fiber_ifs(tree, v) for v in tree.levels[tree.dim - 1]]
+    return [tree.fibers[v] for v in tree.levels[tree.dim - 1]]
 
 
 def all_fiber_ifs(tree):
-    """Every fiber IFS, breadth-first over ranks 0..d-1."""
-    result = []
-    for level in tree.levels[:tree.dim]:
-        for vertex in level:
-            result.append(fiber_ifs(tree, vertex))
-    return result
+    """Every fiber IFS, breadth-first over ranks 0..d-1: the order in which
+    build_labeled_tree adds them."""
+    return list(tree.fibers.values())

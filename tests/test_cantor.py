@@ -138,6 +138,23 @@ def test_c0_is_the_second_term_of_its_max(lg4):
         assert quad_leq(0, 2 * sys_.dim, lip.C0_p, lip.C0_q, lip.radicand)
 
 
+def test_special_system_invariants(lg4):
+    # the first coordinates tile [0,1], so each offset a_j - b_(j-1)
+    # starts with 0 and tau_j is 0 or at least 2; a series base sums
+    # ratios below the tiling first ones, so 0 <= s < 1; and c0 > 0
+    rng = random.Random(31)
+    texts = [M2_TEXT, MIXED_TEXT, "dim 3\nmap 1/2 0 ; 1/3 0 ; 1/4 0\n"
+             "map 1/2 1/2 ; 1/3 1/3 ; 1/4 1/2\n"]
+    systems = [lg4] + [parse_ifs(text) for text in texts]
+    systems += [random_special_system(rng) for _ in range(30)]
+    for ifs in systems:
+        sys_, consts = analyze_special_system(ifs)
+        assert all(delta[0] == 0 for delta in sys_.deltas)
+        assert all(tau != 1 for tau in sys_.taus)
+        assert all(0 <= s < 1 for s in consts.s)
+        assert lipschitz_constants(sys_, consts).c0 > 0
+
+
 def test_lipschitz_constants_single_term():
     sys_, consts = analyze_special_system(parse_ifs(
         "dim 2\nmap 1/2 0 ; 1/3 0\nmap 1/2 1/2 ; 1/3 0"))

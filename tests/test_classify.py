@@ -126,6 +126,53 @@ def test_extract_subsystem_requires_witness(lg5):
         extract_special_subsystem(lg5, ROOT)
 
 
+@pytest.mark.parametrize("call, rank, match", [
+    pytest.param(line_segment_witness, 1, "witness fiber does not tile",
+                 id="segment witness that does not tile"),
+    pytest.param(extract_special_subsystem, 2, "witness rank 2 exceeds d-1",
+                 id="subsystem witness of rank d"),
+    pytest.param(extract_special_subsystem, None, "vertex not in tree",
+                 id="subsystem witness not in the tree"),
+])
+def test_witness_rejections(lg5, call, rank, match):
+    # lg5 has no tiling fiber; a rank picks one of its tree's vertices
+    witness = build_labeled_tree(lg5).levels[rank][0] if rank is not None \
+        else Vertex(1, labels(("1/7", 0)))
+    with pytest.raises(ClassifyError, match=match):
+        call(lg5, witness)
+
+
+# witness ranks 1 and 2: a segment system in d = 2, and in d = 3 a second
+# coordinate that tiles under the first and a third that tiles under both
+DEEP_WITNESS_TEXTS = [
+    "dim 2\nmap 1/2 0 ; 1/3 0\nmap 1/2 0 ; 1/3 2/3\nmap 1/2 0 ; 1/3 1/3",
+    "dim 3\nmap 1/2 0 ; 1/3 0 ; 1/4 0\nmap 1/2 0 ; 1/3 1/3 ; 1/4 1/2\n"
+    "map 1/2 0 ; 1/3 2/3 ; 1/4 1/4\n",
+    "dim 3\n" + "".join("map 1/2 0 ; 1/3 0 ; 1/4 %d/4\n" % k
+                        for k in range(4)),
+]
+
+
+def test_extracted_subsystems_are_special(lg4, bedford_mcmullen):
+    # the kept maps have distinct first coordinates whose images tile
+    # [0,1], so the subsystem at any tiling fiber passes the LG gate with
+    # a tiling root fiber and singletons below: ExactlyOne
+    rng = random.Random(37)
+    systems = [lg4, bedford_mcmullen]
+    systems += [parse_ifs(text) for text in DEEP_WITNESS_TEXTS]
+    systems += [random_special_system(rng) for _ in range(10)]
+    systems += [random_lg_system(rng, dim) for dim in (2, 3)
+                for _ in range(10)]
+    ranks = set()
+    for ifs in systems:
+        for verdict in classify(ifs).fiber_report:
+            if verdict.tiles:
+                ranks.add(verdict.owner.rank)
+                sub = extract_special_subsystem(ifs, verdict.owner)
+                assert classify(sub.sub_ifs).conformal_dim_class == EXACTLY_ONE
+    assert ranks == {0, 1, 2}
+
+
 def test_classify_invariant_under_relabeling(lg5, lg4):
     for ifs in (lg5, lg4):
         base = classify(ifs)
@@ -228,8 +275,8 @@ def test_witnesses_read_the_shared_tree(monkeypatch, lg5, lg4):
     shared = [_outcome(fn, a, w)
               for (fn, _), a, w in zip(cases, analyses, witnesses)]
     assert shared == fresh
-    # the extracted subsystem gets its own tree; the input never does again
-    assert not any(b is ifs for b in built for _, ifs in cases)
+    # no tree is built again: not for the input, nor for the subsystem
+    assert built == []
 
 
 def test_zero_class_monotone_under_subsets(lg5):

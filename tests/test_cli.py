@@ -1,5 +1,6 @@
 import contextlib
 import functools
+import hashlib
 import importlib
 import io
 import json
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -677,6 +679,32 @@ def test_json_output_matches_indented_encoder(capsys, monkeypatch, fixture,
     out = capsys.readouterr().out
     # a rejected subcommand (cantor on a non-special system) writes nothing
     assert out == "".join(map(_indent2, reports))
+
+
+def _report_hashes(fixture, subcommand, fmt):
+    """[exit code, sha256 of stdout without its timing line, sha256 of
+    stderr] of one run with the options above."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([subcommand, str(FIXTURES / (fixture + ".ifs")),
+                     "--format", fmt] + _SUBCOMMANDS[subcommand])
+    text = "".join(line for line in out.getvalue().splitlines(True)
+                   if not line.startswith('  "timing": '))
+    return [code] + [hashlib.sha256(s.encode()).hexdigest()
+                     for s in (text, err.getvalue())]
+
+
+# every fixture x subcommand x format, recorded at f856e62: a report, an
+# exit code or a diagnostic changes only on purpose
+GOLDEN_REPORTS = Path(__file__).resolve().parent / "golden_reports.json"
+
+
+def test_every_report_matches_its_recorded_hashes():
+    golden = json.loads(GOLDEN_REPORTS.read_text())
+    assert len(golden) == 3 * len(_SUBCOMMANDS) * 3
+    changed = [key for key, hashes in sorted(golden.items())
+               if _report_hashes(*key.split()) != hashes]
+    assert changed == []
 
 
 _json_values = st.recursive(

@@ -317,6 +317,7 @@ def test_union_bound_single_set_collapses():
 
 def test_union_bound_two_singletons():
     assert check_union_bound([[(F(0),)], [(F(1),)]], [F("1/2")], F(1))
+    assert check_union_bound([[(F(0),)], [(F(1),)]], [], F(1))
 
 
 def test_union_bound_rejects_empty_input():
@@ -329,6 +330,14 @@ def test_union_bound_precondition_failure():
     pts = [(F(0),), (F("1/2"),), (F(1),)]
     with pytest.raises(PreconditionError):
         check_union_bound([pts], [F("1/2")], F("1/10"))
+    # every delta is checked before any set is walked: a delta of 0 is
+    # the error even after a delta at which the precondition fails
+    with pytest.raises(ComponentsError, match="delta must be positive, got 0"):
+        check_union_bound([pts], [F("1/2"), F(0)], F("1/10"))
+    # no diameter is at most a negative C*delta, not even a point's 0
+    for objects in ([(F(0),)], [Interval(F(0), F(0))]):
+        with pytest.raises(PreconditionError, match="set 1 violates"):
+            check_union_bound([objects], [F("1/2")], F(-1))
 
 
 def test_approx_square_lg5(lg5):
@@ -336,6 +345,8 @@ def test_approx_square_lg5(lg5):
     assert sq.depths == (3, 2)
     assert [(s.lo, s.hi) for s in sq.box.sides] == \
         [(F(0), F("1/27")), (F(0), F("1/36"))]
+    # a word may be any iterable, read once
+    assert approx_square(lg5, iter((1,) * 6), F("1/10")) == sq
 
 
 def test_approx_square_lg4(lg4):
@@ -668,7 +679,8 @@ def box_layouts(draw, min_dim=1):
 @given(box_layouts())
 def test_single_linkage_stepwise_matches_oracle(boxes):
     # every distinct gap in ascending order, so each union of the kernel,
-    # pruned or not, is checked against the oracle's max diameter
+    # pruned or not, is checked against the oracle's max diameter, and
+    # every partition on the way, with all its blocks
     gaps = sorted({_oracle_box_dist_sq(a, b) for k, a in enumerate(boxes)
                    for b in boxes[k + 1:]})
     top = gaps[-1] if gaps else F(1)
@@ -679,8 +691,8 @@ def test_single_linkage_stepwise_matches_oracle(boxes):
         blocks, diam_sqs = _oracle_components_sq(boxes, delta_sq)
         assert linkage.count == len(blocks)
         assert linkage.max_diam_sq() == max(diam_sqs)
-    part = linkage.partition(delta_sq)
-    assert (part.blocks, part.diam_sqs) == (blocks, diam_sqs)
+        part = linkage.partition(delta_sq)
+        assert (part.blocks, part.diam_sqs) == (blocks, diam_sqs)
 
 
 @settings(max_examples=40, deadline=None)
@@ -944,6 +956,13 @@ def test_pre_moran_intervals_read_as_a_tuple():
     assert ivs != list(expected) and ivs != expected[:3]
     assert hash(ivs) == hash(expected)
     assert expected[2] in ivs and ivs.index(expected[2]) == 2
+    # against another IntervalSet, over its own denominator or another
+    doubled = IntervalSet(2 * ivs.den,
+                          [(2 * lo, 2 * hi) for lo, hi in ivs.ends])
+    assert ivs == IntervalSet.of(expected) and ivs == doubled
+    assert ivs != IntervalSet.of(expected[:3])
+    assert repr(IntervalSet(4, [(0, 1), (2, 4)])) == \
+        "IntervalSet(4, ((0, 1), (2, 4)))"
 
 
 def test_pre_moran_components_build_no_intervals(monkeypatch):
@@ -1007,6 +1026,61 @@ def test_union_bound_scales_each_set_once(monkeypatch):
     C = 2 / (fam.g_star * fam.alpha_star) + 1
     assert check_union_bound([ivs, shifted], grid, C)
     assert len(calls) == 3
+
+
+def _oracle_union_bound(sets, grid, C):
+    """None when some set has a delta-component wider than C * delta at a
+    delta of the grid; otherwise whether no delta-component of the union
+    is wider than (9C)^(2^(n-1))/9 * delta.  Widths are compared squared."""
+    def widest_sq(objects, delta):
+        if isinstance(objects[0], Interval):
+            return max(_oracle_interval_components(objects, delta)[1]) ** 2
+        return max(_oracle_components_sq(objects, delta * delta)[1])
+
+    if any(widest_sq(s, d) > (C * d) ** 2 for s in sets for d in grid):
+        return None
+    M = (9 * C) ** (2 ** (len(sets) - 1)) / 9
+    union = [x for s in sets for x in s]
+    return all(widest_sq(union, d) <= (M * d) ** 2 for d in grid)
+
+
+@st.composite
+def union_bound_inputs(draw):
+    """One to three sets, of Intervals or of points in one of d = 1..3, or
+    n interleaved point sets on a line (set k holds (n*i + k)/4, so its
+    points are n/4 apart and the union's 1/4); a grid with repeats, out
+    of order; and a positive C, half the time below 1 (below 1/9 the
+    union's constant (9C)^(2^(n-1))/9 is below C itself)."""
+    kind = draw(st.sampled_from(["intervals", "points", "interleaved"]))
+    if kind == "intervals":
+        sets = draw(st.lists(interval_sets(), min_size=1, max_size=3))
+    elif kind == "points":
+        point = st.tuples(*[rationals] * draw(st.integers(1, 3)))
+        sets = draw(st.lists(st.lists(point, min_size=1, max_size=5),
+                             min_size=1, max_size=3))
+    else:
+        n = draw(st.integers(2, 3))
+        sets = [[(F(n * i + k, 4),) for i in range(draw(st.integers(1, 4)))]
+                for k in range(n)]
+    delta = st.builds(Fraction, st.integers(1, 24), st.integers(1, 12))
+    grid = draw(st.lists(delta, min_size=1, max_size=4))
+    repeats = draw(st.lists(st.sampled_from(grid), max_size=2))
+    grid = draw(st.permutations(grid + repeats))
+    C = draw(st.builds(Fraction, st.integers(1, 8), st.integers(9, 72))
+             | st.builds(Fraction, st.integers(1, 400), st.integers(1, 8)))
+    return sets, grid, C
+
+
+@settings(max_examples=150)
+@given(union_bound_inputs())
+def test_union_bound_matches_oracle(inputs):
+    sets, grid, C = inputs
+    expected = _oracle_union_bound(sets, grid, C)
+    if expected is None:
+        with pytest.raises(PreconditionError):
+            check_union_bound(sets, grid, C)
+    else:
+        assert check_union_bound(sets, grid, C) == expected
 
 
 def test_pre_moran_sets_scale_no_family_again(monkeypatch, lg5):

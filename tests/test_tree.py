@@ -130,6 +130,11 @@ def test_vertex_not_in_tree_rejected(lg5):
         fiber_ifs(tree, Vertex(1, (AffineMap1D(F("1/7"), F(0)),)))
 
 
+def test_vertex_rank_must_match_its_maps():
+    with pytest.raises(TreeError, match="rank/coefficient mismatch"):
+        Vertex(1, ())
+
+
 # Oracles: the constructions the labeled tree and FiberIFS.gaps replaced.
 
 def _oracle_children(ifs):

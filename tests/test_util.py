@@ -76,12 +76,16 @@ def test_decimal_str():
 def test_sqrt_decimal_str():
     assert sqrt_decimal_str(Fraction(4), 3) == "2"
     assert sqrt_decimal_str(Fraction(2), 5) == "1.4142"
+    with pytest.raises(ValueError, match="negative radicand"):
+        sqrt_decimal_str(Fraction(-1, 4))
 
 
 def test_sqrt_bracket():
     lo, hi = sqrt_bracket(Fraction(2), 10)
     assert lo * lo <= 2 <= hi * hi
     assert hi - lo <= Fraction(1, 10 ** 9)
+    with pytest.raises(ValueError, match="negative radicand"):
+        sqrt_bracket(Fraction(-1, 4))
 
 
 def test_sqrt_leq_quad():
@@ -89,6 +93,12 @@ def test_sqrt_leq_quad():
     assert sqrt_leq_quad(Fraction(2), Fraction(1), Fraction(1), Fraction(2))
     assert sqrt_leq_quad(Fraction(8), Fraction(0), Fraction(2), Fraction(2))
     assert not sqrt_leq_quad(Fraction(9), Fraction(0), Fraction(2), Fraction(2))
+    # each argument in turn negative
+    for k in range(4):
+        args = [Fraction(1)] * 4
+        args[k] = Fraction(-1, 3)
+        with pytest.raises(ValueError, match="nonnegative arguments"):
+            sqrt_leq_quad(*args)
 
 
 def test_quad_leq():
@@ -97,6 +107,14 @@ def test_quad_leq():
                     Fraction(2))
     assert not quad_leq(Fraction(2), Fraction(2), Fraction(3), Fraction(1),
                         Fraction(2))
+    # mixed signs, each way round: 2 <= 2 sqrt(2) but not 2 <= sqrt(2);
+    # sqrt(2) > 1 but sqrt(1/4) <= 1
+    s = Fraction(2)
+    assert quad_leq(Fraction(2), Fraction(0), Fraction(0), Fraction(2), s)
+    assert not quad_leq(Fraction(2), Fraction(0), Fraction(0), Fraction(1), s)
+    assert not quad_leq(Fraction(0), Fraction(1), Fraction(1), Fraction(0), s)
+    assert quad_leq(Fraction(0), Fraction(1), Fraction(1), Fraction(0),
+                    Fraction(1, 4))
 
 
 def test_capped_power():
