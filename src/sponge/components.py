@@ -10,10 +10,11 @@ from collections.abc import Sequence
 from fractions import Fraction
 from itertools import accumulate, product
 from math import isqrt, lcm
-from operator import itemgetter
+from operator import itemgetter, sub
 
 from .ifs import (Box, Interval, check_interval_ends, compose_labels,
-                  cylinder_box, major_projection, validate_lg, word_maps)
+                  compose_scaled, cylinder_box, major_projection,
+                  scale_labels, validate_lg, word_maps)
 from .classify import Analysis
 from .tree import ROOT, FiberIFS, TreeError, last_coordinate_fibers
 from .util import (DEFAULT_CAP, DomainError, Record, ResourceCapError,
@@ -54,7 +55,8 @@ class ComponentPartition(Record):
 def _positive(name, value):
     """An exact threshold (util.exact_fraction) that must be > 0."""
     value = exact_fraction(value)
-    if value <= 0:
+    # a Fraction's denominator is positive
+    if value.numerator <= 0:
         raise ComponentsError("components: %s must be positive, got %s"
                               % (name, value))
     return value
@@ -232,9 +234,10 @@ class IntervalSet(Sequence):
     denominator, in the order given: interval k is ends[k] / den.
 
     It reads as a tuple of Intervals (len, indexing, iteration, equality
-    with a tuple) and builds an Interval only when one is read.  Its
-    sorted gap list is built on first use and kept as long as the set,
-    so interval_components answers every delta from one sort.
+    with a tuple) and builds an Interval only when one is read.  Its gap
+    list, with the gaps sorted, is built on first use and kept as long
+    as the set, so interval_components answers every delta from one sort
+    of the intervals and one of their gaps.
     """
 
     __slots__ = ("den", "ends", "_gaps")
@@ -286,21 +289,26 @@ class IntervalSet(Sequence):
         return "IntervalSet(%d, %r)" % (self.den, self.ends)
 
     def gap_list(self):
-        """(order, starts, reach, gaps): the indices in order of left end,
-        their left ends, the running maximum of their right ends, and
-        gaps[k - 1] = starts[k] - reach[k - 1]; the order is a range when
-        the set is already in left-end order."""
+        """(order, starts, reach, by_gap, gaps): the indices in order of
+        left end, their left ends, the running maximum of their right
+        ends, the positions k >= 1 of that order sorted by the gap
+        starts[k] - reach[k - 1] before them, and those gaps in the same,
+        ascending, order.  The order is a range when the set is already
+        in left-end order."""
         if self._gaps is None:
-            ends = self.ends
-            los = [lo for lo, _ in ends]
-            if all(a <= b for a, b in zip(los, los[1:])):
-                order = range(len(ends))
+            los, his = zip(*self.ends) if self.ends else ((), ())
+            starts = sorted(los)
+            if starts == list(los):
+                order = range(len(los))
             else:
-                order = sorted(range(len(ends)), key=los.__getitem__)
-            starts = [ends[k][0] for k in order]
-            reach = list(accumulate((ends[k][1] for k in order), max))
-            gaps = [s - r for s, r in zip(starts[1:], reach)]
-            self._gaps = order, starts, reach, gaps
+                order = sorted(range(len(los)), key=los.__getitem__)
+                his = map(his.__getitem__, order)
+            reach = list(accumulate(his, max))
+            # gap[k] is the gap before position k; gap[0] is never read
+            gap = [0, *map(sub, starts[1:], reach)]
+            by_gap = sorted(range(1, len(los)), key=gap.__getitem__)
+            self._gaps = (order, starts, reach, by_gap,
+                          list(map(gap.__getitem__, by_gap)))
         return self._gaps
 
 
@@ -317,8 +325,9 @@ def interval_components(intervals, delta):
     running maximum right end; delta cuts that order where an interval
     starts more than delta past it.  Every block is a run, and its
     diameter is its last running maximum minus its first left end: the
-    blocks before it end strictly to its left.  An IntervalSet keeps its
-    gap list, so a further delta costs one comparison per gap.
+    blocks before it end strictly to its left.  An IntervalSet sorts its
+    gaps at first use and keeps them, so a further delta costs one
+    bisection plus O(runs) for the runs it cuts.
     """
     delta = _positive("delta", delta)
     intervals = IntervalSet.of(intervals)
@@ -326,16 +335,17 @@ def interval_components(intervals, delta):
     if not n:
         return (), ()
     den = intervals.den
-    order, starts, reach, gaps = intervals.gap_list()
+    order, starts, reach, by_gap, gaps = intervals.gap_list()
     # an integer gap exceeds delta * den iff it exceeds its floor
     limit = delta.numerator * den // delta.denominator
-    cuts = [k for k, gap in enumerate(gaps, start=1) if gap > limit]
-    runs = list(zip([0] + cuts, cuts + [n]))
-    diams = [Fraction(reach[b - 1] - starts[a], den) for a, b in runs]
+    cuts = sorted(by_gap[bisect_right(gaps, limit):])
+    firsts, stops = [0, *cuts], [*cuts, n]
+    diams = [Fraction(reach[b - 1] - starts[a], den)
+             for a, b in zip(firsts, stops)]
     if isinstance(order, range):  # left-end order is the input order
-        return tuple(tuple(range(a, b)) for a, b in runs), tuple(diams)
+        return tuple(map(tuple, map(range, firsts, stops))), tuple(diams)
     pairs = sorted((tuple(sorted(order[a:b])), diam)
-                   for (a, b), diam in zip(runs, diams))
+                   for a, b, diam in zip(firsts, stops, diams))
     return tuple(b for b, _ in pairs), tuple(d for _, d in pairs)
 
 
@@ -443,9 +453,11 @@ def component_diameter_profile(ifs, depth, deltas, cap=DEFAULT_CAP):
 class SimpleIFSFamily:
     """Family F_1..F_p of simple IFS' of [0,1], none with attractor [0,1].
 
-    Members are FiberIFS' or label tuples; a member that is empty, not a
-    simple IFS of [0,1] or tiles [0,1] is a PreconditionError.  Carries the
-    derived constants used by the pre-Moran component bound.
+    Members are FiberIFS' or label tuples, kept as given; a member that is
+    empty, not a simple IFS of [0,1] or tiles [0,1] is a
+    PreconditionError.  Carries the derived constants used by the
+    pre-Moran component bound, and each member scaled once (scale_labels)
+    with its steps in offset order, for pre_moran_intervals.
     """
 
     def __init__(self, members):
@@ -469,6 +481,10 @@ class SimpleIFSFamily:
             if g == 0:
                 raise PreconditionError(
                     "components: family member %d has attractor [0,1]" % j)
+        # images of one member never overlap and ratios are positive, so
+        # composing offset-ordered steps lists intervals by left end
+        self.scaled = tuple((scale, tuple(sorted(steps, key=itemgetter(1))))
+                            for scale, steps in map(scale_labels, norm))
         self.alpha_star = min(self.alphas)
         self.beta_star = max(self.betas)
         self.L_star = max(self.measures)
@@ -487,7 +503,8 @@ class PreMoranSet(Record):
 
 
 def pre_moran_intervals(family, word, cap=DEFAULT_CAP):
-    """Basic intervals of F_{i_1} o ... o F_{i_k}([0,1]), sorted."""
+    """Basic intervals of F_{i_1} o ... o F_{i_k}([0,1]), sorted: the
+    members' offset-ordered steps composed in that order need no sort."""
     word = tuple(word)
     if not word:
         raise ComponentsError("components: pre-Moran word must be nonempty")
@@ -499,9 +516,7 @@ def pre_moran_intervals(family, word, cap=DEFAULT_CAP):
         count *= family.counts[i - 1]
         if max(count, k) > cap:
             raise ResourceCapError("components", max(count, k), cap)
-    den, ends = compose_labels([family.members[i - 1] for i in word])
-    # one denominator, so the integer order is the order of the values
-    ends.sort(key=itemgetter(0))
+    den, ends = compose_scaled(family.scaled[i - 1] for i in reversed(word))
     return PreMoranSet(family, word, IntervalSet(den, ends))
 
 
@@ -547,7 +562,7 @@ def check_union_bound(sets, deltas, C):
     """
     C = exact_fraction(C)
     grid = [_positive("delta", delta) for delta in deltas]
-    sets = [list(s) for s in sets]
+    sets = [list(s.points if isinstance(s, PointSet) else s) for s in sets]
     if not sets or not all(sets):
         raise ComponentsError("components: union bound needs nonempty sets")
     n = len(sets)

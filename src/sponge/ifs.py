@@ -293,26 +293,37 @@ def cylinder_box(ifs, word):
     return Box(tuple(sides))
 
 
+def scale_labels(labels):
+    """(scale, steps): a label set over the lcm of its labels' q, each
+    label g as its integer step (r, o), g = (r, o) / scale, in order."""
+    forms = [g.ints for g in labels]
+    scale = lcm(*[q for _, _, q in forms])
+    return scale, [(r * (scale // q), o * (scale // q)) for r, o, q in forms]
+
+
+def compose_scaled(levels):
+    """compose_labels over scale_labels results, innermost level first."""
+    den, ends = 1, [(0, 1)]
+    for scale, steps in levels:
+        # g(x / den) = (r * x + o * den) / (scale * den)
+        ends = [(r * lo + od, r * hi + od)
+                for r, o in steps for od in [o * den] for lo, hi in ends]
+        den *= scale
+    return den, ends
+
+
 def compose_labels(label_sets):
     """(den, ends): the images of [0,1] under every composition
     g_1 o ... o g_k with g_j drawn from label_sets[j], lexicographic in
     (g_1, ..., g_k), as integer (lo, hi) pairs over den; no label sets
     give [0,1].
 
-    Each level extends the previous level's ends over one running
-    denominator, so every word costs two integer multiply-adds.  A label
-    set is scaled from its labels' integer forms to the lcm of their q.
+    Each label set is scaled from its labels' integer forms once
+    (scale_labels); each level then extends the previous level's ends
+    over one running denominator, so every word costs two integer
+    multiply-adds (compose_scaled).
     """
-    den, ends = 1, [(0, 1)]
-    for labels in reversed(label_sets):
-        forms = [g.ints for g in labels]
-        scale = lcm(*(q for _, _, q in forms))
-        # g(x / den) = (r * x + o * den) / (scale * den), g = (r, o) / scale
-        steps = [(r * (scale // q), o * (scale // q) * den)
-                 for r, o, q in forms]
-        ends = [(r * lo + o, r * hi + o) for r, o in steps for lo, hi in ends]
-        den *= scale
-    return den, ends
+    return compose_scaled(map(scale_labels, reversed(label_sets)))
 
 
 def fixed_point(diag_map):

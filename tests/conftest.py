@@ -85,9 +85,8 @@ def random_simple_labels(rng, max_maps=4, max_den=24, tiling=None):
 
 
 def random_lg_system(rng, dim=2, max_maps=4, max_den=12):
-    """A random Lalley-Gatzouras system of dimension >= 2 (not
-    necessarily UD)."""
-    assert dim >= 2
+    """A random Lalley-Gatzouras system (not necessarily UD); at dim 1,
+    a random simple IFS of [0,1]."""
     first = random_simple_labels(rng, max_maps=max_maps, max_den=max_den)
     maps = []
     for g in first:

@@ -340,6 +340,25 @@ def test_union_bound_precondition_failure():
             check_union_bound([objects], [F("1/2")], F(-1))
 
 
+@pytest.mark.parametrize("grid, C, verdict", [
+    ([F(1, 4)], F(1), True),
+    ([F(1, 4)], F(1, 9), False),
+    ([F(1, 2)], F(1, 9), None),  # set 1's points 1/2 apart join
+])
+def test_union_bound_takes_point_sets(grid, C, verdict):
+    # a PointSet reads as its points, as in delta_components: each form
+    # of the sets gives the list form's verdict
+    sets = [[(F(k, 2),) for k in range(3)], [(F(1, 4),), (F(3, 4),)]]
+    forms = (sets, [PointSet(tuple(s)) for s in sets],
+             [PointSet(tuple(sets[0])), sets[1]])
+    for form in forms:
+        if verdict is None:
+            with pytest.raises(PreconditionError, match="set 1 violates"):
+                check_union_bound(form, grid, C)
+        else:
+            assert check_union_bound(form, grid, C) is verdict
+
+
 def test_approx_square_lg5(lg5):
     sq = approx_square(lg5, (1,) * 6, F("1/10"))
     assert sq.depths == (3, 2)
@@ -561,39 +580,38 @@ def _oracle_box_far_sq(a, b):
                 for s, t in zip(a.sides, b.sides)), Fraction(0))
 
 
-def _oracle_components_sq(objects, delta_sq):
-    """(blocks, diam_sqs) of the closure of dist^2 <= delta_sq."""
+def _oracle_matrices(objects):
+    """(dist_sq, far_sq): every pair's squared distance and squared max
+    distance, as n x n Fraction matrices; a point is 0 from itself, and
+    a box is its own diameter far from itself."""
     if isinstance(objects, PointSet):
         objects = objects.points
     objects = list(objects)
     if isinstance(objects[0], Box):
-        dist_sq = lambda i, j: _oracle_box_dist_sq(objects[i], objects[j])
-        far_sq = lambda i, j: _oracle_box_far_sq(objects[i], objects[j])
-    else:
-        pts = [tuple(p) for p in objects]
-        dist_sq = lambda i, j: _oracle_point_dist_sq(pts[i], pts[j])
-        far_sq = dist_sq
-    n = len(objects)
+        return ([[_oracle_box_dist_sq(a, b) for b in objects] for a in objects],
+                [[_oracle_box_far_sq(a, b) for b in objects] for a in objects])
+    pts = [tuple(p) for p in objects]
+    dist_sq = [[_oracle_point_dist_sq(p, q) for q in pts] for p in pts]
+    return dist_sq, dist_sq
+
+
+def _oracle_components_sq(objects, delta_sq, matrices=None):
+    """(blocks, diam_sqs) of the closure of dist^2 <= delta_sq; `matrices`
+    is the objects' _oracle_matrices, computed here when not given."""
+    dist_sq, far_sq = matrices or _oracle_matrices(objects)
+    n = len(dist_sq)
     uf = _OracleUnionFind(n)
     for i in range(n):
         for j in range(i + 1, n):
-            if dist_sq(i, j) <= delta_sq:
+            if dist_sq[i][j] <= delta_sq:
                 uf.union(i, j)
     groups = {}
     for i in range(n):
         groups.setdefault(uf.find(i), []).append(i)
     blocks = sorted(groups.values(), key=lambda b: b[0])
-    diam_sqs = []
-    for block in blocks:
-        diam = Fraction(0)
-        if isinstance(objects[0], Box):
-            # a single box has the diameter of its own extent
-            diam = max(far_sq(i, j) for i in block for j in block if i <= j)
-        elif len(block) > 1:
-            diam = max(far_sq(i, j)
-                       for a, i in enumerate(block) for j in block[a + 1:])
-        diam_sqs.append(diam)
-    return tuple(tuple(b) for b in blocks), tuple(diam_sqs)
+    return tuple(tuple(b) for b in blocks), tuple(
+        max(far_sq[i][j] for a, i in enumerate(block) for j in block[a:])
+        for block in blocks)
 
 
 def _oracle_gaps(objects):
@@ -680,15 +698,16 @@ def box_layouts(draw, min_dim=1):
 def test_single_linkage_stepwise_matches_oracle(boxes):
     # every distinct gap in ascending order, so each union of the kernel,
     # pruned or not, is checked against the oracle's max diameter, and
-    # every partition on the way, with all its blocks
-    gaps = sorted({_oracle_box_dist_sq(a, b) for k, a in enumerate(boxes)
-                   for b in boxes[k + 1:]})
+    # every partition on the way, with all its blocks; the oracle's
+    # distances are computed once and answer every gap
+    matrices = _oracle_matrices(boxes)
+    gaps = sorted({d for k, row in enumerate(matrices[0]) for d in row[k + 1:]})
     top = gaps[-1] if gaps else F(1)
     linkage = sponge.components._SingleLinkage(
         sponge.components._columns(boxes), top)
     for delta_sq in gaps or [top]:
         linkage.merge_to(delta_sq)
-        blocks, diam_sqs = _oracle_components_sq(boxes, delta_sq)
+        blocks, diam_sqs = _oracle_components_sq(boxes, delta_sq, matrices)
         assert linkage.count == len(blocks)
         assert linkage.max_diam_sq() == max(diam_sqs)
         part = linkage.partition(delta_sq)
@@ -883,6 +902,7 @@ def test_interval_components_match_generic(data):
 
 def test_interval_components_empty_and_nonpositive_delta():
     assert interval_components([], F(1, 8)) == ((), ())
+    assert IntervalSet(1, []).gap_list() == (range(0), [], [], [], [])
     for delta in (F(0), F(-1, 8)):
         with pytest.raises(ComponentsError):
             interval_components([Interval(F(0), F(1))], delta)
@@ -903,11 +923,32 @@ def test_pre_moran_intervals_match_fraction_oracle(seed, length):
     rng = random.Random(seed)
     members = [random_simple_labels(rng, max_maps=3, tiling=False)
                for _ in range(rng.randint(1, 3))]
-    # labels in any order, so that the composed intervals need sorting
+    # labels in any order: the family puts each member's steps in offset
+    # order, so the composed intervals come out sorted
     fam = SimpleIFSFamily([rng.sample(m, len(m)) for m in members])
     word = tuple(rng.randint(1, fam.size) for _ in range(length))
     assert list(pre_moran_intervals(fam, word).intervals) == \
         _oracle_pre_moran_intervals(fam, word)
+
+
+def test_pre_moran_touching_images_given_right_to_left():
+    # images that touch leave gaps of 0; labels come right to left, and a
+    # one-label member composes too: the family's offset-ordered steps
+    # still list each word's intervals by strictly increasing left end
+    fam = SimpleIFSFamily([labels(("1/4", "1/4"), ("1/4", 0)),
+                           labels(("1/3", "2/3"), ("1/6", "1/2"),
+                                  ("1/6", "1/3")),
+                           labels(("2/5", "3/5"))])
+    for word in itertools.chain.from_iterable(
+            itertools.product(range(1, 4), repeat=n) for n in range(1, 5)):
+        iset = pre_moran_intervals(fam, word).intervals
+        los = [lo for lo, _ in iset.ends]
+        assert all(a < b for a, b in zip(los, los[1:]))
+        assert isinstance(iset.gap_list()[0], range)
+        assert list(iset) == _oracle_pre_moran_intervals(fam, word)
+        for delta in (F(1, 1000), F(1, 10)):
+            assert interval_components(iset, delta) == \
+                _oracle_interval_components(list(iset), delta)
 
 
 def test_pre_moran_cap_counts_word_length():
@@ -931,6 +972,45 @@ def test_one_interval_set_answers_a_shuffled_grid(data):
     for delta in grid:
         assert interval_components(iset, delta) == \
             _oracle_interval_components(ivs, delta)
+
+
+@st.composite
+def tied_gap_sets(draw):
+    """Intervals over den 6, each starting 0, 1 or 2 sixths after the one
+    before it ends, so gaps repeat; in left-end order or shuffled."""
+    ivs, hi = [], 0
+    for _ in range(draw(st.integers(1, 12))):
+        lo = hi + draw(st.sampled_from([0, 1, 1, 2]))
+        hi = lo + draw(st.integers(0, 2))
+        ivs.append(Interval(F(lo, 6), F(hi, 6)))
+    return draw(st.permutations(ivs)) if draw(st.booleans()) else ivs
+
+
+@given(tied_gap_sets())
+def test_tied_gaps_up_and_down_one_grid(ivs):
+    # 1/6 and 1/3 are gaps, so they must not cut there; one set answers
+    # the grid ascending, then descending
+    grid = [F(k, 12) for k in range(1, 6)]
+    iset = IntervalSet.of(ivs)
+    for delta in grid + grid[::-1]:
+        assert interval_components(iset, delta) == \
+            _oracle_interval_components(ivs, delta)
+
+
+@pytest.mark.parametrize("delta, blocks", [
+    (F(1, 5), ((0,), (1,), (2,))),
+    (F(1, 4), ((0, 1), (2,))),     # delta is the first gap
+    (F(3, 7), ((0, 1), (2,))),     # delta * 4 = 12/7: its floor, 1, decides
+    (F(1, 2), ((0, 1, 2),)),       # delta is the second gap
+    (F(5, 9), ((0, 1, 2),)),
+])
+def test_interval_components_cut_only_above_delta(delta, blocks):
+    # gaps of 1/4 and 1/2 over den 4: a gap equal to delta joins, and the
+    # floor of delta * den (never its ceiling) is compared with the gaps
+    iset = IntervalSet(4, [(0, 1), (2, 3), (5, 6)])
+    assert interval_components(iset, delta)[0] == blocks
+    assert interval_components(iset, delta) == \
+        _oracle_interval_components(list(iset), delta)
 
 
 def test_interval_set_rejects_reversed_ends():

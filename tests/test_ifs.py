@@ -130,6 +130,12 @@ def test_roundtrip_random():
         assert parse_ifs(serialize_ifs(ifs)) == ifs
 
 
+@given(st.integers(0, 10 ** 6), st.integers(1, 3))
+def test_roundtrip_property(seed, dim):
+    ifs = random_lg_system(random.Random(seed), dim=dim)
+    assert parse_ifs(serialize_ifs(ifs)) == ifs
+
+
 def test_cylinder_composition(lg5, lg4):
     rng = random.Random(7)
     for ifs in (lg5, lg4):
