@@ -257,15 +257,17 @@ def bilipschitz_check(sys, constants, depth, cap=DEFAULT_CAP, tree=None):
     trailing (m-1)s on the b side.
 
     The extreme ratios come from a dual-tree branch and bound over pairs of
-    word-tree nodes (alpha, beta).  Every point below alpha lies in the
-    cylinder box of alpha and every endpoint in J_alpha, so the ratios
-    below a node pair lie in [gapJ^2 / far^2, farJ^2 / gap^2], from the
-    nearest and farthest points of the two boxes and of the two intervals.
-    A node pair whose boxes are disjoint and whose range lies inside the
-    current [min, max] is dropped; otherwise its shallower node is split.
-    A dropped pair holds no x = y, so `pairs` and `skipped` still count
-    word pairs over the whole family.  A `tree` for the same system shares
-    its laid-out rows.
+    word-tree nodes (alpha, beta), one tree per side, built from its
+    leaves up: only the depth-n sides and row n of the Cantor tree are
+    composed, and a node takes the extent of its leaves' points and the
+    range of their endpoints, which lie in the cylinder box of alpha and
+    in J_alpha.  So the ratios below a node pair lie in [gapJ^2 / far^2,
+    farJ^2 / gap^2], from the nearest and farthest points of the two boxes
+    and of the two intervals.  A node pair whose boxes are disjoint and
+    whose range lies inside the current [min, max] is dropped; otherwise
+    its shallower node is split.  A dropped pair holds no x = y, so
+    `pairs` and `skipped` still count word pairs over the whole family.
+    A `tree` for the same system shares its laid-out rows.
     """
     lip = lipschitz_constants(sys, constants)
     if tree is None:
@@ -282,28 +284,28 @@ def bilipschitz_check(sys, constants, depth, cap=DEFAULT_CAP, tree=None):
     # the lcm of the depth-n side denominators, and every end of a tree row
     # over the leaves' row denominator D_n
     P, ab = common_denominator(sys.a + sys.b)
-    sides = [[compose_labels([[mp.coords[j] for mp in sys.base.maps]] * k)
-              for k in range(n + 1)] for j in range(d)]
-    M = lcm(*(levels[-1][0] for levels in sides)) * P
-    # a node of level k < n is (box los, box his, J_w); a leaf is (point,
-    # point, (endpoint, endpoint)) on its side
+    sides = [compose_labels([[mp.coords[j] for mp in sys.base.maps]] * n)
+             for j in range(d)]
+    top = lcm(*(den for den, _ in sides))
+    M = top * P
+    J = tree.row(n)
+    # per side, level k lists its nodes (box los, box his, interval): a
+    # leaf is (point, point, (endpoint, endpoint)), a node the extents of
+    # its m children's
     a_side, b_side = [], []
-    for k in range(n + 1):
-        up = tree.Q ** (n - k)
-        J = [(lo * up, hi * up) for lo, hi in tree.row(k)]
-        cols = [[(lo * (M // den), hi * (M // den)) for lo, hi in ends]
-                for den, ends in (levels[k] for levels in sides)]
-        if k < n:
-            los = zip(*([lo for lo, _ in col] for col in cols))
-            his = zip(*([hi for _, hi in col] for col in cols))
-            a_side.append(list(zip(los, his, J)))
-            b_side.append(a_side[-1])
-            continue
-        for side, p, e in ((a_side, ab[:d], 0), (b_side, ab[d:], 1)):
-            # hi - lo is a multiple of M // den, itself a multiple of P
-            pts = zip(*([lo + (hi - lo) // P * pj for lo, hi in col]
-                        for col, pj in zip(cols, p)))
-            side.append([(x, x, (iv[e],) * 2) for x, iv in zip(pts, J)])
+    for side, p, e in ((a_side, ab[:d], 0), (b_side, ab[d:], 1)):
+        pts = zip(*([(lo * P + (hi - lo) * pj) * (top // den)
+                     for lo, hi in ends] for (den, ends), pj in zip(sides, p)))
+        level = [(x, x, (iv[e],) * 2) for x, iv in zip(pts, J)]
+        side.append(level)
+        for _ in range(n):
+            level = [(tuple(map(min, *(c[0] for c in kids))),
+                      tuple(map(max, *(c[1] for c in kids))),
+                      (min(c[2][0] for c in kids), max(c[2][1] for c in kids)))
+                     for kids in (level[i:i + m]
+                                  for i in range(0, len(level), m))]
+            side.append(level)
+        side.reverse()
     # a leaf stands for 1 + its trailing 0s (a side), (m-1)s (b side) words
     weights = []
     for digit in (0, m - 1):

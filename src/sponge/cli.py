@@ -15,6 +15,7 @@ import json
 import re
 import sys
 import time
+from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from . import __version__
@@ -257,13 +258,29 @@ _CSV_COLUMNS = {
 _FLOAT_CONSTANTS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
+def _json_float(value):
+    text = float.__repr__(value)
+    return _FLOAT_CONSTANTS.get(text, text)
+
+
+_JSON_SCALARS = {
+    str: encode_basestring_ascii, int: int.__repr__, float: _json_float,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+    Fraction: lambda value: encode_basestring_ascii(frac_str(value)),
+}
+
+
 def _indented_json(value, pad="\n"):
     """`value`, its dict keys all str, as json.dumps(value, sort_keys=True,
     indent=2, default=frac_str) writes it: the containers are laid out
     here and every scalar is written by a C encoder or frac_str, not by
-    the pure-Python encoder that indent selects."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
+    the pure-Python encoder that indent selects.  A scalar's writer is
+    looked up by its exact type first; a subclass is written as its
+    nearest base with a writer, and any other value by frac_str."""
+    write = _JSON_SCALARS.get(type(value))
+    if write is not None:
+        return write(value)
     if isinstance(value, dict):
         if not value:
             return "{}"
@@ -278,18 +295,8 @@ def _indented_json(value, pad="\n"):
         inner = pad + "  "
         return "[%s%s%s]" % (inner, ("," + inner).join(
             _indented_json(v, inner) for v in value), pad)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        text = float.__repr__(value)
-        return _FLOAT_CONSTANTS.get(text, text)
-    return encode_basestring_ascii(frac_str(value))
+    return next((_JSON_SCALARS[base] for base in type(value).__mro__
+                 if base in _JSON_SCALARS), _JSON_SCALARS[Fraction])(value)
 
 
 def emit(report, fmt, subcommand):

@@ -12,9 +12,9 @@ from itertools import accumulate, product
 from math import isqrt, lcm
 from operator import itemgetter, sub
 
-from .ifs import (Box, Interval, check_interval_ends, compose_labels,
-                  compose_scaled, cylinder_box, major_projection,
-                  scale_labels, validate_lg, word_maps)
+from .ifs import (Box, Interval, check_interval_ends, compose_scaled,
+                  cylinder_box, major_projection, scale_labels, validate_lg,
+                  word_maps)
 from .classify import Analysis
 from .tree import ROOT, FiberIFS, TreeError, last_coordinate_fibers
 from .util import (DEFAULT_CAP, DomainError, Record, ResourceCapError,
@@ -407,14 +407,14 @@ def delta0_sequence_exists_sq(points, delta0_sq):
 
 def _cylinder_columns(ifs, depth, cap):
     """Per coordinate j, the IntervalSet of side j of every depth-n
-    cylinder box, lexicographic in the word: coordinate j's maps
-    composed along the word."""
+    cylinder box, lexicographic in the word: coordinate j's maps, scaled
+    once, composed along the word."""
     # a depth-n word takes n compositions, even when there is one map
     count = max(capped_power(ifs.size, depth, cap), min(depth, cap + 1))
     if count > cap:
         raise ResourceCapError("components", count, cap)
-    return [IntervalSet(*compose_labels([[m.coords[j] for m in ifs.maps]]
-                                        * depth)) for j in range(ifs.dim)]
+    return [IntervalSet(*compose_scaled([scale_labels(
+        [m.coords[j] for m in ifs.maps])] * depth)) for j in range(ifs.dim)]
 
 
 def enumerate_cylinders(ifs, depth, cap=DEFAULT_CAP):
@@ -611,8 +611,8 @@ def check_product_decomposition(ifs, k, cap=DEFAULT_CAP):
     (fiber pre-Moran interval) products, as exact box sets; `ifs` may be
     an Analysis.
 
-    Both sides come from compose_labels as integer sides; scaled to one
-    common denominator per coordinate, each box is a tuple of integer
+    Both sides are composed in integers from label sets scaled once; at
+    one common denominator per coordinate, each box is a tuple of integer
     (lo, hi) pairs and the sets compare as sets of tuples.
     """
     analysis = Analysis.of(ifs)
@@ -622,9 +622,10 @@ def check_product_decomposition(ifs, k, cap=DEFAULT_CAP):
     lhs = _cylinder_columns(ifs, k, cap)
     proj = major_projection(ifs, ifs.dim - 1)
     base = _cylinder_columns(proj, k, cap)
-    fibers = [f.labels for f in last_coordinate_fibers(analysis.tree)]
+    fibers = [scale_labels(f.labels)
+              for f in last_coordinate_fibers(analysis.tree)]
     # one fiber pre-Moran set per projected word, in the words' order
-    last = [compose_labels([fibers[j] for j in word])
+    last = [compose_scaled([fibers[j] for j in reversed(word)])
             for word in product(range(proj.size), repeat=k)]
     scales = [lcm(a.den, b.den) for a, b in zip(lhs, base)]
     scales.append(lcm(lhs[-1].den, *(den for den, _ in last)))

@@ -30,7 +30,7 @@ class AffineMap1D(Record):
     `ints` is the map's integer form (r, o, q): ratio == r/q and offset ==
     o/q over q, the lcm of their denominators.  Equal maps have equal
     forms, so the hash is taken from the form once, and every consumer
-    (compose_labels, unit_preserving, validate_lg) reads the integers.
+    (cylinder_box, scale_labels, unit_preserving, validate_lg) reads ints.
     """
 
     ratio: Fraction
@@ -228,6 +228,11 @@ def validate_lg(ifs):
     """Check the Lalley-Gatzouras conditions; failures are reported, not thrown.
 
     Contraction needs no check here: AffineMap1D rejects ratios outside (0,1).
+    Neat projection is checked on every rank-ell major projection (the
+    maps' distinct ell-coordinate truncations, first occurrence first):
+    each pair (i, j) of its maps whose boxes meet in an open set is the
+    violation (i, j, ell).  Each map's cylinder box is built once, and a
+    projected map takes the first ell sides of its first map's box.
     """
     violations = []
     unit_cube_ok = True
@@ -243,15 +248,18 @@ def validate_lg(ifs):
             if not r * q_next > r_next * q:
                 ordering_ok = False
                 violations.append(("coordinate_ordering", (k, i + 1)))
+    boxes = [cylinder_box(ifs, (k,)).sides for k in range(1, ifs.size + 1)]
     neat_ok = True
     for ell in range(1, ifs.dim + 1):
-        proj = major_projection(ifs, ell)
-        boxes = [cylinder_box(proj, (j,)) for j in range(1, proj.size + 1)]
-        for i in range(len(boxes)):
-            for j in range(i + 1, len(boxes)):
-                if boxes[i].open_intersects(boxes[j]):
+        firsts = {}
+        for k, m in enumerate(ifs.maps):
+            firsts.setdefault(m.coords[:ell], k)
+        proj = [boxes[k][:ell] for k in firsts.values()]
+        for i, a in enumerate(proj, start=1):
+            for j in range(i, len(proj)):
+                if all(s.open_intersects(t) for s, t in zip(a, proj[j])):
                     neat_ok = False
-                    violations.append(("neat_projection", (i + 1, j + 1, ell)))
+                    violations.append(("neat_projection", (i, j + 1, ell)))
     return ValidationReport(unit_cube_ok, ordering_ok, neat_ok,
                             tuple(violations))
 
@@ -284,11 +292,16 @@ def word_maps(ifs, word):
 
 def cylinder_box(ifs, word):
     """Image of the unit cube under the composition along `word` (1-based):
-    side j is compose_labels over coordinate j's maps, one map a level."""
+    side j composes coordinate j's maps from their integer forms, the
+    innermost map first, over one running denominator:
+    g(x / den) = (r * x + o * den) / (q * den)."""
     maps = word_maps(ifs, word)
     sides = []
     for j in range(ifs.dim):
-        den, ((lo, hi),) = compose_labels([[m.coords[j]] for m in maps])
+        den, lo, hi = 1, 0, 1
+        for m in reversed(maps):
+            r, o, q = m.coords[j].ints
+            lo, hi, den = r * lo + o * den, r * hi + o * den, q * den
         sides.append(Interval(Fraction(lo, den), Fraction(hi, den)))
     return Box(tuple(sides))
 

@@ -8,7 +8,9 @@ from math import lcm
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from sponge import (CantorError, analyze_special_system, bilipschitz_check,
+import sponge.cantor
+from sponge import (AffineMap1D, CantorError, DiagonalAffineMap, SpongeIFS,
+                    analyze_special_system, bilipschitz_check,
                     build_cantor_tree, compose_labels, cylinder_length,
                     gap_length, lipschitz_constants, parse_ifs,
                     to_binary_tree)
@@ -203,6 +205,63 @@ def test_bilipschitz_lg4_depth5(sys4):
     assert bilipschitz_check(sys_, consts, 5) == RatioReport(
         F(8271376, 5462225), F(45846441, 181186), pairs=1863225, skipped=0,
         lower_ok=True, upper_ok=True)
+
+
+# checked once against _oracle_bilipschitz, which takes tens of seconds
+# at this depth; the default cap's word-pair budget is too small for it
+def test_bilipschitz_lg4_depth6(sys4):
+    sys_, consts = sys4
+    assert bilipschitz_check(sys_, consts, 6, cap=10 ** 9) == RatioReport(
+        F(27164944, 21832913), F(45846441, 181186), pairs=29822521,
+        skipped=0, lower_ok=True, upper_ok=True)
+
+
+def test_bilipschitz_composes_each_coordinate_once(sys4, monkeypatch):
+    # the node boxes come from the leaves, so only the depth-n sides are
+    # composed: one compose_labels call per coordinate
+    calls = []
+
+    def counting(label_sets):
+        calls.append(len(label_sets))
+        return compose_labels(label_sets)
+
+    monkeypatch.setattr(sponge.cantor, "compose_labels", counting)
+    sys_, consts = sys4
+    rep = bilipschitz_check(sys_, consts, 3)
+    assert calls == [3] * sys_.dim
+    assert rep.min_ratio_sq == F(1263376, 346385)
+
+
+def _reflect(ifs, j):
+    """x -> 1 - x on coordinate j: each label (r, o) becomes (r, 1 - r - o)."""
+    return SpongeIFS(ifs.dim, tuple(
+        DiagonalAffineMap(tuple(
+            AffineMap1D(c.ratio, 1 - c.ratio - c.offset) if i == j else c
+            for i, c in enumerate(m.coords)))
+        for m in ifs.maps))
+
+
+def test_bilipschitz_report_is_invariant_under_reflection(lg4):
+    # a reflection is an isometry of the sponge and of the Cantor model, so
+    # the word pairs, the identified codings and both extreme ratios stay;
+    # an exact check on the node bounds that needs no pair oracle
+    rng = random.Random(5)
+    systems = [lg4] + [random_special_system(rng) for _ in range(39)]
+    checked = 0
+    for ifs in systems:
+        sys_, consts = analyze_special_system(ifs)
+        if not any(sys_.taus):
+            continue  # a segment: every gap vanishes, no Cantor model
+        rep = bilipschitz_check(sys_, consts, 4)
+        for j in range(ifs.dim):
+            mirrored = bilipschitz_check(
+                *analyze_special_system(_reflect(ifs, j)), 4)
+            assert (mirrored.pairs, mirrored.skipped, mirrored.min_ratio_sq,
+                    mirrored.max_ratio_sq, mirrored.passed) == \
+                (rep.pairs, rep.skipped, rep.min_ratio_sq, rep.max_ratio_sq,
+                 rep.passed)
+        checked += 1
+    assert checked == 39
 
 
 def test_bilipschitz_acceptance_08_m3_depth5():

@@ -5,6 +5,7 @@ import importlib
 import io
 import json
 import pkgutil
+import random
 import subprocess
 import sys
 import time
@@ -17,11 +18,13 @@ from hypothesis import given, settings, strategies as st
 import sponge
 import sponge.cantor
 import sponge.cli
-from sponge import Analysis
+from sponge import (AffineMap1D, Analysis, DiagonalAffineMap, SpongeIFS,
+                    serialize_ifs)
 from sponge.cli import emit, main
 from sponge.util import DomainError, ResourceCapError, frac_str
 
-from conftest import FIXTURES
+from conftest import (FIXTURES, random_lg_from_tiling, random_lg_system,
+                      random_simple_labels, random_special_system)
 
 LG5 = str(FIXTURES / "lg5.ifs")
 LG4 = str(FIXTURES / "lg4.ifs")
@@ -355,8 +358,9 @@ def test_import_graph_in_a_fresh_interpreter():
 @pytest.mark.parametrize("fixture", ["lg5", "lg4", "bedford_mcmullen"])
 def test_report_composes_no_maps(capsys, fixture):
     # cylinder sides, pre-Moran intervals and Lipschitz points all compose
-    # in integers through ifs.compose_labels, the one composition: the
-    # maps have no Fraction composition to call
+    # in integers from the maps' integer forms (ifs.cylinder_box for one
+    # word, ifs.compose_labels for label sets): the maps have no Fraction
+    # composition to call
     assert not hasattr(sponge.ifs.AffineMap1D, "compose")
     assert not hasattr(sponge.ifs.DiagonalAffineMap, "compose")
     assert main(["all", str(FIXTURES / (fixture + ".ifs"))]) == 0
@@ -679,6 +683,56 @@ def test_json_output_matches_indented_encoder(capsys, monkeypatch, fixture,
     out = capsys.readouterr().out
     # a rejected subcommand (cantor on a non-special system) writes nothing
     assert out == "".join(map(_indent2, reports))
+
+
+def _column_grid(first):
+    """An AtLeastOne system: columns on the tiling `first`, the first
+    column holding two maps at the bottom and top, the others one."""
+    maps = []
+    for k, g in enumerate(first):
+        r = g.ratio / 2
+        maps += [DiagonalAffineMap((g, AffineMap1D(r, o)))
+                 for o in ((0, 1 - r) if k == 0 else (0,))]
+    return SpongeIFS(2, tuple(maps))
+
+
+def _drawn_systems():
+    """Seeded draws of all three classes: LG systems in d = 2 and 3,
+    systems on a tiling first coordinate, special systems and column
+    grids."""
+    rng = random.Random(31)
+    systems = [random_lg_system(rng, dim) for dim in (2, 3) * 3]
+    while len(systems) < 10:
+        first = random_simple_labels(rng, max_den=12, tiling=True)
+        ifs = random_lg_from_tiling(rng, first, 12)
+        if ifs is not None:
+            systems.append(ifs)
+    systems += [random_special_system(rng) for _ in range(4)]
+    return systems + [_column_grid(random_simple_labels(
+        rng, max_den=12, tiling=True)) for _ in range(3)]
+
+
+def test_all_json_matches_indented_encoder_on_drawn_systems(
+        tmp_path, capsys, monkeypatch):
+    reports = []
+
+    def keeping(report, fmt, sub):
+        reports.append(report)
+        return emit(report, fmt, sub)
+
+    monkeypatch.setattr(sponge.cli, "emit", keeping)
+    for k, ifs in enumerate(_drawn_systems()):
+        path = tmp_path / ("%d.ifs" % k)
+        path.write_text(serialize_ifs(ifs))
+        assert main(["all", str(path)]) == 0
+    assert capsys.readouterr().out == "".join(map(_indent2, reports))
+    classes = Counter(r["payload"]["classify"]["conformal_dim_class"]
+                      for r in reports)
+    cantor = [r["payload"]["cantor"] for r in reports
+              if "cantor" in r["payload"]]
+    assert classes == {"Zero": 4, "ExactlyOne": 10, "AtLeastOne": 3}
+    # Cantor payloads with m = 2, 3 and 4 maps, not only lg4's
+    assert Counter(c["m"] for c in cantor) == {2: 3, 3: 4, 4: 3}
 
 
 def _report_hashes(fixture, subcommand, fmt):

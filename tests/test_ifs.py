@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sponge.ifs
 from sponge import (AffineMap1D, Box, DiagonalAffineMap, IFSError, Interval,
                     ParseError, SpongeIFS, approx_square, compose_labels,
                     cylinder_box, enumerate_cylinders, fixed_point,
@@ -54,6 +55,20 @@ def test_validate_lg5(lg5):
     report = validate_lg(lg5)
     assert report.lg_type
     assert report.violations == ()
+
+
+def test_validate_lg_builds_one_box_per_map(lg5, monkeypatch):
+    # a projected map's box is a prefix of its first map's box, so the
+    # gate composes no box per rank
+    words = []
+
+    def counting(ifs, word):
+        words.append((ifs, word))
+        return cylinder_box(ifs, word)
+
+    monkeypatch.setattr(sponge.ifs, "cylinder_box", counting)
+    assert validate_lg(lg5).lg_type
+    assert words == [(lg5, (k,)) for k in range(1, lg5.size + 1)]
 
 
 def test_validate_ordering_violation():

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sponge import (AffineMap1D, DiagonalAffineMap, FiberIFS, SpongeIFS,
-                    TreeError, Vertex, all_fiber_ifs,
-                    attractor_is_unit_interval, build_labeled_tree, fiber_ifs,
-                    last_coordinate_fibers, major_projection, parse_ifs,
-                    validate_lg)
+                    TreeError, ValidationReport, Vertex, all_fiber_ifs,
+                    attractor_is_unit_interval, build_labeled_tree,
+                    cylinder_box, fiber_ifs, last_coordinate_fibers,
+                    major_projection, parse_ifs, validate_lg)
 
 from conftest import load_fixture, random_lg_system
 
@@ -319,3 +319,52 @@ def test_neat_projection_iff_fibers_do_not_overlap(ifs):
     # do; with different parents, only if the parents' cylinders do.  This
     # is the exact oracle for taking validate_lg's check from the fibers
     assert validate_lg(ifs).neat_projection_ok == _fibers_do_not_overlap(ifs)
+
+
+def _oracle_validate_lg(ifs):
+    """validate_lg as a loop over Fractions and the major projections:
+    per map its unit-cube and ordering violations, then for each rank ell
+    the cylinder box of every projected map and every pair of them."""
+    unit, ordering, neat = [], [], []
+    violations = []
+    for k, m in enumerate(ifs.maps, start=1):
+        for i, c in enumerate(m.coords, start=1):
+            if not (0 <= c.offset and c.offset + c.ratio <= 1):
+                unit.append(("unit_cube", (k, i)))
+                violations.append(unit[-1])
+        for i in range(1, ifs.dim):
+            if not m.coords[i - 1].ratio > m.coords[i].ratio:
+                ordering.append(("coordinate_ordering", (k, i)))
+                violations.append(ordering[-1])
+    for ell in range(1, ifs.dim + 1):
+        proj = major_projection(ifs, ell)
+        boxes = [cylinder_box(proj, (j,)) for j in range(1, proj.size + 1)]
+        for i in range(len(boxes)):
+            for j in range(i + 1, len(boxes)):
+                if boxes[i].open_intersects(boxes[j]):
+                    neat.append(("neat_projection", (i + 1, j + 1, ell)))
+    return ValidationReport(not unit, not ordering, not neat,
+                            tuple(violations + neat))
+
+
+@settings(max_examples=300)
+@given(unit_systems())
+@example(_system([("1/2", "3/4"), ("1/4", 0)],
+                 [("1/2", 0), ("1/2", 0)]))              # unit cube, ordering
+@example(_system([("1/2", 0), ("1/4", 0)], [("1/2", 0), ("1/4", "1/2")],
+                 [("1/2", "1/4"), ("1/4", "1/8")]))      # two ranks
+def test_validate_lg_matches_projection_oracle(ifs):
+    assert validate_lg(ifs) == _oracle_validate_lg(ifs)
+
+
+def test_neat_projection_violations_at_two_ranks():
+    # maps 1 and 2 share their first coordinate, so the rank-1 projection
+    # has two maps and map 3 is its second
+    ifs = _system([("1/2", 0), ("1/4", 0)], [("1/2", 0), ("1/4", "1/2")],
+                  [("1/2", "1/4"), ("1/4", "1/8")])
+    report = validate_lg(ifs)
+    assert report.violations == (("neat_projection", (1, 2, 1)),
+                                 ("neat_projection", (1, 3, 2)))
+    assert (report.unit_cube_ok, report.coordinate_ordering_ok,
+            report.neat_projection_ok) == (True, True, False)
+    assert report == _oracle_validate_lg(ifs)
