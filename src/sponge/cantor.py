@@ -406,12 +406,11 @@ class BinaryNode(Record):
     hi: Fraction
 
 
-class BinaryCantorTree:
-    def __init__(self, nodes, T, balance_ok, gap_ratio_table):
-        self.nodes = nodes                    # sigma -> BinaryNode
-        self.T = T
-        self.balance_ok = balance_ok
-        self.gap_ratio_table = gap_ratio_table  # depth -> min ratio (Fraction)
+class BinaryCantorTree(Record):
+    nodes: dict            # sigma -> BinaryNode
+    T: Fraction
+    balance_ok: bool
+    gap_ratio_table: dict  # depth -> min ratio (Fraction)
 
 
 def to_binary_tree(sys, constants, depth, tree=None, cap=DEFAULT_CAP):

@@ -10,7 +10,7 @@ cardinality, all deeper fibers singletons).
 from fractions import Fraction
 from functools import cached_property
 
-from .ifs import DiagonalAffineMap, SpongeIFS, fixed_point
+from .ifs import DiagonalAffineMap, SpongeIFS, fixed_point, truncations
 from .tree import (TreeError, Vertex, all_fiber_ifs, build_labeled_tree,
                    fiber_ifs)
 from .util import DomainError, Record
@@ -70,7 +70,7 @@ def attractor_is_unit_interval(fiber):
 class Analysis:
     """One system's decision pipeline, each stage computed once on first
     use: the labeled tree (behind its LG gate), its validation report,
-    then the classification."""
+    the classification, then the special system."""
 
     def __init__(self, ifs):
         self.ifs = ifs
@@ -115,6 +115,13 @@ class Analysis:
         dim_class = EXACTLY_ONE if special else AT_LEAST_ONE
         return Classification(False, dim_class, witness, tuple(verdicts))
 
+    @cached_property
+    def special(self):
+        """cantor.analyze_special_system's (SpecialSystem, SeriesConstants),
+        read through the module, which loads on first use."""
+        from . import cantor
+        return cantor.analyze_special_system(self)
+
 
 def classify(ifs):
     """Classify the sponge (an IFS or its Analysis); raises TreeError when
@@ -126,17 +133,12 @@ def line_segment_witness(ifs, witness):
     """Anchor point x0 such that {x0} x [0,1] lies in the attractor; `ifs`
     may be an Analysis."""
     analysis = Analysis.of(ifs)
-    ifs = analysis.ifs
-    if witness.rank != ifs.dim - 1:
+    dim = analysis.ifs.dim
+    if witness.rank != dim - 1:
         raise ClassifyError(
             "classify: line-segment witness must have rank d-1 = %d, got %d"
-            % (ifs.dim - 1, witness.rank))
-    fib = fiber_ifs(analysis.tree, witness)
-    if not attractor_is_unit_interval(fib):
-        raise ClassifyError("classify: witness fiber does not tile [0,1]")
-    x0 = fixed_point(DiagonalAffineMap(witness.projected_map)) \
-        if witness.rank > 0 else ()
-    return x0, ifs.dim
+            % (dim - 1, witness.rank))
+    return extract_special_subsystem(analysis, witness).anchor_point, dim
 
 
 def extract_special_subsystem(ifs, witness):
@@ -159,9 +161,9 @@ def extract_special_subsystem(ifs, witness):
     if not attractor_is_unit_interval(fib):
         raise ClassifyError("classify: witness fiber does not tile [0,1]")
     # every label of a tree fiber comes from a map extending the vertex
-    sub_maps = tuple(next(DiagonalAffineMap(m.coords[s:]) for m in ifs.maps
-                          if m.coords[:s + 1] == witness.projected_map + (h,))
-                     for h in fib.labels)
+    first = truncations(ifs, s + 1)
+    sub_maps = tuple(DiagonalAffineMap(ifs.maps[
+        first[witness.projected_map + (h,)]].coords[s:]) for h in fib.labels)
     sub_ifs = SpongeIFS(ifs.dim - s, sub_maps)
     anchor = fixed_point(DiagonalAffineMap(witness.projected_map)) if s else ()
     return SubsystemF0(witness.projected_map, sub_ifs, anchor)

@@ -164,11 +164,10 @@ def _payload_square(a, args):
     }, EXIT_OK
 
 
-def _payload_cantor(a, args, special=None):
-    from .cantor import (analyze_special_system, bilipschitz_check,
-                         build_cantor_tree, lipschitz_constants,
-                         to_binary_tree)
-    sys_, consts = special or analyze_special_system(a)
+def _payload_cantor(a, args):
+    from .cantor import (bilipschitz_check, build_cantor_tree,
+                         lipschitz_constants, to_binary_tree)
+    sys_, consts = a.special
     lip = lipschitz_constants(sys_, consts)
     check = args.check or "all"
     c0_lo, c0_hi = sqrt_bracket(lip.radicand, args.precision)
@@ -229,11 +228,9 @@ def _payload_all(a, args):
             for k in (1, 2)
         }
     if a.classification.conformal_dim_class == EXACTLY_ONE:
-        from .cantor import analyze_special_system
-        special = analyze_special_system(a)
         # when every gap vanishes the attractor is a segment: no Cantor model
-        if any(special[0].taus):
-            payload["cantor"], _ = _payload_cantor(a, args, special)
+        if any(a.special[0].taus):
+            payload["cantor"], _ = _payload_cantor(a, args)
     return payload, EXIT_OK
 
 
@@ -276,8 +273,7 @@ def _indented_json(value, pad="\n"):
     indent=2, default=frac_str) writes it: the containers are laid out
     here and every scalar is written by a C encoder or frac_str, not by
     the pure-Python encoder that indent selects.  A scalar's writer is
-    looked up by its exact type first; a subclass is written as its
-    nearest base with a writer, and any other value by frac_str."""
+    looked up by its exact type; any other value is written by frac_str."""
     write = _JSON_SCALARS.get(type(value))
     if write is not None:
         return write(value)
@@ -295,8 +291,7 @@ def _indented_json(value, pad="\n"):
         inner = pad + "  "
         return "[%s%s%s]" % (inner, ("," + inner).join(
             _indented_json(v, inner) for v in value), pad)
-    return next((_JSON_SCALARS[base] for base in type(value).__mro__
-                 if base in _JSON_SCALARS), _JSON_SCALARS[Fraction])(value)
+    return _JSON_SCALARS[Fraction](value)
 
 
 def emit(report, fmt, subcommand):

@@ -10,7 +10,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 from itertools import accumulate, product
 from math import isqrt, lcm
-from operator import itemgetter, sub
+from operator import sub
 
 from .ifs import (Box, Interval, check_interval_ends, compose_scaled,
                   cylinder_box, major_projection, scale_labels, validate_lg,
@@ -456,8 +456,8 @@ class SimpleIFSFamily:
     Members are FiberIFS' or label tuples, kept as given; a member that is
     empty, not a simple IFS of [0,1] or tiles [0,1] is a
     PreconditionError.  Carries the derived constants used by the
-    pre-Moran component bound, and each member scaled once (scale_labels)
-    with its steps in offset order, for pre_moran_intervals.
+    pre-Moran component bound, and `scaled`, each member's FiberIFS.scaled
+    (its steps in offset order), for pre_moran_intervals.
     """
 
     def __init__(self, members):
@@ -483,8 +483,7 @@ class SimpleIFSFamily:
                     "components: family member %d has attractor [0,1]" % j)
         # images of one member never overlap and ratios are positive, so
         # composing offset-ordered steps lists intervals by left end
-        self.scaled = tuple((scale, tuple(sorted(steps, key=itemgetter(1))))
-                            for scale, steps in map(scale_labels, norm))
+        self.scaled = tuple(f.scaled for f in fibers)
         self.alpha_star = min(self.alphas)
         self.beta_star = max(self.betas)
         self.L_star = max(self.measures)
@@ -611,9 +610,10 @@ def check_product_decomposition(ifs, k, cap=DEFAULT_CAP):
     (fiber pre-Moran interval) products, as exact box sets; `ifs` may be
     an Analysis.
 
-    Both sides are composed in integers from label sets scaled once; at
-    one common denominator per coordinate, each box is a tuple of integer
-    (lo, hi) pairs and the sets compare as sets of tuples.
+    Both sides are composed in integers from label sets scaled once (a
+    fiber's own FiberIFS.scaled); at one common denominator per
+    coordinate, each box is a tuple of integer (lo, hi) pairs and the
+    sets compare as sets of tuples.
     """
     analysis = Analysis.of(ifs)
     ifs = analysis.ifs
@@ -622,9 +622,9 @@ def check_product_decomposition(ifs, k, cap=DEFAULT_CAP):
     lhs = _cylinder_columns(ifs, k, cap)
     proj = major_projection(ifs, ifs.dim - 1)
     base = _cylinder_columns(proj, k, cap)
-    fibers = [scale_labels(f.labels)
-              for f in last_coordinate_fibers(analysis.tree)]
-    # one fiber pre-Moran set per projected word, in the words' order
+    fibers = [f.scaled for f in last_coordinate_fibers(analysis.tree)]
+    # fiber j is projected map j's (both in ifs.truncations order): one
+    # fiber pre-Moran set per projected word, in the words' order
     last = [compose_scaled([fibers[j] for j in reversed(word)])
             for word in product(range(proj.size), repeat=k)]
     scales = [lcm(a.den, b.den) for a, b in zip(lhs, base)]

@@ -84,9 +84,6 @@ class DiagonalAffineMap(Record):
     def __call__(self, point):
         return tuple(c(x) for c, x in zip(self.coords, point))
 
-    def truncate(self, ell):
-        return DiagonalAffineMap(self.coords[:ell])
-
 
 class SpongeIFS(Record):
     dim: int
@@ -229,10 +226,10 @@ def validate_lg(ifs):
 
     Contraction needs no check here: AffineMap1D rejects ratios outside (0,1).
     Neat projection is checked on every rank-ell major projection (the
-    maps' distinct ell-coordinate truncations, first occurrence first):
-    each pair (i, j) of its maps whose boxes meet in an open set is the
-    violation (i, j, ell).  Each map's cylinder box is built once, and a
-    projected map takes the first ell sides of its first map's box.
+    maps' truncations, first occurrence first): each pair (i, j) of its
+    maps whose boxes meet in an open set is the violation (i, j, ell).
+    Each map's cylinder box is built once, and a projected map takes the
+    first ell sides of its first map's box.
     """
     violations = []
     unit_cube_ok = True
@@ -251,33 +248,34 @@ def validate_lg(ifs):
     boxes = [cylinder_box(ifs, (k,)).sides for k in range(1, ifs.size + 1)]
     neat_ok = True
     for ell in range(1, ifs.dim + 1):
-        firsts = {}
-        for k, m in enumerate(ifs.maps):
-            firsts.setdefault(m.coords[:ell], k)
-        proj = [boxes[k][:ell] for k in firsts.values()]
+        proj = [boxes[k][:ell] for k in truncations(ifs, ell).values()]
         for i, a in enumerate(proj, start=1):
             for j in range(i, len(proj)):
-                if all(s.open_intersects(t) for s, t in zip(a, proj[j])):
+                # every side has positive length, so two compares decide
+                if all(s.lo < t.hi and t.lo < s.hi
+                       for s, t in zip(a, proj[j])):
                     neat_ok = False
                     violations.append(("neat_projection", (i, j + 1, ell)))
     return ValidationReport(unit_cube_ok, ordering_ok, neat_ok,
                             tuple(violations))
 
 
-def major_projection(ifs, ell):
-    """Truncate every map to its first `ell` coordinates, dropping duplicates.
+def truncations(ifs, ell):
+    """Each distinct ell-coordinate truncation coords[:ell] of the maps,
+    first occurrence first, mapped to the index of its first map."""
+    firsts = {}
+    for k, m in enumerate(ifs.maps):
+        firsts.setdefault(m.coords[:ell], k)
+    return firsts
 
-    First-occurrence order is preserved.
-    """
+
+def major_projection(ifs, ell):
+    """The rank-ell major projection: the maps' truncations (truncations),
+    in their first-occurrence order, as a SpongeIFS of dimension ell."""
     if not (1 <= ell <= ifs.dim):
         raise IFSError("ifs: projection level %d out of range 1..%d"
                        % (ell, ifs.dim))
-    seen = {}
-    for m in ifs.maps:
-        t = m.truncate(ell)
-        if t not in seen:
-            seen[t] = None
-    return SpongeIFS(ell, tuple(seen))
+    return SpongeIFS(ell, tuple(map(DiagonalAffineMap, truncations(ifs, ell))))
 
 
 def word_maps(ifs, word):
@@ -292,16 +290,13 @@ def word_maps(ifs, word):
 
 def cylinder_box(ifs, word):
     """Image of the unit cube under the composition along `word` (1-based):
-    side j composes coordinate j's maps from their integer forms, the
-    innermost map first, over one running denominator:
-    g(x / den) = (r * x + o * den) / (q * den)."""
+    side j composes coordinate j's maps (compose_scaled), each one level
+    (q, [(r, o)]) read from its integer form."""
     maps = word_maps(ifs, word)
     sides = []
     for j in range(ifs.dim):
-        den, lo, hi = 1, 0, 1
-        for m in reversed(maps):
-            r, o, q = m.coords[j].ints
-            lo, hi, den = r * lo + o * den, r * hi + o * den, q * den
+        den, [(lo, hi)] = compose_scaled([(q, [(r, o)]) for m in reversed(maps)
+                                          for r, o, q in [m.coords[j].ints]])
         sides.append(Interval(Fraction(lo, den), Fraction(hi, den)))
     return Box(tuple(sides))
 

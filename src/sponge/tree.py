@@ -7,7 +7,7 @@ extending 1-D maps form the vertex's fiber IFS, a simple IFS of [0,1].
 
 from fractions import Fraction
 
-from .ifs import compose_labels, validate_lg
+from .ifs import scale_labels, truncations, validate_lg
 from .util import DomainError, Record
 
 
@@ -38,8 +38,11 @@ ROOT = Vertex(0, ())
 
 
 class FiberIFS(Record):
-    """Labels of a vertex's offspring and the gaps their images leave in
-    [0,1]: before the first, between neighbours and after the last."""
+    """Labels of a vertex's offspring, kept as given, and their one
+    integer form: `scaled` is (scale, steps), the labels over the lcm of
+    their q as integer steps (r, o) (scale_labels) sorted by offset, and
+    `gaps` the gaps their images leave in [0,1]: before the first,
+    between neighbours and after the last."""
 
     owner: Vertex
     labels: tuple
@@ -50,15 +53,16 @@ class FiberIFS(Record):
             if not g.unit_preserving():
                 raise TreeError("tree: fiber label %s is not a self-map of [0,1]"
                                 % g)
-        # the images as integer (lo, hi) ends over one denominator
-        den, images = compose_labels([self.labels])
-        ends = [0] + [v for iv in sorted(images) for v in iv] + [den]
+        scale, steps = scale_labels(self.labels)
+        steps = tuple(sorted(steps, key=lambda step: step[1]))
+        object.__setattr__(self, "scaled", (scale, steps))
+        ends = [0] + [v for r, o in steps for v in (o, o + r)] + [scale]
         gaps = [b - a for a, b in zip(ends[::2], ends[1::2])]
         # if two images overlap, some pair of neighbours does
         if min(gaps) < 0:
             raise TreeError("tree: fiber images overlap")
         object.__setattr__(self, "gaps",
-                           tuple(Fraction(g, den) for g in gaps))
+                           tuple(Fraction(g, scale) for g in gaps))
 
     @property
     def size(self):
@@ -94,9 +98,7 @@ def build_labeled_tree(ifs):
     levels = [(ROOT,)]
     fibers = {}
     for ell in range(1, ifs.dim + 1):
-        # the ell-coordinate truncations, first occurrence first
-        levels.append(tuple(dict.fromkeys(Vertex(ell, m.coords[:ell])
-                                          for m in ifs.maps)))
+        levels.append(tuple(Vertex(ell, t) for t in truncations(ifs, ell)))
         labels = {u.projected_map: [] for u in levels[-2]}
         for v in sorted(levels[-1], key=lambda v: v.projected_map[-1].offset):
             labels[v.projected_map[:-1]].append(v.projected_map[-1])

@@ -133,6 +133,10 @@ def test_extract_subsystem_requires_witness(lg5):
                  id="subsystem witness of rank d"),
     pytest.param(extract_special_subsystem, None, "vertex not in tree",
                  id="subsystem witness not in the tree"),
+    # one witness-fiber check: the segment witness goes through
+    # extract_special_subsystem, which turns the TreeError into this
+    pytest.param(line_segment_witness, None, "vertex not in tree",
+                 id="segment witness not in the tree"),
 ])
 def test_witness_rejections(lg5, call, rank, match):
     # lg5 has no tiling fiber; a rank picks one of its tree's vertices

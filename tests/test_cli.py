@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -759,6 +760,54 @@ def test_every_report_matches_its_recorded_hashes():
     changed = [key for key, hashes in sorted(golden.items())
                if _report_hashes(*key.split()) != hashes]
     assert changed == []
+
+
+def _scalars(value):
+    if isinstance(value, dict):
+        return [x for v in value.values() for x in _scalars(v)]
+    if isinstance(value, (list, tuple)):
+        return [x for v in value for x in _scalars(v)]
+    return [value]
+
+
+def test_every_golden_scalar_has_an_exact_type_writer(monkeypatch):
+    # the JSON writer looks a scalar's writer up by its exact type alone:
+    # no report of the 72 golden runs holds a subclass
+    reports = []
+
+    def keeping(report, fmt, sub):
+        reports.append(report)
+        return emit(report, fmt, sub)
+
+    monkeypatch.setattr(sponge.cli, "emit", keeping)
+    golden = json.loads(GOLDEN_REPORTS.read_text())
+    for key in golden:
+        _report_hashes(*key.split())
+    # the other 22 runs exit 1 (no CSV schema) or 2 (no Cantor model)
+    # before a report is written
+    assert len(reports) == sum(code == 0 for code, *_ in golden.values()) == 50
+    types = {type(x) for r in reports for x in _scalars(r)}
+    assert types <= set(sponge.cli._JSON_SCALARS)
+    assert Fraction in types
+
+
+def test_all_analyzes_the_special_system_once(monkeypatch, capsys):
+    # the special system is an Analysis stage: `all` reads it for the
+    # cantor check and the section itself, computing it once
+    calls = []
+    original = sponge.cantor.analyze_special_system
+
+    def counting(ifs):
+        calls.append(ifs)
+        return original(ifs)
+
+    monkeypatch.setattr(sponge.cantor, "analyze_special_system", counting)
+    a = Analysis(sponge.parse_ifs((FIXTURES / "lg4.ifs").read_text()))
+    assert a.special is a.special
+    assert calls == [a]
+    assert main(["all", str(FIXTURES / "lg4.ifs")]) == 0
+    assert "cantor" in json.loads(capsys.readouterr().out)["payload"]
+    assert len(calls) == 2 and isinstance(calls[1], Analysis)
 
 
 _json_values = st.recursive(

@@ -243,6 +243,14 @@ def test_family_keeps_members_as_given(lg5):
     assert all(m is f.labels for m, f in zip(fam.members, fibers))
 
 
+def test_family_scaled_is_each_fibers_own(lg5, bedford_mcmullen):
+    # a fiber's labels are scaled once, by the FiberIFS itself
+    for ifs in (lg5, bedford_mcmullen):
+        fibers = last_coordinate_fibers(build_labeled_tree(ifs))
+        fam = SimpleIFSFamily(fibers)
+        assert all(fam.scaled[j] is f.scaled for j, f in enumerate(fibers))
+
+
 def test_pre_moran_word1():
     pm = pre_moran_intervals(_half_family(), (1,))
     assert [(iv.lo, iv.hi) for iv in pm.intervals] == \

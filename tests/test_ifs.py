@@ -119,6 +119,21 @@ def test_cylinder_box_lg5(lg5):
     assert b2 == Box((Interval(F(0), F("1/9")), Interval(F(0), F("1/36"))))
 
 
+def test_cylinder_box_composes_through_compose_scaled(monkeypatch, lg5):
+    # one composition loop: each side is one compose_scaled call
+    calls = []
+    original = sponge.ifs.compose_scaled
+
+    def counting(levels):
+        calls.append(None)
+        return original(levels)
+
+    monkeypatch.setattr(sponge.ifs, "compose_scaled", counting)
+    b = cylinder_box(lg5, (1, 1))
+    assert b == Box((Interval(F(0), F("1/9")), Interval(F(0), F("1/36"))))
+    assert len(calls) == lg5.dim
+
+
 def test_fixed_points(lg4):
     by_offset = sorted(lg4.maps, key=lambda m: m.coords[0].offset)
     assert fixed_point(by_offset[0]) == (F(0), F(0))

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -9,8 +10,10 @@ from sponge import (AffineMap1D, DiagonalAffineMap, FiberIFS, SpongeIFS,
                     attractor_is_unit_interval, build_labeled_tree,
                     cylinder_box, fiber_ifs, last_coordinate_fibers,
                     major_projection, parse_ifs, validate_lg)
+from sponge.ifs import scale_labels, truncations
+from sponge.tree import ROOT
 
-from conftest import load_fixture, random_lg_system
+from conftest import load_fixture, random_lg_system, random_simple_labels
 
 
 def F(s):
@@ -368,3 +371,64 @@ def test_neat_projection_violations_at_two_ranks():
     assert (report.unit_cube_ok, report.coordinate_ordering_ok,
             report.neat_projection_ok) == (True, True, False)
     assert report == _oracle_validate_lg(ifs)
+
+
+def _shared_prefix_system(rng, dim):
+    """An LG system in which maps share truncations: each vertex gets one
+    to three offspring in equal slots of [0,1], every ratio below its
+    parent's, and the maps come shuffled, so first occurrence is not the
+    order of the rank-1 labels."""
+    paths = [()]
+    for _ in range(dim):
+        grown = []
+        for path in paths:
+            k = rng.randint(1, 3)
+            r = min(path[-1].ratio / 2 if path else Fraction(1, 2),
+                    Fraction(1, k))
+            grown += [path + (AffineMap1D(r, Fraction(j, k) + (Fraction(
+                1, k) - r) * Fraction(rng.randint(0, 2), 2)),)
+                for j in range(k)]
+        paths = grown
+    rng.shuffle(paths)
+    return SpongeIFS(dim, tuple(map(DiagonalAffineMap, paths)))
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 3), st.integers(0, 10 ** 6), st.booleans())
+def test_one_truncation_order(dim, seed, shared):
+    # the tree's levels, the major projections and the LG gate's
+    # projected maps all come from truncations: first occurrence first,
+    # each mapped to the index of its first map
+    rng = random.Random(seed)
+    ifs = (_shared_prefix_system(rng, dim) if shared
+           else random_lg_system(rng, dim))
+    tree = build_labeled_tree(ifs)
+    for ell in range(1, dim + 1):
+        firsts = truncations(ifs, ell)
+        oracle = {}
+        for k, m in enumerate(ifs.maps):
+            if m.coords[:ell] not in oracle:
+                oracle[m.coords[:ell]] = k
+        assert list(firsts.items()) == list(oracle.items())
+        assert list(firsts) == [v.projected_map for v in tree.levels[ell]]
+        assert list(firsts) == [m.coords
+                                for m in major_projection(ifs, ell).maps]
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 10 ** 6))
+def test_fiber_scaled_is_offset_ordered_scale_labels(seed):
+    # the one integer form of a fiber: its labels over the lcm of their
+    # denominators, the steps in offset order whatever the label order
+    rng = random.Random(seed)
+    labels = list(random_simple_labels(rng))
+    rng.shuffle(labels)
+    fib = FiberIFS(ROOT, labels)
+    scale, steps = scale_labels(labels)
+    assert fib.labels == tuple(labels)
+    assert fib.scaled == (scale, tuple(sorted(steps, key=lambda s: s[1])))
+    oracle = [(g.ratio * scale, g.offset * scale)
+              for g in sorted(labels, key=lambda g: g.offset)]
+    assert [(Fraction(r), Fraction(o)) for r, o in fib.scaled[1]] == oracle
+    assert scale == math.lcm(*(x.denominator for g in labels
+                               for x in (g.ratio, g.offset)))

@@ -158,7 +158,7 @@ _VALUES = st.one_of(st.integers(-3, 3), st.fractions(max_denominator=4),
 
 
 def test_every_record_class_is_found():
-    assert len(RECORDS) == 21
+    assert len(RECORDS) == 22
     assert all(cls._fields for cls in RECORDS)
 
 
