@@ -13,7 +13,8 @@ import itertools
 from fractions import Fraction
 from math import lcm
 
-from .classify import EXACTLY_ONE, Analysis, classify
+from .classify import (EXACTLY_ONE, Analysis, classify,
+                       extract_special_subsystem)
 from .ifs import SpongeIFS, compose_labels, fixed_point
 from .util import (DEFAULT_CAP, DomainError, Record, ResourceCapError,
                    capped_power, common_denominator, sqrt_leq_quad)
@@ -24,7 +25,7 @@ class CantorError(DomainError):
 
 
 class SpecialSystem(Record):
-    base: SpongeIFS     # maps reordered left-to-right by first coordinate
+    base: SpongeIFS     # maps left to right by first coordinate
     a: tuple            # fixed point of the leftmost map
     b: tuple            # fixed point of the rightmost map
     a_pts: tuple        # a_j = phi_j(a)
@@ -56,17 +57,17 @@ class SeriesConstants(Record):
 
 
 def analyze_special_system(ifs):
-    """Exact constants of a special system (an IFS or its Analysis); maps
-    are re-ordered by the left endpoint of their first-coordinate image."""
+    """Exact constants of a special system (an IFS or its Analysis), whose
+    base is F0 at the witness, the root (extract_special_subsystem): the
+    maps left to right by first-coordinate image."""
     analysis = Analysis.of(ifs)
     result = classify(analysis)
     if result.conformal_dim_class != EXACTLY_ONE:
         raise CantorError(
             "cantor: system does not satisfy the special-form hypotheses "
             "(class %s)" % result.conformal_dim_class)
-    ifs = analysis.ifs
-    maps = tuple(sorted(ifs.maps, key=lambda m: m.coords[0].offset))
-    base = SpongeIFS(ifs.dim, maps)
+    base = extract_special_subsystem(analysis, result.witness).sub_ifs
+    maps = base.maps
     m = len(maps)
     a = fixed_point(maps[0])
     b = fixed_point(maps[-1])

@@ -13,9 +13,8 @@ from math import isqrt, lcm
 from operator import sub
 
 from .ifs import (Box, Interval, check_interval_ends, compose_scaled,
-                  cylinder_box, major_projection, scale_labels, validate_lg,
-                  word_maps)
-from .classify import Analysis
+                  cylinder_box, scale_labels, validate_lg, word_maps)
+from .classify import Analysis, attractor_is_unit_interval
 from .tree import ROOT, FiberIFS, TreeError, last_coordinate_fibers
 from .util import (DEFAULT_CAP, DomainError, Record, ResourceCapError,
                    capped_power, common_denominator, exact_fraction)
@@ -405,21 +404,23 @@ def delta0_sequence_exists_sq(points, delta0_sq):
     return True, tuple(reversed(path))
 
 
-def _cylinder_columns(ifs, depth, cap):
+def _cylinder_columns(rows, depth, cap):
     """Per coordinate j, the IntervalSet of side j of every depth-n
-    cylinder box, lexicographic in the word: coordinate j's maps, scaled
-    once, composed along the word."""
+    cylinder box of the maps given as rows (tuples of AffineMap1D),
+    lexicographic in the word: column j, scaled once, composed along the
+    word."""
     # a depth-n word takes n compositions, even when there is one map
-    count = max(capped_power(ifs.size, depth, cap), min(depth, cap + 1))
+    count = max(capped_power(len(rows), depth, cap), min(depth, cap + 1))
     if count > cap:
         raise ResourceCapError("components", count, cap)
-    return [IntervalSet(*compose_scaled([scale_labels(
-        [m.coords[j] for m in ifs.maps])] * depth)) for j in range(ifs.dim)]
+    return [IntervalSet(*compose_scaled([scale_labels(column)] * depth))
+            for column in zip(*rows)]
 
 
 def enumerate_cylinders(ifs, depth, cap=DEFAULT_CAP):
     """All depth-n cylinder boxes, in lexicographic word order."""
-    return [Box(sides) for sides in zip(*_cylinder_columns(ifs, depth, cap))]
+    rows = [m.coords for m in ifs.maps]
+    return [Box(sides) for sides in zip(*_cylinder_columns(rows, depth, cap))]
 
 
 def _walk(columns, grid):
@@ -440,7 +441,7 @@ def component_diameter_profile(ifs, depth, deltas, cap=DEFAULT_CAP):
         raise ComponentsError("components: depth must be >= 1")
     if not validate_lg(ifs).lg_type:
         raise ComponentsError("components: input is not of Lalley-Gatzouras type")
-    columns = _cylinder_columns(ifs, depth, cap)
+    columns = _cylinder_columns([m.coords for m in ifs.maps], depth, cap)
     grid = [_positive("delta", delta) for delta in deltas]
     rows = {}
     for delta, linkage in _walk(columns, grid):
@@ -453,11 +454,12 @@ def component_diameter_profile(ifs, depth, deltas, cap=DEFAULT_CAP):
 class SimpleIFSFamily:
     """Family F_1..F_p of simple IFS' of [0,1], none with attractor [0,1].
 
-    Members are FiberIFS' or label tuples, kept as given; a member that is
-    empty, not a simple IFS of [0,1] or tiles [0,1] is a
-    PreconditionError.  Carries the derived constants used by the
+    Members are FiberIFS' or label sequences in any order; `members` holds
+    each one's FiberIFS.labels (offset order).  A member that is empty,
+    not a simple IFS of [0,1] or tiles [0,1] (attractor_is_unit_interval)
+    is a PreconditionError.  Carries the derived constants used by the
     pre-Moran component bound, and `scaled`, each member's FiberIFS.scaled
-    (its steps in offset order), for pre_moran_intervals.
+    (its steps in the same order), for pre_moran_intervals.
     """
 
     def __init__(self, members):
@@ -471,22 +473,19 @@ class SimpleIFSFamily:
             raise ComponentsError("components: empty family")
         if not all(f.labels for f in fibers):
             raise PreconditionError("components: empty family member")
-        self.members = norm = tuple(f.labels for f in fibers)
-        self.alphas = tuple(min(g.ratio for g in m) for m in norm)
-        self.betas = tuple(max(g.ratio for g in m) for m in norm)
-        self.measures = tuple(sum(g.ratio for g in m) for m in norm)
-        self.counts = tuple(len(m) for m in norm)
-        self.gaps = tuple(max(f.gaps) for f in fibers)
-        for j, g in enumerate(self.gaps, start=1):
-            if g == 0:
+        for j, f in enumerate(fibers, start=1):
+            if attractor_is_unit_interval(f):
                 raise PreconditionError(
                     "components: family member %d has attractor [0,1]" % j)
+        self.members = tuple(f.labels for f in fibers)
+        self.betas = tuple(max(g.ratio for g in m) for m in self.members)
+        self.counts = tuple(f.size for f in fibers)
         # images of one member never overlap and ratios are positive, so
         # composing offset-ordered steps lists intervals by left end
         self.scaled = tuple(f.scaled for f in fibers)
-        self.alpha_star = min(self.alphas)
+        self.alpha_star = min(g.ratio for m in self.members for g in m)
         self.beta_star = max(self.betas)
-        self.L_star = max(self.measures)
+        self.L_star = max(f.ratio_sum() for f in fibers)
         self.N_star = max(self.counts)
         self.g_star = (1 - self.L_star) / (self.N_star + 2)
 
@@ -610,7 +609,8 @@ def check_product_decomposition(ifs, k, cap=DEFAULT_CAP):
     (fiber pre-Moran interval) products, as exact box sets; `ifs` may be
     an Analysis.
 
-    Both sides are composed in integers from label sets scaled once (a
+    The projected maps are the owners of last_coordinate_fibers.  Both
+    sides are composed in integers from label sets scaled once (a
     fiber's own FiberIFS.scaled); at one common denominator per
     coordinate, each box is a tuple of integer (lo, hi) pairs and the
     sets compare as sets of tuples.
@@ -619,14 +619,12 @@ def check_product_decomposition(ifs, k, cap=DEFAULT_CAP):
     ifs = analysis.ifs
     if ifs.dim < 2:
         raise ComponentsError("components: product decomposition needs d >= 2")
-    lhs = _cylinder_columns(ifs, k, cap)
-    proj = major_projection(ifs, ifs.dim - 1)
-    base = _cylinder_columns(proj, k, cap)
-    fibers = [f.scaled for f in last_coordinate_fibers(analysis.tree)]
-    # fiber j is projected map j's (both in ifs.truncations order): one
-    # fiber pre-Moran set per projected word, in the words' order
-    last = [compose_scaled([fibers[j] for j in reversed(word)])
-            for word in product(range(proj.size), repeat=k)]
+    lhs = _cylinder_columns([m.coords for m in ifs.maps], k, cap)
+    fibers = last_coordinate_fibers(analysis.tree)
+    base = _cylinder_columns([f.owner.projected_map for f in fibers], k, cap)
+    # one fiber pre-Moran set per projected word, in the words' order
+    last = [compose_scaled([fibers[j].scaled for j in reversed(word)])
+            for word in product(range(len(fibers)), repeat=k)]
     scales = [lcm(a.den, b.den) for a, b in zip(lhs, base)]
     scales.append(lcm(lhs[-1].den, *(den for den, _ in last)))
     left = set(zip(*(_scaled(c.ends, c.den, s) for c, s in zip(lhs, scales))))

@@ -125,10 +125,6 @@ class Interval(Record):
     def length(self):
         return self.hi - self.lo
 
-    def open_intersects(self, other):
-        """Do the open intervals (lo,hi) intersect?"""
-        return max(self.lo, other.lo) < min(self.hi, other.hi)
-
 
 class Box(Record):
     sides: tuple
@@ -139,9 +135,6 @@ class Box(Record):
     @property
     def dim(self):
         return len(self.sides)
-
-    def open_intersects(self, other):
-        return all(a.open_intersects(b) for a, b in zip(self.sides, other.sides))
 
 
 class ValidationReport(Record):

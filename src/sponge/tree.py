@@ -3,6 +3,8 @@
 Vertices of rank l are the distinct l-coordinate truncations of the
 maps; the children of a vertex extend it by one coordinate, and the
 extending 1-D maps form the vertex's fiber IFS, a simple IFS of [0,1].
+FiberIFS alone orders, scales and measures a fiber; every other layer
+reads it.
 """
 
 from fractions import Fraction
@@ -38,23 +40,25 @@ ROOT = Vertex(0, ())
 
 
 class FiberIFS(Record):
-    """Labels of a vertex's offspring, kept as given, and their one
-    integer form: `scaled` is (scale, steps), the labels over the lcm of
-    their q as integer steps (r, o) (scale_labels) sorted by offset, and
-    `gaps` the gaps their images leave in [0,1]: before the first,
-    between neighbours and after the last."""
+    """Labels of a vertex's offspring, in any order, stored in offset
+    order with their one integer form: `scaled` is (scale, steps), the
+    labels over the lcm of their q as integer steps (r, o) (scale_labels)
+    in the same order, and `gaps` the gaps their images leave in [0,1]:
+    before the first, between neighbours and after the last."""
 
     owner: Vertex
     labels: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(self.labels))
-        for g in self.labels:
+        labels = tuple(self.labels)
+        for g in labels:
             if not g.unit_preserving():
                 raise TreeError("tree: fiber label %s is not a self-map of [0,1]"
                                 % g)
-        scale, steps = scale_labels(self.labels)
-        steps = tuple(sorted(steps, key=lambda step: step[1]))
+        scale, steps = scale_labels(labels)
+        order = sorted(range(len(labels)), key=lambda k: steps[k][1])
+        object.__setattr__(self, "labels", tuple(labels[k] for k in order))
+        steps = tuple(steps[k] for k in order)
         object.__setattr__(self, "scaled", (scale, steps))
         ends = [0] + [v for r, o in steps for v in (o, o + r)] + [scale]
         gaps = [b - a for a, b in zip(ends[::2], ends[1::2])]
@@ -100,7 +104,7 @@ def build_labeled_tree(ifs):
     for ell in range(1, ifs.dim + 1):
         levels.append(tuple(Vertex(ell, t) for t in truncations(ifs, ell)))
         labels = {u.projected_map: [] for u in levels[-2]}
-        for v in sorted(levels[-1], key=lambda v: v.projected_map[-1].offset):
+        for v in levels[-1]:
             labels[v.projected_map[:-1]].append(v.projected_map[-1])
         fibers.update((u, FiberIFS(u, labels[u.projected_map]))
                       for u in levels[-2])

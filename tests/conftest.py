@@ -107,6 +107,58 @@ def random_lg_system(rng, dim=2, max_maps=4, max_den=12):
     return SpongeIFS(dim, tuple(maps))
 
 
+def random_shared_prefix_system(rng, dim):
+    """An LG system in which maps share truncations: each vertex gets one
+    to three offspring in equal slots of [0,1], every ratio below its
+    parent's, and the maps come shuffled, so first occurrence is not the
+    order of the rank-1 labels."""
+    paths = [()]
+    for _ in range(dim):
+        grown = []
+        for path in paths:
+            k = rng.randint(1, 3)
+            r = min(path[-1].ratio / 2 if path else Fraction(1, 2),
+                    Fraction(1, k))
+            grown += [path + (AffineMap1D(r, Fraction(j, k) + (Fraction(
+                1, k) - r) * Fraction(rng.randint(0, 2), 2)),)
+                for j in range(k)]
+        paths = grown
+    rng.shuffle(paths)
+    return SpongeIFS(dim, tuple(map(DiagonalAffineMap, paths)))
+
+
+def random_column_system(rng, dim, tile_rank=None, max_children=3):
+    """An LG system with several maps in one column, as in a
+    Bedford-McMullen carpet: each vertex gets one to max_children
+    offspring in equal slots of [0,1], each ratio below its parent's.
+
+    With tile_rank = s, one random vertex of rank s gets a fiber that
+    tiles [0,1] (equal slots filled, at least two) and every other fiber
+    leaves a gap, so the witness has rank s; with None nothing tiles.
+    The maps come shuffled, so truncation order is not offset order.
+    """
+    paths = [()]
+    for rank in range(dim):
+        tiler = rng.randrange(len(paths)) if rank == tile_rank else None
+        grown = []
+        for n, path in enumerate(paths):
+            p = path[-1].ratio if path else Fraction(1)
+            k = rng.randint(1, max_children)
+            if n == tiler:
+                # 1/k < p, so every label is thinner than its parent
+                k = max(k, 2, p.denominator // p.numerator + 1)
+                grown += [path + (AffineMap1D(Fraction(1, k), Fraction(j, k)),)
+                          for j in range(k)]
+                continue
+            r = min(p, Fraction(1, k)) * Fraction(rng.randint(1, 2), 3)
+            grown += [path + (AffineMap1D(r, Fraction(j, k) + (Fraction(
+                1, k) - r) * Fraction(rng.randint(0, 2), 2)),)
+                for j in range(k)]
+        paths = grown
+    rng.shuffle(paths)
+    return SpongeIFS(dim, tuple(map(DiagonalAffineMap, paths)))
+
+
 def random_special_system(rng, max_maps=4, max_den=12):
     """A random 2-D system of the special form: first coordinates tile
     [0,1], second coordinates strictly thinner, singleton deeper fibers."""

@@ -4,7 +4,9 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import sponge.cantor
 from sponge import (AT_LEAST_ONE, EXACTLY_ONE, ZERO, AffineMap1D, Analysis,
                     CantorError, ClassifyError, FiberIFS, SpongeIFS,
                     TreeError, Vertex, analyze_special_system,
@@ -13,7 +15,8 @@ from sponge import (AT_LEAST_ONE, EXACTLY_ONE, ZERO, AffineMap1D, Analysis,
                     extract_special_subsystem, fiber_ifs,
                     line_segment_witness, parse_ifs, validate_lg)
 
-from conftest import random_lg_system, random_special_system
+from conftest import (random_column_system, random_lg_system,
+                      random_special_system)
 
 
 def F(s):
@@ -194,6 +197,71 @@ def test_classify_invariant_under_relabeling(lg5, lg4):
             permuted = SpongeIFS(ifs.dim, tuple(ifs.maps[i] for i in perm))
             assert classify(permuted).conformal_dim_class \
                 == base.conformal_dim_class
+
+
+def test_column_systems_reach_every_class_and_witness_rank():
+    # a tiling fiber at rank s makes s the witness rank; one map per
+    # column below a tiling root is the special form
+    for dim in (2, 3):
+        seen = set()
+        for seed in range(4 * (dim + 1)):
+            tile_rank = (None, *range(dim))[seed % (dim + 1)]
+            max_children = 1 if seed < dim + 1 else 3
+            result = classify(random_column_system(
+                random.Random(seed), dim, tile_rank, max_children))
+            rank = result.witness.rank if result.witness else None
+            assert rank == tile_rank
+            seen.add((result.conformal_dim_class, rank))
+        assert {cls for cls, _ in seen} == {ZERO, EXACTLY_ONE, AT_LEAST_ONE}
+        assert {rank for _, rank in seen} == {None, *range(dim)}
+
+
+def _fingerprint(ifs):
+    """What no order of the maps may change."""
+    result = classify(ifs)
+    tree = build_labeled_tree(ifs)
+    return (result.conformal_dim_class,
+            result.witness.rank if result.witness else None,
+            sorted(result.fiber_report, key=repr),
+            {v: fib.labels for v, fib in tree.fibers.items()},
+            [check_product_decomposition(ifs, k) for k in (1, 2)],
+            _outcome(analyze_special_system, ifs))
+
+
+@settings(max_examples=60)
+@given(st.integers(2, 3), st.integers(0, 10 ** 6), st.integers(-1, 2),
+       st.integers(1, 3))
+@example(2, 0, 0, 1)  # ExactlyOne: one map per column under a tiling root
+@example(3, 0, 0, 1)
+def test_map_order_changes_no_fiber_fact(dim, seed, tile_rank, max_children):
+    # the class, the witness rank, the fiber verdicts, every fiber's
+    # labels, the product decomposition and the special system
+    rng = random.Random(seed)
+    ifs = random_column_system(rng, dim, tile_rank if 0 <= tile_rank < dim
+                               else None, max_children)
+    shuffled = SpongeIFS(dim, tuple(rng.sample(ifs.maps, ifs.size)))
+    assert _fingerprint(shuffled) == _fingerprint(ifs)
+
+
+def test_special_system_is_f0_at_the_root(monkeypatch, lg4):
+    # analyze_special_system takes its maps, in their order, from
+    # extract_special_subsystem at the witness
+    calls = []
+
+    def recording(ifs, witness):
+        calls.append((witness, extract_special_subsystem(ifs, witness)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(sponge.cantor, "extract_special_subsystem", recording)
+    rng = random.Random(41)
+    for ifs in [lg4] + [random_special_system(rng) for _ in range(4)]:
+        shuffled = SpongeIFS(ifs.dim, tuple(rng.sample(ifs.maps, ifs.size)))
+        sys_, _ = analyze_special_system(shuffled)
+        witness, f0 = calls[-1]
+        assert witness == ROOT
+        assert sys_.base is f0.sub_ifs
+        assert [m.coords[0] for m in sys_.base.maps] == \
+            list(fiber_ifs(build_labeled_tree(ifs), ROOT).labels)
 
 
 def _oracle_is_special_form(ifs):

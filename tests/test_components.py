@@ -20,7 +20,8 @@ from sponge import (AffineMap1D, Box, ComponentsError, FiberIFS, IFSError,
                     last_coordinate_fibers, major_projection, parse_ifs,
                     pre_moran_intervals, validate_lg)
 
-from conftest import (compose, random_lg_system, random_point_set,
+from conftest import (compose, random_column_system, random_lg_system,
+                      random_point_set, random_shared_prefix_system,
                       random_simple_labels)
 
 
@@ -233,14 +234,45 @@ def test_family_rejects_member_that_is_not_a_simple_ifs(member):
         SimpleIFSFamily([labels(("1/4", 0), ("1/4", "3/4")), member])
 
 
-def test_family_keeps_members_as_given(lg5):
+def test_family_members_are_offset_ordered_fiber_labels(lg5):
     from sponge import build_labeled_tree, fiber_ifs
     backwards = labels(("1/4", "3/4"), ("1/4", 0))
-    assert SimpleIFSFamily([backwards]).members == (backwards,)
+    assert SimpleIFSFamily([backwards]).members == (backwards[::-1],)
     tree = build_labeled_tree(lg5)
     fibers = [fiber_ifs(tree, v) for v in tree.levels[1]]
     fam = SimpleIFSFamily(fibers)
     assert all(m is f.labels for m, f in zip(fam.members, fibers))
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 10 ** 6))
+def test_family_members_align_with_scaled(seed):
+    # members given in any order come out in offset order, each label
+    # beside its own integer step, and the constants read the fibers
+    rng = random.Random(seed)
+    members = [random_simple_labels(rng, tiling=False)
+               for _ in range(rng.randint(1, 3))]
+    fam = SimpleIFSFamily([rng.sample(m, len(m)) for m in members])
+    assert fam.members == tuple(
+        tuple(sorted(m, key=lambda g: g.offset)) for m in members)
+    for member, (scale, steps) in zip(fam.members, fam.scaled):
+        assert [(g.ratio * scale, g.offset * scale) for g in member] == \
+            [(F(r), F(o)) for r, o in steps]
+    assert fam.counts == tuple(map(len, members))
+    assert fam.L_star == max(sum(g.ratio for g in m) for m in members)
+    assert fam.alpha_star == min(g.ratio for m in members for g in m)
+
+
+def test_family_tiling_verdict_is_attractor_is_unit_interval(monkeypatch):
+    # the family asks attractor_is_unit_interval, and nothing else,
+    # whether a member tiles
+    gapped, tiling = labels(("1/4", 0), ("1/4", "3/4")), \
+        labels(("1/2", 0), ("1/2", "1/2"))
+    monkeypatch.setattr(sponge.components, "attractor_is_unit_interval",
+                        lambda fiber: fiber.labels == gapped)
+    with pytest.raises(PreconditionError, match="member 1 has attractor"):
+        SimpleIFSFamily([gapped])
+    assert SimpleIFSFamily([tiling]).members == (tiling,)
 
 
 def test_family_scaled_is_each_fibers_own(lg5, bedford_mcmullen):
@@ -438,19 +470,21 @@ def test_product_decomposition(lg5, lg4):
 def _oracle_product_decomposition(ifs, k):
     """The depth-k cylinder boxes against the products of projected
     cylinder boxes and fiber pre-Moran intervals, as sets of Fraction
-    Boxes: boxes from cylinder_box, fiber intervals composed map by map.
-    The fibers are read through sponge.components, as the fast path
-    reads them."""
+    Boxes: boxes from cylinder_box over major_projection, fiber intervals
+    composed map by map.  The fibers are read through sponge.components,
+    as the fast path reads them, each matched to its projected map by
+    its owner."""
     proj = major_projection(ifs, ifs.dim - 1)
     tree = build_labeled_tree(ifs)
-    fibers = [f.labels
-              for f in sponge.components.last_coordinate_fibers(tree)]
+    fibers = {f.owner.projected_map: f.labels
+              for f in sponge.components.last_coordinate_fibers(tree)}
     lhs = {cylinder_box(ifs, w)
            for w in itertools.product(range(1, ifs.size + 1), repeat=k)}
     rhs = set()
     for word in itertools.product(range(1, proj.size + 1), repeat=k):
         base = cylinder_box(proj, word).sides
-        for gs in itertools.product(*(fibers[j - 1] for j in word)):
+        for gs in itertools.product(*(fibers[proj.maps[j - 1].coords]
+                                      for j in word)):
             lo, hi = F(0), F(1)
             for g in reversed(gs):
                 lo, hi = g(lo), g(hi)
@@ -465,15 +499,33 @@ def _product_systems(lg5, lg4, bedford_mcmullen):
         ifs = random_lg_system(rng, dim=2 + len(systems) % 2)
         if validate_lg(ifs).lg_type:
             systems.append(ifs)
+    # several labels per last-coordinate fiber, tiling ones included
+    for dim in (2, 3):
+        systems += [random_column_system(rng, dim, tile_rank, max_children=2)
+                    for tile_rank in (None, *range(dim))]
+        systems += [random_shared_prefix_system(rng, dim) for _ in range(2)]
     return systems
 
 
 def test_product_decomposition_matches_box_oracle(lg5, lg4,
                                                   bedford_mcmullen):
     for ifs in _product_systems(lg5, lg4, bedford_mcmullen):
-        for k in (1, 2, 3):
+        for k in (1, 2, 3) if ifs.size <= 8 else (1, 2):
             assert check_product_decomposition(ifs, k) \
                 == _oracle_product_decomposition(ifs, k), (ifs, k)
+
+
+def test_product_decomposition_reads_projected_maps_from_the_fibers(
+        monkeypatch, lg5, lg4, bedford_mcmullen):
+    # the projected maps are the fibers' owners, so listing the fibers in
+    # another order moves both sides together and the check still holds
+    original = sponge.components.last_coordinate_fibers
+    monkeypatch.setattr(sponge.components, "last_coordinate_fibers",
+                        lambda tree: original(tree)[::-1])
+    for ifs in _product_systems(lg5, lg4, bedford_mcmullen):
+        for k in (1, 2):
+            assert check_product_decomposition(ifs, k), (ifs, k)
+            assert _oracle_product_decomposition(ifs, k), (ifs, k)
 
 
 # the fibers' last-coordinate labels are over 4 and over 3, the full set

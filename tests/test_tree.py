@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from sponge import (AffineMap1D, DiagonalAffineMap, FiberIFS, SpongeIFS,
+import sponge.tree
+from sponge import (AffineMap1D, Box, DiagonalAffineMap, FiberIFS, SpongeIFS,
                     TreeError, ValidationReport, Vertex, all_fiber_ifs,
                     attractor_is_unit_interval, build_labeled_tree,
                     cylinder_box, fiber_ifs, last_coordinate_fibers,
@@ -13,7 +14,8 @@ from sponge import (AffineMap1D, DiagonalAffineMap, FiberIFS, SpongeIFS,
 from sponge.ifs import scale_labels, truncations
 from sponge.tree import ROOT
 
-from conftest import load_fixture, random_lg_system, random_simple_labels
+from conftest import (load_fixture, random_column_system, random_lg_system,
+                      random_shared_prefix_system, random_simple_labels)
 
 
 def F(s):
@@ -234,6 +236,14 @@ def _maps(*pairs):
     return tuple(AffineMap1D(F(r), F(o)) for r, o in pairs)
 
 
+def _open_overlap(a, b):
+    """Do the interiors of two Intervals, or of two Boxes side by side,
+    meet?"""
+    if isinstance(a, Box):
+        return all(map(_open_overlap, a.sides, b.sides))
+    return max(a.lo, b.lo) < min(a.hi, b.hi)
+
+
 @given(unit_labels())
 @example(_maps(("1/2", "1/2"), ("1/2", 0)))                # tiles
 @example(_maps(("1/4", 0), ("1/4", "1/4"), ("1/4", "3/4")))  # touching
@@ -241,7 +251,7 @@ def _maps(*pairs):
 @example(_maps(("3/5", 0), ("1/10", "1/10"), ("2/5", "3/5")))  # covers
 def test_fiber_gaps_match_pairwise_and_scan_oracles(labels):
     images = [g.image() for g in labels]
-    overlap = any(a.open_intersects(b)
+    overlap = any(_open_overlap(a, b)
                   for k, a in enumerate(images) for b in images[k + 1:])
     if overlap:
         with pytest.raises(TreeError, match="overlap"):
@@ -344,7 +354,7 @@ def _oracle_validate_lg(ifs):
         boxes = [cylinder_box(proj, (j,)) for j in range(1, proj.size + 1)]
         for i in range(len(boxes)):
             for j in range(i + 1, len(boxes)):
-                if boxes[i].open_intersects(boxes[j]):
+                if _open_overlap(boxes[i], boxes[j]):
                     neat.append(("neat_projection", (i + 1, j + 1, ell)))
     return ValidationReport(not unit, not ordering, not neat,
                             tuple(violations + neat))
@@ -373,26 +383,6 @@ def test_neat_projection_violations_at_two_ranks():
     assert report == _oracle_validate_lg(ifs)
 
 
-def _shared_prefix_system(rng, dim):
-    """An LG system in which maps share truncations: each vertex gets one
-    to three offspring in equal slots of [0,1], every ratio below its
-    parent's, and the maps come shuffled, so first occurrence is not the
-    order of the rank-1 labels."""
-    paths = [()]
-    for _ in range(dim):
-        grown = []
-        for path in paths:
-            k = rng.randint(1, 3)
-            r = min(path[-1].ratio / 2 if path else Fraction(1, 2),
-                    Fraction(1, k))
-            grown += [path + (AffineMap1D(r, Fraction(j, k) + (Fraction(
-                1, k) - r) * Fraction(rng.randint(0, 2), 2)),)
-                for j in range(k)]
-        paths = grown
-    rng.shuffle(paths)
-    return SpongeIFS(dim, tuple(map(DiagonalAffineMap, paths)))
-
-
 @settings(max_examples=60)
 @given(st.integers(1, 3), st.integers(0, 10 ** 6), st.booleans())
 def test_one_truncation_order(dim, seed, shared):
@@ -400,7 +390,7 @@ def test_one_truncation_order(dim, seed, shared):
     # projected maps all come from truncations: first occurrence first,
     # each mapped to the index of its first map
     rng = random.Random(seed)
-    ifs = (_shared_prefix_system(rng, dim) if shared
+    ifs = (random_shared_prefix_system(rng, dim) if shared
            else random_lg_system(rng, dim))
     tree = build_labeled_tree(ifs)
     for ell in range(1, dim + 1):
@@ -419,16 +409,41 @@ def test_one_truncation_order(dim, seed, shared):
 @given(st.integers(0, 10 ** 6))
 def test_fiber_scaled_is_offset_ordered_scale_labels(seed):
     # the one integer form of a fiber: its labels over the lcm of their
-    # denominators, the steps in offset order whatever the label order
+    # denominators; labels and steps both in offset order, step k being
+    # label k's, whatever the order the labels come in
     rng = random.Random(seed)
     labels = list(random_simple_labels(rng))
     rng.shuffle(labels)
     fib = FiberIFS(ROOT, labels)
-    scale, steps = scale_labels(labels)
-    assert fib.labels == tuple(labels)
-    assert fib.scaled == (scale, tuple(sorted(steps, key=lambda s: s[1])))
-    oracle = [(g.ratio * scale, g.offset * scale)
-              for g in sorted(labels, key=lambda g: g.offset)]
+    ordered = sorted(labels, key=lambda g: g.offset)
+    scale, steps = scale_labels(ordered)
+    assert fib.labels == tuple(ordered)
+    assert fib.scaled == (scale, tuple(steps))
+    oracle = [(g.ratio * scale, g.offset * scale) for g in ordered]
     assert [(Fraction(r), Fraction(o)) for r, o in fib.scaled[1]] == oracle
     assert scale == math.lcm(*(x.denominator for g in labels
                                for x in (g.ratio, g.offset)))
+
+
+@settings(max_examples=40)
+@given(st.integers(2, 3), st.integers(0, 10 ** 6))
+def test_tree_leaves_the_offset_order_to_the_fiber(dim, seed):
+    # the tree hands each fiber its labels in truncation order, and only
+    # FiberIFS puts them in offset order
+    given_labels = {}
+
+    def recording(owner, labels):
+        given_labels[owner] = tuple(labels)
+        return FiberIFS(owner, labels)
+
+    ifs = random_column_system(random.Random(seed), dim)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sponge.tree, "FiberIFS", recording)
+        tree = build_labeled_tree(ifs)
+    for ell in range(1, dim + 1):
+        for u in tree.levels[ell - 1]:
+            labels = tuple(v.projected_map[-1] for v in tree.levels[ell]
+                           if v.projected_map[:-1] == u.projected_map)
+            assert given_labels[u] == labels
+            assert tree.fibers[u].labels == tuple(
+                sorted(labels, key=lambda g: g.offset))
