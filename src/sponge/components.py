@@ -8,6 +8,7 @@ exact squared thresholds; no floating point enters any decision.
 from bisect import bisect_right
 from collections.abc import Sequence
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate, product
 from math import isqrt, lcm
 from operator import sub
@@ -228,7 +229,48 @@ def delta_components(objects, delta):
     return delta_components_sq(objects, delta * delta)
 
 
-class IntervalSet(Sequence):
+class _TupleView(Sequence):
+    """A sequence that compares and hashes as the tuple of its items."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if isinstance(other, _TupleView):
+            other = tuple(other)
+        if not isinstance(other, tuple):
+            return NotImplemented
+        return tuple(self) == other
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+
+class Runs(_TupleView):
+    """interval_components' blocks as the runs [firsts[k], stops[k]) of
+    indices: reads and hashes as the tuple of their index tuples,
+    `blocks`, which is built on first read and kept."""
+
+    def __init__(self, firsts, stops):
+        self.firsts, self.stops = firsts, stops
+
+    @cached_property
+    def blocks(self):
+        return tuple(map(tuple, map(range, self.firsts, self.stops)))
+
+    def __len__(self):
+        return len(self.firsts)
+
+    def __getitem__(self, k):
+        return self.blocks[k]
+
+    def __iter__(self):
+        return iter(self.blocks)
+
+    def __repr__(self):
+        return repr(self.blocks)
+
+
+class IntervalSet(_TupleView):
     """Closed intervals as integer (lo, hi) ends over one positive
     denominator, in the order given: interval k is ends[k] / den.
 
@@ -274,16 +316,6 @@ class IntervalSet(Sequence):
         return (Interval(Fraction(lo, den), Fraction(hi, den))
                 for lo, hi in self.ends)
 
-    def __eq__(self, other):
-        if isinstance(other, IntervalSet):
-            other = tuple(other)
-        if not isinstance(other, tuple):
-            return NotImplemented
-        return tuple(self) == other
-
-    def __hash__(self):
-        return hash(tuple(self))
-
     def __repr__(self):
         return "IntervalSet(%d, %r)" % (self.den, self.ends)
 
@@ -293,7 +325,8 @@ class IntervalSet(Sequence):
         ends, the positions k >= 1 of that order sorted by the gap
         starts[k] - reach[k - 1] before them, and those gaps in the same,
         ascending, order.  The order is a range when the set is already
-        in left-end order."""
+        in left-end order; right ends that never fall in that order, as
+        in every pre-Moran set, are their own running maximum (no scan)."""
         if self._gaps is None:
             los, his = zip(*self.ends) if self.ends else ((), ())
             starts = sorted(los)
@@ -301,8 +334,10 @@ class IntervalSet(Sequence):
                 order = range(len(los))
             else:
                 order = sorted(range(len(los)), key=los.__getitem__)
-                his = map(his.__getitem__, order)
-            reach = list(accumulate(his, max))
+                his = tuple(map(his.__getitem__, order))
+            reach = sorted(his)
+            if reach != list(his):
+                reach = list(accumulate(his, max))
             # gap[k] is the gap before position k; gap[0] is never read
             gap = [0, *map(sub, starts[1:], reach)]
             by_gap = sorted(range(1, len(los)), key=gap.__getitem__)
@@ -317,7 +352,9 @@ def interval_components(intervals, delta):
     Returns (blocks, diams) like delta_components, with blocks as index
     tuples into the input ordered by their first index, and diams as
     exact rational lengths.  Agrees with delta_components on 1-D boxes.
-    `intervals` is an IntervalSet or a sequence of Intervals.
+    `intervals` is an IntervalSet or a sequence of Intervals.  When the
+    set is in left-end order (every pre-Moran set is), blocks is Runs:
+    the runs of indices, whose tuples are built only when read.
 
     Single linkage on a line is the sorted gap list.  Over the
     intervals' common denominator, sort them by left end and take the
@@ -330,7 +367,7 @@ def interval_components(intervals, delta):
     """
     delta = _positive("delta", delta)
     intervals = IntervalSet.of(intervals)
-    n = len(intervals)
+    n = len(intervals.ends)
     if not n:
         return (), ()
     den = intervals.den
@@ -342,7 +379,7 @@ def interval_components(intervals, delta):
     diams = [Fraction(reach[b - 1] - starts[a], den)
              for a, b in zip(firsts, stops)]
     if isinstance(order, range):  # left-end order is the input order
-        return tuple(map(tuple, map(range, firsts, stops))), tuple(diams)
+        return Runs(firsts, stops), tuple(diams)
     pairs = sorted((tuple(sorted(order[a:b])), diam)
                    for a, b, diam in zip(firsts, stops, diams))
     return tuple(b for b, _ in pairs), tuple(d for _, d in pairs)

@@ -262,15 +262,6 @@ def truncations(ifs, ell):
     return firsts
 
 
-def major_projection(ifs, ell):
-    """The rank-ell major projection: the maps' truncations (truncations),
-    in their first-occurrence order, as a SpongeIFS of dimension ell."""
-    if not (1 <= ell <= ifs.dim):
-        raise IFSError("ifs: projection level %d out of range 1..%d"
-                       % (ell, ifs.dim))
-    return SpongeIFS(ell, tuple(map(DiagonalAffineMap, truncations(ifs, ell))))
-
-
 def word_maps(ifs, word):
     """The maps along `word`, whose symbols are 1..M (M = ifs.size)."""
     maps = []

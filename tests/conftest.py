@@ -6,7 +6,9 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
-from sponge import AffineMap1D, DiagonalAffineMap, SpongeIFS, parse_ifs
+from sponge import (AffineMap1D, DiagonalAffineMap, IFSError, SpongeIFS,
+                    parse_ifs)
+from sponge.ifs import truncations
 
 # Fixed example sequences and no wall-clock deadline, so that every run of
 # the suite draws and passes the same cases.
@@ -58,6 +60,17 @@ def _after(f, g):
     return AffineMap1D(f.ratio * g.ratio, f.ratio * g.offset + f.offset)
 
 
+def major_projection(ifs, ell):
+    """The rank-ell major projection: the maps' truncations (truncations),
+    in their first-occurrence order, as a SpongeIFS of dimension ell.  The
+    oracle that the tree's levels, the LG gate's projected maps and the
+    product decomposition's projected cylinders are checked on."""
+    if not (1 <= ell <= ifs.dim):
+        raise IFSError("ifs: projection level %d out of range 1..%d"
+                       % (ell, ifs.dim))
+    return SpongeIFS(ell, tuple(map(DiagonalAffineMap, truncations(ifs, ell))))
+
+
 def random_simple_labels(rng, max_maps=4, max_den=24, tiling=None):
     """A random simple IFS of [0,1] as a tuple of AffineMap1D.
 
@@ -105,26 +118,6 @@ def random_lg_system(rng, dim=2, max_maps=4, max_den=12):
             coords.append(AffineMap1D(r2, off))
         maps.append(DiagonalAffineMap(tuple(coords)))
     return SpongeIFS(dim, tuple(maps))
-
-
-def random_shared_prefix_system(rng, dim):
-    """An LG system in which maps share truncations: each vertex gets one
-    to three offspring in equal slots of [0,1], every ratio below its
-    parent's, and the maps come shuffled, so first occurrence is not the
-    order of the rank-1 labels."""
-    paths = [()]
-    for _ in range(dim):
-        grown = []
-        for path in paths:
-            k = rng.randint(1, 3)
-            r = min(path[-1].ratio / 2 if path else Fraction(1, 2),
-                    Fraction(1, k))
-            grown += [path + (AffineMap1D(r, Fraction(j, k) + (Fraction(
-                1, k) - r) * Fraction(rng.randint(0, 2), 2)),)
-                for j in range(k)]
-        paths = grown
-    rng.shuffle(paths)
-    return SpongeIFS(dim, tuple(map(DiagonalAffineMap, paths)))
 
 
 def random_column_system(rng, dim, tile_rank=None, max_children=3):

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import sponge.components
 import sponge.ifs
@@ -17,12 +17,12 @@ from sponge import (AffineMap1D, Box, ComponentsError, FiberIFS, IFSError,
                     delta0_sequence_exists, delta0_sequence_exists_sq,
                     delta_components, delta_components_sq,
                     enumerate_cylinders, interval_components,
-                    last_coordinate_fibers, major_projection, parse_ifs,
-                    pre_moran_intervals, validate_lg)
+                    last_coordinate_fibers, parse_ifs, pre_moran_intervals,
+                    validate_lg)
+from sponge.components import Runs
 
-from conftest import (compose, random_column_system, random_lg_system,
-                      random_point_set, random_shared_prefix_system,
-                      random_simple_labels)
+from conftest import (compose, major_projection, random_column_system,
+                      random_lg_system, random_point_set, random_simple_labels)
 
 
 def F(s, d=None):
@@ -503,7 +503,7 @@ def _product_systems(lg5, lg4, bedford_mcmullen):
     for dim in (2, 3):
         systems += [random_column_system(rng, dim, tile_rank, max_children=2)
                     for tile_rank in (None, *range(dim))]
-        systems += [random_shared_prefix_system(rng, dim) for _ in range(2)]
+        systems += [random_column_system(rng, dim) for _ in range(2)]
     return systems
 
 
@@ -1073,6 +1073,96 @@ def test_interval_components_cut_only_above_delta(delta, blocks):
         _oracle_interval_components(list(iset), delta)
 
 
+def _assert_reads_as(blocks, eager):
+    """blocks is a Runs that reads as the tuple eager in every way."""
+    assert isinstance(blocks, Runs)
+    assert eager == blocks and blocks == eager
+    assert not (eager != blocks) and not (blocks != eager)
+    assert hash(blocks) == hash(eager)
+    assert len(blocks) == len(eager)
+    for k in range(-len(eager), len(eager)):
+        assert blocks[k] == eager[k]
+    for cut in (slice(1, None), slice(None, -1), slice(None, None, -1)):
+        assert blocks[cut] == eager[cut]
+    assert tuple(blocks) == eager and list(blocks) == list(eager)
+    assert repr(blocks) == repr(eager)
+    assert blocks != list(eager) and blocks != eager + ((),)
+
+
+def _fixed_family():
+    return SimpleIFSFamily([labels(("1/4", 0), ("1/4", "3/4")),
+                            labels(("1/3", 0), ("1/5", "1/2"),
+                                   ("1/6", "5/6"))])
+
+
+@given(st.data())
+def test_interval_blocks_read_as_their_eager_tuple(data):
+    # in left-end order the blocks are runs, read on demand; they must
+    # read as the tuple of index tuples that they stand for
+    ivs = sorted(data.draw(interval_sets()), key=lambda iv: iv.lo)
+    delta = data.draw(interval_deltas(ivs))
+    blocks, _ = interval_components(ivs, delta)
+    _assert_reads_as(blocks, tuple(map(tuple, map(range, blocks.firsts,
+                                                  blocks.stops))))
+    _assert_reads_as(blocks, delta_components(
+        [Box((iv,)) for iv in ivs], delta).blocks)
+
+
+def test_pre_moran_blocks_read_as_their_eager_tuple():
+    fam = _fixed_family()
+    for word in itertools.chain.from_iterable(
+            itertools.product(range(1, 3), repeat=n) for n in range(1, 4)):
+        ivs = pre_moran_intervals(fam, word).intervals
+        for delta in (F(1, 2 ** k) for k in range(6)):
+            blocks, _ = interval_components(ivs, delta)
+            _assert_reads_as(blocks, delta_components(
+                [Box((iv,)) for iv in ivs], delta).blocks)
+
+
+@given(interval_sets())
+@example([Interval(F(0), F(4)), Interval(F(1), F(2)), Interval(F(3), F(5))])
+@example([Interval(F(0), F(1)), Interval(F(0), F(1)), Interval(F(2), F(3))])
+def test_gap_list_reach_is_the_running_maximum(ivs):
+    # right ends that already ascend (duplicates too) are taken as they
+    # are; a nested interval needs the running maximum
+    for ordered in (ivs, sorted(ivs, key=lambda iv: iv.lo)):
+        iset = IntervalSet.of(ordered)
+        order, _, reach, _, _ = iset.gap_list()
+        his = [iset.ends[i][1] for i in order]
+        assert reach == list(itertools.accumulate(his, max))
+
+
+def test_premoran_checks_read_no_block(monkeypatch):
+    # every 1-D caller keeps only the diameters: with the blocks' tuples
+    # made unreadable, the pre-Moran bound and the acceptance-04 loop
+    # still run to the end
+    def unread(self):
+        raise AssertionError("a block was read")
+
+    monkeypatch.setattr(Runs, "blocks", property(unread))
+    fam = _fixed_family()
+    grid = [F(1, 2 ** k) for k in range(6)]
+    words = [()]
+    for _ in range(5):
+        words = [w + (i,) for w in words for i in range(1, fam.size + 1)]
+        for word in words:
+            if len(word) <= 4:
+                for delta in grid:
+                    report = check_premoran_bound(fam, word, delta)
+                    assert report.holds or not report.admissible
+            pm = pre_moran_intervals(fam, word)
+            threshold = fam.g_star / fam.alpha_star
+            for i in word:
+                threshold *= fam.betas[i - 1]
+            for delta in grid:
+                if delta >= threshold:
+                    _, diams = interval_components(pm.intervals, delta)
+                    assert max(diams) <= (2 / (fam.g_star * fam.alpha_star)
+                                          + 1) * delta
+    with pytest.raises(AssertionError, match="a block was read"):
+        list(interval_components(pm.intervals, F(1))[0])
+
+
 def test_interval_set_rejects_reversed_ends():
     # one check, one message, for Fraction and for integer ends
     for reversed_ends in (lambda: IntervalSet(4, [(0, 1), (3, 2)]),
@@ -1107,8 +1197,7 @@ def test_pre_moran_intervals_read_as_a_tuple():
 
 def test_pre_moran_components_build_no_intervals(monkeypatch):
     # a pre-Moran set stays integer from composition to components
-    fam = SimpleIFSFamily([labels(("1/4", 0), ("1/4", "3/4")),
-                           labels(("1/3", 0), ("1/5", "1/2"), ("1/6", "5/6"))])
+    fam = _fixed_family()
     first = Interval(F(0), F(1, 4 * 3 * 3 * 4))
     made = []
     original = sponge.ifs.Interval.__post_init__

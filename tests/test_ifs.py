@@ -10,10 +10,10 @@ import sponge.ifs
 from sponge import (AffineMap1D, Box, DiagonalAffineMap, IFSError, Interval,
                     ParseError, SpongeIFS, approx_square, compose_labels,
                     cylinder_box, enumerate_cylinders, fixed_point,
-                    major_projection, parse_ifs, serialize_ifs, validate_lg,
-                    width)
+                    parse_ifs, serialize_ifs, validate_lg, width)
 
-from conftest import compose, random_lg_system, random_special_system
+from conftest import (compose, major_projection, random_lg_system,
+                      random_special_system)
 
 
 def F(s):

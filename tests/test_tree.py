@@ -10,12 +10,12 @@ from sponge import (AffineMap1D, Box, DiagonalAffineMap, FiberIFS, SpongeIFS,
                     TreeError, ValidationReport, Vertex, all_fiber_ifs,
                     attractor_is_unit_interval, build_labeled_tree,
                     cylinder_box, fiber_ifs, last_coordinate_fibers,
-                    major_projection, parse_ifs, validate_lg)
+                    parse_ifs, validate_lg)
 from sponge.ifs import scale_labels, truncations
 from sponge.tree import ROOT
 
-from conftest import (load_fixture, random_column_system, random_lg_system,
-                      random_shared_prefix_system, random_simple_labels)
+from conftest import (load_fixture, major_projection, random_column_system,
+                      random_lg_system, random_simple_labels)
 
 
 def F(s):
@@ -385,12 +385,12 @@ def test_neat_projection_violations_at_two_ranks():
 
 @settings(max_examples=60)
 @given(st.integers(1, 3), st.integers(0, 10 ** 6), st.booleans())
-def test_one_truncation_order(dim, seed, shared):
+def test_one_truncation_order(dim, seed, columns):
     # the tree's levels, the major projections and the LG gate's
     # projected maps all come from truncations: first occurrence first,
     # each mapped to the index of its first map
     rng = random.Random(seed)
-    ifs = (random_shared_prefix_system(rng, dim) if shared
+    ifs = (random_column_system(rng, dim) if columns
            else random_lg_system(rng, dim))
     tree = build_labeled_tree(ifs)
     for ell in range(1, dim + 1):
