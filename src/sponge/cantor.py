@@ -15,7 +15,7 @@ from math import lcm
 
 from .classify import (EXACTLY_ONE, Analysis, classify,
                        extract_special_subsystem)
-from .ifs import SpongeIFS, compose_labels, fixed_point
+from .ifs import SpongeIFS, compose_scaled, fixed_point, scale_labels
 from .util import (DEFAULT_CAP, DomainError, Record, ResourceCapError,
                    capped_power, common_denominator, sqrt_leq_quad)
 
@@ -246,7 +246,8 @@ class RatioReport(Record):
         return self.lower_ok and self.upper_ok
 
 
-def bilipschitz_check(sys, constants, depth, cap=DEFAULT_CAP, tree=None):
+def bilipschitz_check(sys, constants, depth, cap=DEFAULT_CAP, tree=None,
+                      lip=None):
     """Envelope check over the canonical dense pair family.
 
     Compares |u-v| / |x-y| against [1/c1, C0] in exact squared arithmetic
@@ -268,9 +269,11 @@ def bilipschitz_check(sys, constants, depth, cap=DEFAULT_CAP, tree=None):
     whose range lies inside the current [min, max] is dropped; otherwise
     its shallower node is split.  A dropped pair holds no x = y, so
     `pairs` and `skipped` still count word pairs over the whole family.
-    A `tree` for the same system shares its laid-out rows.
+    A `tree` for the same system shares its laid-out rows, and `lip`
+    its lipschitz_constants.
     """
-    lip = lipschitz_constants(sys, constants)
+    if lip is None:
+        lip = lipschitz_constants(sys, constants)
     if tree is None:
         tree = CantorTree(sys, constants, 0, cap)
     n = max(depth, 0)
@@ -285,24 +288,24 @@ def bilipschitz_check(sys, constants, depth, cap=DEFAULT_CAP, tree=None):
     # the lcm of the depth-n side denominators, and every end of a tree row
     # over the leaves' row denominator D_n
     P, ab = common_denominator(sys.a + sys.b)
-    sides = [compose_labels([[mp.coords[j] for mp in sys.base.maps]] * n)
-             for j in range(d)]
+    sides = [compose_scaled([scale_labels(column)] * n)
+             for column in zip(*(mp.coords for mp in sys.base.maps))]
     top = lcm(*(den for den, _ in sides))
     M = top * P
     J = tree.row(n)
-    # per side, level k lists its nodes (box los, box his, interval): a
-    # leaf is (point, point, (endpoint, endpoint)), a node the extents of
-    # its m children's
+    # per side, level k lists its nodes (box los, box his, interval lo,
+    # interval hi): a leaf is (point, point, endpoint, endpoint), a node
+    # the extents of its m children's
     a_side, b_side = [], []
     for side, p, e in ((a_side, ab[:d], 0), (b_side, ab[d:], 1)):
         pts = zip(*([(lo * P + (hi - lo) * pj) * (top // den)
                      for lo, hi in ends] for (den, ends), pj in zip(sides, p)))
-        level = [(x, x, (iv[e],) * 2) for x, iv in zip(pts, J)]
+        level = [(x, x, iv[e], iv[e]) for x, iv in zip(pts, J)]
         side.append(level)
         for _ in range(n):
             level = [(tuple(map(min, *(c[0] for c in kids))),
                       tuple(map(max, *(c[1] for c in kids))),
-                      (min(c[2][0] for c in kids), max(c[2][1] for c in kids)))
+                      min(c[2] for c in kids), max(c[3] for c in kids))
                      for kids in (level[i:i + m]
                                   for i in range(0, len(level), m))]
             side.append(level)
@@ -328,9 +331,9 @@ def bilipschitz_check(sys, constants, depth, cap=DEFAULT_CAP, tree=None):
     while stack or runs:
         if runs:
             ia, start, end = runs.pop()
-            x, _, (u, _) = a_leaves[ia]
+            x, _, u, _ = a_leaves[ia]
             for ib in range(start, end):
-                y, _, (v, _) = b_leaves[ib]
+                y, _, v, _ = b_leaves[ib]
                 dist2 = 0
                 for p, q in zip(x, y):
                     dist2 += (p - q) * (p - q)
@@ -347,37 +350,41 @@ def bilipschitz_check(sys, constants, depth, cap=DEFAULT_CAP, tree=None):
                     max_n, max_d = num, dist2
             continue
         ka, ia, kb, ib = pop()
-        alos, ahis, (ulo, uhi) = a_side[ka][ia]
-        blos, bhis, (vlo, vhi) = b_side[kb][ib]
-        # squared nearest and farthest distances of the boxes and of the
-        # intervals (explicit branches: builtin max costs a call per pair)
-        gap2 = far2 = 0
-        for alo, ahi, blo, bhi in zip(alos, ahis, blos, bhis):
-            t = blo - ahi
-            if t < 0:
-                t = alo - bhi
-                if t < 0:
-                    t = 0
-            gap2 += t * t
-            t = bhi - alo
-            f = ahi - blo
-            if f > t:
-                t = f
-            far2 += t * t
+        alos, ahis, ulo, uhi = a_side[ka][ia]
+        blos, bhis, vlo, vhi = b_side[kb][ib]
+        # squared nearest and farthest distances of the intervals and of
+        # the boxes (explicit branches: builtin max costs a call per pair);
+        # a pair is dropped only if near * min_d >= min_n * far2 with
+        # far2 > 0, so meeting intervals under a positive minimum split
+        # before the boxes are read
         t = vlo - uhi
         if t < 0:
             t = ulo - vhi
             if t < 0:
                 t = 0
         near = t * t
-        t = vhi - ulo
-        f = uhi - vlo
-        if f > t:
-            t = f
-        span = t * t
-        if gap2 and near * min_d >= min_n * far2 \
-                and span * max_d <= max_n * gap2:
-            continue
+        if near * min_d or not min_n:
+            gap2 = far2 = 0
+            for alo, ahi, blo, bhi in zip(alos, ahis, blos, bhis):
+                t = blo - ahi
+                if t < 0:
+                    t = alo - bhi
+                    if t < 0:
+                        t = 0
+                gap2 += t * t
+                t = bhi - alo
+                f = ahi - blo
+                if f > t:
+                    t = f
+                far2 += t * t
+            t = vhi - ulo
+            f = uhi - vlo
+            if f > t:
+                t = f
+            span = t * t
+            if gap2 and near * min_d >= min_n * far2 \
+                    and span * max_d <= max_n * gap2:
+                continue
         if ka <= kb:
             base = ia * m
             for c in range(m):

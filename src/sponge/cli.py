@@ -21,8 +21,8 @@ from json.encoder import encode_basestring_ascii
 from . import __version__
 from .classify import EXACTLY_ONE, Analysis, classify
 from .components import (SimpleIFSFamily, approx_square,
-                         check_product_decomposition,
-                         component_diameter_profile, pre_moran_intervals)
+                         component_diameter_profile, pre_moran_intervals,
+                         product_decompositions)
 # validate_lg runs inside the labeled tree's LG gate, not here; the name
 # stays bound because bench/test_bench.py checks that the benchmark's
 # tracer rebinds it in every module that imports it
@@ -190,7 +190,7 @@ def _payload_cantor(a, args):
         payload["tree_depth_checked"] = tree_depth
     if check in ("lipschitz", "all"):
         rep = bilipschitz_check(sys_, consts, min(args.depth, 4),
-                                cap=args.cap, tree=tree)
+                                cap=args.cap, tree=tree, lip=lip)
         payload["lipschitz"] = {
             "pairs": rep.pairs,
             "skipped": rep.skipped,
@@ -224,8 +224,8 @@ def _payload_all(a, args):
     payload["tree"], _ = _payload_tree(a, args, vertex_dict)
     if a.ifs.dim >= 2:
         payload["product_decomposition"] = {
-            str(k): check_product_decomposition(a, k, cap=args.cap)
-            for k in (1, 2)
+            str(k): ok for k, ok in
+            product_decompositions(a, (1, 2), cap=args.cap).items()
         }
     if a.classification.conformal_dim_class == EXACTLY_ONE:
         # when every gap vanishes the attractor is a segment: no Cantor model

@@ -9,7 +9,7 @@ from bisect import bisect_right
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, product
+from itertools import accumulate
 from math import isqrt, lcm
 from operator import sub
 
@@ -441,15 +441,21 @@ def delta0_sequence_exists_sq(points, delta0_sq):
     return True, tuple(reversed(path))
 
 
+def _check_words(size, depth, cap):
+    """Raise ResourceCapError when the depth-n words over `size` maps,
+    counting at least n for a depth-n word, are more than cap."""
+    # a depth-n word takes n compositions, even when there is one map
+    count = max(capped_power(size, depth, cap), min(depth, cap + 1))
+    if count > cap:
+        raise ResourceCapError("components", count, cap)
+
+
 def _cylinder_columns(rows, depth, cap):
     """Per coordinate j, the IntervalSet of side j of every depth-n
     cylinder box of the maps given as rows (tuples of AffineMap1D),
     lexicographic in the word: column j, scaled once, composed along the
     word."""
-    # a depth-n word takes n compositions, even when there is one map
-    count = max(capped_power(len(rows), depth, cap), min(depth, cap + 1))
-    if count > cap:
-        raise ResourceCapError("components", count, cap)
+    _check_words(len(rows), depth, cap)
     return [IntervalSet(*compose_scaled([scale_labels(column)] * depth))
             for column in zip(*rows)]
 
@@ -644,30 +650,63 @@ def approx_square(ifs, word, delta):
 def check_product_decomposition(ifs, k, cap=DEFAULT_CAP):
     """Depth-k cylinders equal the union of (projected cylinder) x
     (fiber pre-Moran interval) products, as exact box sets; `ifs` may be
-    an Analysis.
+    an Analysis.  product_decompositions at the one depth k."""
+    return product_decompositions(ifs, (k,), cap)[k]
 
-    The projected maps are the owners of last_coordinate_fibers.  Both
-    sides are composed in integers from label sets scaled once (a
-    fiber's own FiberIFS.scaled); at one common denominator per
-    coordinate, each box is a tuple of integer (lo, hi) pairs and the
-    sets compare as sets of tuples.
+
+def product_decompositions(ifs, depths, cap=DEFAULT_CAP):
+    """check_product_decomposition at each of `depths`, as a dict, from
+    one composition.
+
+    The projected maps are the owners of last_coordinate_fibers.  Each
+    column of the maps and of the projected maps is scaled once, and
+    each fiber brings its own FiberIFS.scaled.  Depth k + 1 is one more
+    outer level of compose_scaled on the depth-k ends, the new letter
+    outermost, so both sides stay in lexicographic word order.  At one
+    common denominator per coordinate, each box is a tuple of integer
+    (lo, hi) pairs and the sets compare as sets of tuples.
     """
     analysis = Analysis.of(ifs)
     ifs = analysis.ifs
     if ifs.dim < 2:
         raise ComponentsError("components: product decomposition needs d >= 2")
-    lhs = _cylinder_columns([m.coords for m in ifs.maps], k, cap)
+    top = max(depths, default=0)
+    if min(depths, default=0) < 0:
+        raise ComponentsError("components: depth must be >= 0")
+    # the projected maps are no more than the maps
+    _check_words(ifs.size, top, cap)
     fibers = last_coordinate_fibers(analysis.tree)
-    base = _cylinder_columns([f.owner.projected_map for f in fibers], k, cap)
-    # one fiber pre-Moran set per projected word, in the words' order
-    last = [compose_scaled([fibers[j].scaled for j in reversed(word)])
-            for word in product(range(len(fibers)), repeat=k)]
-    scales = [lcm(a.den, b.den) for a, b in zip(lhs, base)]
-    scales.append(lcm(lhs[-1].den, *(den for den, _ in last)))
-    left = set(zip(*(_scaled(c.ends, c.den, s) for c, s in zip(lhs, scales))))
+    columns = [scale_labels(c) for c in zip(*(m.coords for m in ifs.maps))]
+    projected = [scale_labels(c)
+                 for c in zip(*(f.owner.projected_map for f in fibers))]
+    unit = compose_scaled(())
+    lhs, base, last = [unit] * len(columns), [unit] * len(projected), [unit]
+    results = {}
+    for k in range(top + 1):
+        if k:
+            lhs = [compose_scaled((c,), s) for c, s in zip(columns, lhs)]
+            base = [compose_scaled((c,), s) for c, s in zip(projected, base)]
+            # one fiber pre-Moran set per projected word, in its order
+            last = [compose_scaled((f.scaled,), s)
+                    for f in fibers for s in last]
+        if k in depths:
+            results[k] = _same_boxes(lhs, base, last)
+    return results
+
+
+def _same_boxes(lhs, base, last):
+    """The product decomposition at one depth: the cylinder boxes, as
+    (den, ends) per coordinate, against the products of the projected
+    cylinder boxes, (den, ends) per coordinate but the last, with their
+    words' pre-Moran sets, one (den, ends) each."""
+    scales = [lcm(a, b) for (a, _), (b, _) in zip(lhs, base)]
+    scales.append(lcm(lhs[-1][0], *(den for den, _ in last)))
+    left = set(zip(*(_scaled(ends, den, s)
+                     for (den, ends), s in zip(lhs, scales))))
     right = set()
     for sides, (den, ends) in zip(
-            zip(*(_scaled(c.ends, c.den, s) for c, s in zip(base, scales))),
+            zip(*(_scaled(ends, den, s)
+                  for (den, ends), s in zip(base, scales))),
             last):
         right.update(sides + (iv,) for iv in _scaled(ends, den, scales[-1]))
     return left == right

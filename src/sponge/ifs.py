@@ -293,9 +293,11 @@ def scale_labels(labels):
     return scale, [(r * (scale // q), o * (scale // q)) for r, o, q in forms]
 
 
-def compose_scaled(levels):
-    """compose_labels over scale_labels results, innermost level first."""
-    den, ends = 1, [(0, 1)]
+def compose_scaled(levels, start=None):
+    """compose_labels over scale_labels results, innermost level first,
+    each level one more outer map on `start`, a (den, ends) result of
+    this function (by default [0,1])."""
+    den, ends = start or (1, [(0, 1)])
     for scale, steps in levels:
         # g(x / den) = (r * x + o * den) / (scale * den)
         ends = [(r * lo + od, r * hi + od)

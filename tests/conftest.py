@@ -71,6 +71,17 @@ def major_projection(ifs, ell):
     return SpongeIFS(ell, tuple(map(DiagonalAffineMap, truncations(ifs, ell))))
 
 
+def reflect(ifs, j):
+    """x -> 1 - x on coordinate j (0-based): each label (r, o) becomes
+    (r, 1 - r - o).  An isometry of the unit cube that keeps every ratio,
+    so every distance and every fiber fact, up to the mirror image."""
+    return SpongeIFS(ifs.dim, tuple(
+        DiagonalAffineMap(tuple(
+            AffineMap1D(c.ratio, 1 - c.ratio - c.offset) if i == j else c
+            for i, c in enumerate(m.coords)))
+        for m in ifs.maps))
+
+
 def random_simple_labels(rng, max_maps=4, max_den=24, tiling=None):
     """A random simple IFS of [0,1] as a tuple of AffineMap1D.
 

@@ -9,8 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import sponge.cantor
-from sponge import (AffineMap1D, CantorError, DiagonalAffineMap, SpongeIFS,
-                    analyze_special_system, bilipschitz_check,
+from sponge import (CantorError, analyze_special_system, bilipschitz_check,
                     build_cantor_tree, compose_labels, cylinder_length,
                     gap_length, lipschitz_constants, parse_ifs,
                     to_binary_tree)
@@ -18,7 +17,7 @@ from sponge.cantor import RatioReport, SeriesConstants, SpecialSystem
 from sponge.util import (ResourceCapError, common_denominator, quad_leq,
                          sqrt_leq_quad)
 
-from conftest import compose, random_special_system
+from conftest import compose, random_special_system, reflect
 
 
 def F(s, d=None):
@@ -216,29 +215,38 @@ def test_bilipschitz_lg4_depth6(sys4):
         skipped=0, lower_ok=True, upper_ok=True)
 
 
+# the last row of the envelope table over depth, recorded with the pair
+# loop before its nodes were flattened (0.8 s)
+def test_bilipschitz_lg4_depth7(sys4):
+    sys_, consts = sys4
+    assert bilipschitz_check(sys_, consts, 7, cap=10 ** 9) == RatioReport(
+        F(97693456, 87315665), F(45846441, 181186), pairs=477204025,
+        skipped=0, lower_ok=True, upper_ok=True)
+
+
 def test_bilipschitz_composes_each_coordinate_once(sys4, monkeypatch):
     # the node boxes come from the leaves, so only the depth-n sides are
-    # composed: one compose_labels call per coordinate
-    calls = []
+    # composed: one compose_scaled call of n levels per coordinate, each
+    # from one scaling of its column
+    calls, scaled = [], []
+    compose_scaled = sponge.cantor.compose_scaled
+    scale_labels = sponge.cantor.scale_labels
 
-    def counting(label_sets):
-        calls.append(len(label_sets))
-        return compose_labels(label_sets)
+    def composing(levels, start=None):
+        calls.append(len(levels))
+        return compose_scaled(levels, start)
 
-    monkeypatch.setattr(sponge.cantor, "compose_labels", counting)
+    def scaling(labels):
+        scaled.append(labels)
+        return scale_labels(labels)
+
+    monkeypatch.setattr(sponge.cantor, "compose_scaled", composing)
+    monkeypatch.setattr(sponge.cantor, "scale_labels", scaling)
     sys_, consts = sys4
     rep = bilipschitz_check(sys_, consts, 3)
     assert calls == [3] * sys_.dim
+    assert len(scaled) == sys_.dim
     assert rep.min_ratio_sq == F(1263376, 346385)
-
-
-def _reflect(ifs, j):
-    """x -> 1 - x on coordinate j: each label (r, o) becomes (r, 1 - r - o)."""
-    return SpongeIFS(ifs.dim, tuple(
-        DiagonalAffineMap(tuple(
-            AffineMap1D(c.ratio, 1 - c.ratio - c.offset) if i == j else c
-            for i, c in enumerate(m.coords)))
-        for m in ifs.maps))
 
 
 def test_bilipschitz_report_is_invariant_under_reflection(lg4):
@@ -255,7 +263,7 @@ def test_bilipschitz_report_is_invariant_under_reflection(lg4):
         rep = bilipschitz_check(sys_, consts, 4)
         for j in range(ifs.dim):
             mirrored = bilipschitz_check(
-                *analyze_special_system(_reflect(ifs, j)), 4)
+                *analyze_special_system(reflect(ifs, j)), 4)
             assert (mirrored.pairs, mirrored.skipped, mirrored.min_ratio_sq,
                     mirrored.max_ratio_sq, mirrored.passed) == \
                 (rep.pairs, rep.skipped, rep.min_ratio_sq, rep.max_ratio_sq,
@@ -269,6 +277,16 @@ def test_bilipschitz_acceptance_08_m3_depth5():
     assert (sys_.m, sys_.taus) == (3, (2, 2))
     assert bilipschitz_check(sys_, consts, 5) == RatioReport(
         F(100, 49), F(5329, 9), pairs=132496, skipped=0,
+        lower_ok=True, upper_ok=True)
+
+
+# recorded with the pair loop before its nodes were flattened; depth 6
+# checked once against _oracle_bilipschitz (2.5 s at this depth)
+@pytest.mark.parametrize("depth, pairs", [(6, 1194649), (7, 10758400)])
+def test_bilipschitz_acceptance_08_m3_deeper(depth, pairs):
+    sys_, consts = _acceptance_08_systems()[0]
+    assert bilipschitz_check(sys_, consts, depth, cap=10 ** 9) == RatioReport(
+        F(100, 49), F(5329, 9), pairs=pairs, skipped=0,
         lower_ok=True, upper_ok=True)
 
 

@@ -1,6 +1,7 @@
 import itertools
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import sponge.cantor
 from sponge import (AT_LEAST_ONE, EXACTLY_ONE, ZERO, AffineMap1D, Analysis,
-                    CantorError, ClassifyError, FiberIFS, SpongeIFS,
+                    CantorError, ClassifyError, DiagonalAffineMap, FiberIFS,
+                    SpongeIFS,
                     TreeError, Vertex, analyze_special_system,
                     attractor_is_unit_interval, build_labeled_tree,
                     check_product_decomposition, classify,
@@ -16,7 +18,7 @@ from sponge import (AT_LEAST_ONE, EXACTLY_ONE, ZERO, AffineMap1D, Analysis,
                     line_segment_witness, parse_ifs, validate_lg)
 
 from conftest import (random_column_system, random_lg_system,
-                      random_special_system)
+                      random_special_system, reflect)
 
 
 def F(s):
@@ -241,6 +243,60 @@ def test_map_order_changes_no_fiber_fact(dim, seed, tile_rank, max_children):
                                else None, max_children)
     shuffled = SpongeIFS(dim, tuple(rng.sample(ifs.maps, ifs.size)))
     assert _fingerprint(shuffled) == _fingerprint(ifs)
+
+
+def _verdict(ifs):
+    result = classify(ifs)
+    return result.conformal_dim_class, getattr(result.witness, "rank", None)
+
+
+@settings(max_examples=60)
+@given(st.integers(2, 3), st.integers(0, 10 ** 6), st.integers(-1, 2),
+       st.integers(1, 3), st.integers(0, 2))
+def test_reflection_keeps_the_verdict(dim, seed, tile_rank, max_children, j):
+    # x -> 1 - x on one coordinate mirrors every fiber's images, so each
+    # fiber tiles [0,1] exactly when it did: the class and the witness
+    # rank stay
+    ifs = random_column_system(random.Random(seed), dim,
+                               tile_rank if 0 <= tile_rank < dim else None,
+                               max_children)
+    assert _verdict(reflect(ifs, j % dim)) == _verdict(ifs)
+
+
+GRID_CELLS = [(i, j) for i in range(2) for j in range(3)]
+
+
+def _grid_system(cells):
+    """The cells (i, j) of the 2 x 3 grid as maps (1/2, i/2; 1/3, j/3)."""
+    return SpongeIFS(2, tuple(
+        DiagonalAffineMap((AffineMap1D(Fraction(1, 2), Fraction(i, 2)),
+                           AffineMap1D(Fraction(1, 3), Fraction(j, 3))))
+        for i, j in cells))
+
+
+def test_grid_patterns_match_the_closed_form():
+    # every pattern of at least two cells: the root fiber tiles iff every
+    # column holds a cell, a column's fiber iff the column is full, and
+    # the system is ExactlyOne iff every column holds exactly one cell
+    verdicts = Counter()
+    for size in range(2, len(GRID_CELLS) + 1):
+        for cells in itertools.combinations(GRID_CELLS, size):
+            ifs = _grid_system(cells)
+            tree = build_labeled_tree(ifs)
+            column = Counter(i for i, _ in cells)
+            assert attractor_is_unit_interval(tree.fibers[ROOT]) == \
+                (len(column) == 2)
+            for v in tree.levels[1]:
+                i = v.projected_map[0].offset * 2
+                assert attractor_is_unit_interval(tree.fibers[v]) == \
+                    (column[i] == 3)
+            verdict = _verdict(ifs)
+            assert (verdict[0] == EXACTLY_ONE) == \
+                (len(column) == 2 and set(column.values()) == {1})
+            verdicts[verdict] += 1
+    assert sum(verdicts.values()) == 57
+    assert verdicts == {(ZERO, None): 6, (EXACTLY_ONE, 0): 9,
+                        (AT_LEAST_ONE, 0): 40, (AT_LEAST_ONE, 1): 2}
 
 
 def test_special_system_is_f0_at_the_root(monkeypatch, lg4):

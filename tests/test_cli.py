@@ -308,6 +308,34 @@ def test_report_builds_one_fiber_per_vertex(capsys, monkeypatch, fixture,
     assert len(owners) == len(set(owners)) == vertices
 
 
+def test_report_scales_each_label_set_once(capsys, monkeypatch):
+    # one `sponge all` scales each fiber once (the tree), each column of
+    # the maps and of the projected maps once for both depths of the
+    # product decomposition, and each column of the special system once
+    # (the envelope), and computes the Lipschitz constants once
+    scaled = Counter()
+    original = sponge.ifs.scale_labels
+    for module in (sponge.tree, sponge.components, sponge.cantor):
+        def counting(labels, name=module.__name__):
+            scaled[name] += 1
+            return original(labels)
+        monkeypatch.setattr(module, "scale_labels", counting)
+    constants = []
+    lipschitz_constants = sponge.cantor.lipschitz_constants
+
+    def counting_constants(*args):
+        constants.append(args)
+        return lipschitz_constants(*args)
+
+    monkeypatch.setattr(sponge.cantor, "lipschitz_constants",
+                        counting_constants)
+    assert main(["all", LG4]) == 0
+    capsys.readouterr()
+    assert scaled == {"sponge.tree": 5,  # lg4's non-leaf vertices
+                      "sponge.components": 2 + 1, "sponge.cantor": 2}
+    assert len(constants) == 1
+
+
 def test_report_writes_each_vertex_dict_once(capsys, monkeypatch):
     # a vertex is written as a tree entry, an offspring child, a fiber
     # owner and the witness; its dict (and frac_str text) is built once

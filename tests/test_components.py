@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -8,21 +9,24 @@ from hypothesis import example, given, settings, strategies as st
 import sponge.components
 import sponge.ifs
 import sponge.tree
-from sponge import (AffineMap1D, Box, ComponentsError, FiberIFS, IFSError,
-                    Interval, IntervalSet, PointSet, PreconditionError,
-                    ResourceCapError, SimpleIFSFamily, Vertex,
-                    approx_square, build_labeled_tree, check_premoran_bound,
-                    check_product_decomposition, check_union_bound,
-                    component_diameter_profile, compose_labels, cylinder_box,
-                    delta0_sequence_exists, delta0_sequence_exists_sq,
-                    delta_components, delta_components_sq,
-                    enumerate_cylinders, interval_components,
-                    last_coordinate_fibers, parse_ifs, pre_moran_intervals,
-                    validate_lg)
-from sponge.components import Runs
+from sponge import (AffineMap1D, Analysis, Box, ComponentsError, FiberIFS,
+                    IFSError, Interval, IntervalSet, PointSet,
+                    PreconditionError, ResourceCapError, SimpleIFSFamily,
+                    Vertex, approx_square, build_labeled_tree,
+                    check_premoran_bound, check_product_decomposition,
+                    check_union_bound, component_diameter_profile,
+                    compose_labels, cylinder_box, delta0_sequence_exists,
+                    delta0_sequence_exists_sq, delta_components,
+                    delta_components_sq, enumerate_cylinders,
+                    interval_components, last_coordinate_fibers, parse_ifs,
+                    pre_moran_intervals, validate_lg)
+from sponge.components import Runs, product_decompositions
+from sponge.ifs import compose_scaled
+from sponge.util import DEFAULT_CAP, DomainError
 
 from conftest import (compose, major_projection, random_column_system,
-                      random_lg_system, random_point_set, random_simple_labels)
+                      random_lg_system, random_point_set, random_simple_labels,
+                      reflect)
 
 
 def F(s, d=None):
@@ -561,6 +565,114 @@ def test_product_decomposition_rejects_a_dropped_label(monkeypatch, lg5,
         for k in (1, 2):
             assert check_product_decomposition(ifs, k) is False
             assert _oracle_product_decomposition(ifs, k) is False
+
+
+@settings(max_examples=30)
+@given(st.integers(2, 3), st.integers(0, 10 ** 6), st.integers(-1, 2),
+       st.integers(0, 2))
+def test_reflection_keeps_the_component_profile(dim, seed, tile_rank, j):
+    # x -> 1 - x on one coordinate is an isometry that maps the depth-n
+    # cylinder boxes onto the reflected system's: every delta keeps its
+    # component count and its exact max squared diameter
+    ifs = random_column_system(random.Random(seed), dim,
+                               tile_rank if 0 <= tile_rank < dim else None,
+                               max_children=3 if dim == 2 else 2)
+    deltas = [F(1, 4), F(1, 8), F(1, 16), F(1, 32)]
+
+    def rows(system):
+        return [(row["num_components"], row["max_diam_sq"])
+                for row in component_diameter_profile(system, 2, deltas)]
+
+    assert rows(reflect(ifs, j % dim)) == rows(ifs)
+
+
+def _per_depth_product_decomposition(ifs, k):
+    """check_product_decomposition as one depth composed from scratch:
+    both sides' columns through _cylinder_columns, one compose_scaled
+    of k levels per projected word for the fiber pre-Moran sets.  The
+    oracle of the composition that product_decompositions shares across
+    depths."""
+    analysis = Analysis.of(ifs)
+    ifs = analysis.ifs
+    if ifs.dim < 2:
+        raise ComponentsError("components: product decomposition needs d >= 2")
+    columns = sponge.components._cylinder_columns
+    scaled = sponge.components._scaled
+    lhs = columns([m.coords for m in ifs.maps], k, DEFAULT_CAP)
+    fibers = sponge.components.last_coordinate_fibers(analysis.tree)
+    base = columns([f.owner.projected_map for f in fibers], k, DEFAULT_CAP)
+    last = [compose_scaled([fibers[j].scaled for j in reversed(word)])
+            for word in itertools.product(range(len(fibers)), repeat=k)]
+    scales = [lcm(a.den, b.den) for a, b in zip(lhs, base)]
+    scales.append(lcm(lhs[-1].den, *(den for den, _ in last)))
+    left = set(zip(*(scaled(c.ends, c.den, s) for c, s in zip(lhs, scales))))
+    right = set()
+    for sides, (den, ends) in zip(
+            zip(*(scaled(c.ends, c.den, s) for c, s in zip(base, scales))),
+            last):
+        right.update(sides + (iv,) for iv in scaled(ends, den, scales[-1]))
+    return left == right
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DomainError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 10 ** 6), st.integers(2, 3), st.booleans(),
+       st.integers(-1, 2))
+def test_product_decompositions_match_per_depth_composition(seed, dim,
+                                                            columns,
+                                                            tile_rank):
+    # depth k + 1 extends depth k's ends by one outer level; each depth
+    # must equal the same depth composed from scratch
+    rng = random.Random(seed)
+    if columns:
+        ifs = random_column_system(rng, dim, tile_rank if tile_rank < dim
+                                   else None, max_children=2)
+    else:
+        ifs = random_lg_system(rng, dim=dim)
+    depths = (1, 2, 3) if ifs.size <= 8 else (1, 2)
+    want = _outcome(lambda: {k: _per_depth_product_decomposition(ifs, k)
+                             for k in depths})
+    assert _outcome(product_decompositions, ifs, depths) == want
+    assert _outcome(lambda: {k: check_product_decomposition(ifs, k)
+                             for k in depths}) == want
+
+
+def test_product_decompositions_match_per_depth_on_a_dropped_label(
+        monkeypatch, lg5, bedford_mcmullen):
+    original = sponge.components.last_coordinate_fibers
+
+    def tampered(tree):
+        fibers = original(tree)
+        k = next(i for i, f in enumerate(fibers) if f.size > 1)
+        fibers[k] = FiberIFS(fibers[k].owner, fibers[k].labels[:-1])
+        return fibers
+
+    monkeypatch.setattr(sponge.components, "last_coordinate_fibers",
+                        tampered)
+    for ifs in (lg5, bedford_mcmullen, parse_ifs(MIXED_DENOMINATORS)):
+        assert product_decompositions(ifs, (1, 2, 3)) == {
+            k: _per_depth_product_decomposition(ifs, k) for k in (1, 2, 3)
+        } == {1: False, 2: False, 3: False}
+
+
+def test_product_decompositions_reads_only_the_depths_asked():
+    ifs = parse_ifs(MIXED_DENOMINATORS)
+    assert product_decompositions(ifs, (2, 0)) == {0: True, 2: True}
+    assert product_decompositions(ifs, ()) == {}
+    with pytest.raises(ComponentsError, match="depth must be >= 0"):
+        check_product_decomposition(ifs, -1)
+    # the cap counts the deepest depth's words, as the one-depth call does
+    with pytest.raises(ResourceCapError) as both:
+        product_decompositions(ifs, (1, 9), cap=1000)
+    with pytest.raises(ResourceCapError) as one:
+        check_product_decomposition(ifs, 9, cap=1000)
+    assert str(both.value) == str(one.value)
 
 
 @given(st.integers(0, 10 ** 6), st.integers(0, 3))
