@@ -393,14 +393,12 @@ def delta0_sequence_exists(points, delta0):
 
 
 def delta0_sequence_exists_sq(points, delta0_sq):
-    """Same search with the threshold given as an exact square, for
-    thresholds like 1/(2*M0) that are rational only after squaring.
+    """Same search, the threshold an exact square (as 1/(2*M0) is).
 
-    A delta0-sequence from a to b exists iff a and b are single-linkage
-    connected at squared threshold delta0_sq * |a - b|^2.  One
-    _SingleLinkage keeps every pair and merges to each one's threshold in
-    its own order until a pair's ends share a block, which holds the steps.
-    """
+    A sequence exists iff delta0_sq * top(h) >= h at a single-linkage
+    merge height h, top(h) the widest squared block: its widest pair a, b
+    is joined by steps <= sqrt(h) <= delta0 |a-b|; a sequence from a to b,
+    longest step s, joins them by h = s^2.  No top exceeds diag^2."""
     points = _uniform(points)
     if points and isinstance(points[0], Box):
         raise ComponentsError("components: the delta0 search takes points")
@@ -408,28 +406,26 @@ def delta0_sequence_exists_sq(points, delta0_sq):
     if len(pts) < 2:
         raise ComponentsError("components: need at least 2 points")
     d0_sq = _positive("delta0_sq", delta0_sq)
-    n = len(pts)
-    # the bounding box's squared diagonal keeps every pair
-    linkage = _SingleLinkage(_columns(pts),
-                             sum((max(c) - min(c)) ** 2 for c in zip(*pts)))
-    for key in linkage.keys:
-        a, b = divmod(key % (n * n), n)
-        step_sq = d0_sq * Fraction(key // (n * n), linkage.den_sq)
-        linkage.merge_to(step_sq)
-        if linkage.root[a] == linkage.root[b]:
+    nn = len(pts) ** 2
+    linkage = _SingleLinkage(_columns(pts), d0_sq * sum(
+        (max(c) - min(c)) ** 2 for c in zip(*pts)))
+    for h in sorted({key // nn for key in linkage.keys}):
+        linkage.merge_to(Fraction(h, linkage.den_sq))
+        if d0_sq * linkage.max_diam >= h:
             break
     else:
         return False, None
-    # breadth-first from a to b within their block, along the merged steps
-    limit = linkage._limit(step_sq)
-    block, ext = linkage.members[linkage.root[a]], linkage.ext
+    # the widest block's widest pair, then breadth-first from a to b in it
+    ext, top = linkage.ext, linkage.max_diam
+    block, a, b = next((m, a, b) for m in linkage.members if m for a in m
+                       for b in m if _far_sq(ext[a], ext[b]) == top)
     prev = {a: None}
     frontier = [a]
     while b not in prev:
         nxt = []
         for u in frontier:
             for v in block:
-                if v not in prev and _far_sq(ext[u], ext[v]) <= limit:
+                if v not in prev and _far_sq(ext[u], ext[v]) <= h:
                     prev[v] = u
                     nxt.append(v)
         frontier = nxt

@@ -12,9 +12,9 @@ import sponge.tree
 from sponge import (AffineMap1D, Analysis, Box, ComponentsError, FiberIFS,
                     IFSError, Interval, IntervalSet, PointSet,
                     PreconditionError, ResourceCapError, SimpleIFSFamily,
-                    Vertex, approx_square, build_labeled_tree,
+                    SpongeIFS, Vertex, approx_square, build_labeled_tree,
                     check_premoran_bound, check_product_decomposition,
-                    check_union_bound, component_diameter_profile,
+                    check_union_bound, classify, component_diameter_profile,
                     compose_labels, cylinder_box, delta0_sequence_exists,
                     delta0_sequence_exists_sq, delta_components,
                     delta_components_sq, enumerate_cylinders,
@@ -123,6 +123,14 @@ def test_delta0_search_matches_bfs_oracle(seed, dim):
     pts = random_point_set(rng, dim=dim)
     dists = [sum((x - y) ** 2 for x, y in zip(p, q))
              for p, q in itertools.combinations(pts, 2)]
+    # a sequence exists iff delta0 * M0 >= 1, M0^2 the largest squared
+    # block diameter over threshold at a pairwise distance, as in
+    # acceptance 03 (b): found at 1/M0^2, not just below it
+    m0_sq = max(delta_components_sq(pts, d).max_diam_sq() / d
+                for d in set(dists))
+    assert delta0_sequence_exists_sq(pts, 1 / m0_sq)[0]
+    assert delta0_sequence_exists_sq(pts, F(999999, 1000000) / m0_sq) == (
+        False, None)
     delta0_sq = rng.choice(dists) / rng.choice(dists)
     found, seq = delta0_sequence_exists_sq(pts, delta0_sq)
     assert found == _oracle_delta0_sequence(pts, delta0_sq)[0]
@@ -134,6 +142,57 @@ def test_delta0_search_matches_bfs_oracle(seed, dim):
     total_sq = sum((x - y) ** 2 for x, y in zip(seq[0], seq[-1]))
     for p, q in zip(seq, seq[1:]):
         assert sum((x - y) ** 2 for x, y in zip(p, q)) <= delta0_sq * total_sq
+
+
+def _corners(ifs, depth):
+    """The lo and hi corners of the depth-n cylinder boxes, as points."""
+    return sorted({tuple(getattr(side, end) for side in box.sides)
+                   for box in enumerate_cylinders(ifs, depth)
+                   for end in ("lo", "hi")})
+
+
+# M0^2 of the depth-3 cylinder corners, recorded from the per-pair search
+# that merged the kernel to each pair's own threshold
+@pytest.mark.parametrize("name, size, m0_sq", [
+    ("lg5", 250, F(15625, 338)),
+    ("bedford_mcmullen", 360, F(5756913, 69413)),
+    ("lg4", 128, F(1053, 34)),
+])
+def test_delta0_search_on_fixture_corners(request, name, size, m0_sq):
+    pts = _corners(request.getfixturevalue(name), 3)
+    assert len(pts) == size
+    found, seq = delta0_sequence_exists_sq(pts, 1 / m0_sq)
+    assert found
+    total_sq = sum((x - y) ** 2 for x, y in zip(seq[0], seq[-1]))
+    assert all(sum((x - y) ** 2 for x, y in zip(p, q)) * m0_sq <= total_sq
+               for p, q in zip(seq, seq[1:]))
+    assert delta0_sequence_exists_sq(pts, F(999999, 1000000) / m0_sq) == (
+        False, None)
+    assert delta0_sequence_exists(pts, F(1, 100)) == (False, None)
+
+
+@pytest.mark.parametrize("delta0, kept", [(F(1, 100), 0), (F(1, 4), 17338)])
+def test_delta0_search_keeps_pairs_within_delta0_diagonal(
+        monkeypatch, bedford_mcmullen, delta0, kept):
+    # no block is wider than the bounding box's diagonal, so the kernel
+    # keeps only the pairs within delta0 times it, not all 64,620
+    sizes = []
+
+    class Recording(sponge.components._SingleLinkage):
+        def __init__(self, columns, max_delta_sq):
+            super().__init__(columns, max_delta_sq)
+            sizes.append(len(self.keys))
+
+    monkeypatch.setattr(sponge.components, "_SingleLinkage", Recording)
+    pts = _corners(bedford_mcmullen, 3)
+    # the brute-force count on integer coordinates
+    den = lcm(*(x.denominator for p in pts for x in p))
+    ints = [tuple(int(x * den) for x in p) for p in pts]
+    limit = delta0 * delta0 * sum((max(c) - min(c)) ** 2 for c in zip(*ints))
+    within = sum(sum((x - y) ** 2 for x, y in zip(p, q)) <= limit
+                 for p, q in itertools.combinations(ints, 2))
+    delta0_sequence_exists(pts, delta0)
+    assert sizes == [within] == [kept]
 
 
 def test_profile_lg5_depth4(lg5):
@@ -584,6 +643,48 @@ def test_reflection_keeps_the_component_profile(dim, seed, tile_rank, j):
                 for row in component_diameter_profile(system, 2, deltas)]
 
     assert rows(reflect(ifs, j % dim)) == rows(ifs)
+
+
+def _square(ifs):
+    """F^2: the maps f o g, in word order, so that its depth-n cylinders
+    are F's depth-2n ones."""
+    return SpongeIFS(ifs.dim, tuple(compose([f, g]) for f in ifs.maps
+                                    for g in ifs.maps))
+
+
+def _verdict(ifs):
+    result = classify(ifs)
+    return result.conformal_dim_class, getattr(result.witness, "rank", None)
+
+
+@pytest.mark.parametrize("name", ["lg5", "bedford_mcmullen", "lg4"])
+def test_iteration_keeps_the_verdict_and_the_profile(request, name):
+    # F^2 has F's attractor, so its verdict, and its depth-n cylinders are
+    # F's at depth 2n, so its profile rows; the LG gate is checked, not
+    # assumed
+    ifs = request.getfixturevalue(name)
+    square = _square(ifs)
+    assert validate_lg(square).lg_type
+    assert _verdict(square) == _verdict(ifs)
+    grid = [F(1, 8), F(1, 16), F(1, 32), F(1, 64)]
+    for n in (1, 2):
+        assert (component_diameter_profile(square, n, grid)
+                == component_diameter_profile(ifs, 2 * n, grid))
+
+
+@settings(max_examples=20)
+@given(st.integers(2, 3), st.integers(0, 10 ** 6), st.integers(-1, 2))
+def test_iteration_keeps_the_verdict_and_the_profile_rows(dim, seed,
+                                                          tile_rank):
+    ifs = random_column_system(random.Random(seed), dim,
+                               tile_rank if 0 <= tile_rank < dim else None,
+                               max_children=3 if dim == 2 else 2)
+    square = _square(ifs)
+    assert validate_lg(square).lg_type
+    assert _verdict(square) == _verdict(ifs)
+    grid = [F(1, 4), F(1, 8), F(1, 16), F(1, 32)]
+    assert (component_diameter_profile(square, 1, grid)
+            == component_diameter_profile(ifs, 2, grid))
 
 
 def _per_depth_product_decomposition(ifs, k):
