@@ -247,8 +247,8 @@ class _TupleView(Sequence):
 
 class Runs(_TupleView):
     """interval_components' blocks as the runs [firsts[k], stops[k]) of
-    indices: reads and hashes as the tuple of their index tuples,
-    `blocks`, which is built on first read and kept."""
+    indices, two tuples: reads and hashes as the tuple of their index
+    tuples, `blocks`, which is built on first read and kept."""
 
     def __init__(self, firsts, stops):
         self.firsts, self.stops = firsts, stops
@@ -278,10 +278,12 @@ class IntervalSet(_TupleView):
     with a tuple) and builds an Interval only when one is read.  Its gap
     list, with the gaps sorted, is built on first use and kept as long
     as the set, so interval_components answers every delta from one sort
-    of the intervals and one of their gaps.
+    of the intervals and one of their gaps.  With the gap list come two
+    memos: the answer at each cut position met, and one Fraction per
+    block length.
     """
 
-    __slots__ = ("den", "ends", "_gaps")
+    __slots__ = ("den", "ends", "_gaps", "_cuts", "_lengths")
 
     def __init__(self, den, ends):
         self.den = den
@@ -343,6 +345,7 @@ class IntervalSet(_TupleView):
             by_gap = sorted(range(1, len(los)), key=gap.__getitem__)
             self._gaps = (order, starts, reach, by_gap,
                           list(map(gap.__getitem__, by_gap)))
+            self._cuts, self._lengths = {}, {}
         return self._gaps
 
 
@@ -363,26 +366,42 @@ def interval_components(intervals, delta):
     diameter is its last running maximum minus its first left end: the
     blocks before it end strictly to its left.  An IntervalSet sorts its
     gaps at first use and keeps them, so a further delta costs one
-    bisection plus O(runs) for the runs it cuts.
+    bisection.  The set keeps its answer per cut position: a delta that
+    cuts where an earlier one did gets the same pair back, and a new cut
+    costs O(runs), with one Fraction per block length per set.
     """
     delta = _positive("delta", delta)
     intervals = IntervalSet.of(intervals)
     n = len(intervals.ends)
     if not n:
         return (), ()
-    den = intervals.den
     order, starts, reach, by_gap, gaps = intervals.gap_list()
+    den = intervals.den
     # an integer gap exceeds delta * den iff it exceeds its floor
     limit = delta.numerator * den // delta.denominator
-    cuts = sorted(by_gap[bisect_right(gaps, limit):])
-    firsts, stops = [0, *cuts], [*cuts, n]
-    diams = [Fraction(reach[b - 1] - starts[a], den)
-             for a, b in zip(firsts, stops)]
+    k = bisect_right(gaps, limit)
+    answer = intervals._cuts.get(k)
+    if answer is not None:
+        return answer
+    cuts = sorted(by_gap[k:])
+    firsts, stops = (0, *cuts), (*cuts, n)
+    fractions = intervals._lengths
+    diams = []
+    for a, b in zip(firsts, stops):
+        length = reach[b - 1] - starts[a]
+        diam = fractions.get(length)
+        if diam is None:
+            diam = fractions[length] = Fraction(length, den)
+        diams.append(diam)
+    diams = tuple(diams)
     if isinstance(order, range):  # left-end order is the input order
-        return Runs(firsts, stops), tuple(diams)
-    pairs = sorted((tuple(sorted(order[a:b])), diam)
-                   for a, b, diam in zip(firsts, stops, diams))
-    return tuple(b for b, _ in pairs), tuple(d for _, d in pairs)
+        answer = Runs(firsts, stops), diams
+    else:
+        pairs = sorted((tuple(sorted(order[a:b])), diam)
+                       for a, b, diam in zip(firsts, stops, diams))
+        answer = tuple(b for b, _ in pairs), tuple(d for _, d in pairs)
+    intervals._cuts[k] = answer
+    return answer
 
 
 def delta0_sequence_exists(points, delta0):

@@ -193,10 +193,11 @@ def parse_ifs(text):
                     offset = parse_fraction(toks[1])
                 except ValueError as exc:
                     raise ParseError(str(exc), lineno, col)
-                if not (0 < ratio < 1):
+                try:
+                    coords.append(AffineMap1D(ratio, offset))
+                except IFSError:
                     raise ParseError("ratio %s outside (0,1)" % toks[0],
                                      lineno, col)
-                coords.append(AffineMap1D(ratio, offset))
             maps.append(DiagonalAffineMap(tuple(coords)))
         else:
             raise ParseError("unknown directive %r" % keyword, lineno, col)

@@ -1247,6 +1247,57 @@ def test_one_interval_set_answers_a_shuffled_grid(data):
             _oracle_interval_components(ivs, delta)
 
 
+@given(st.data())
+def test_a_set_answers_each_cut_as_a_fresh_set(data):
+    # a set keeps its answer at each cut and one Fraction per block
+    # length: in any order of asking, repeats included, every answer is
+    # the oracle's and a fresh set's, and the set still reads as before;
+    # tied gaps over den 6 repeat block lengths across cuts
+    ivs = data.draw(st.one_of(interval_sets(), tied_gap_sets()))
+    grid = data.draw(st.lists(interval_deltas(ivs), min_size=2, max_size=8))
+    grid += data.draw(st.lists(st.sampled_from(grid), min_size=1, max_size=4))
+    how = data.draw(st.sampled_from(["ascending", "descending", "shuffled"]))
+    if how == "shuffled":
+        grid = data.draw(st.permutations(grid))
+    else:
+        grid.sort(reverse=how == "descending")
+    for ordered in (ivs, sorted(ivs, key=lambda iv: iv.lo)):
+        iset = IntervalSet.of(ordered)
+        for delta in grid:
+            answer = interval_components(iset, delta)
+            assert answer == _oracle_interval_components(ordered, delta)
+            fresh = interval_components(IntervalSet.of(ordered), delta)
+            assert answer == fresh
+            assert type(answer[0]) is type(fresh[0])
+        assert iset == IntervalSet.of(ordered) == tuple(ordered)
+        assert hash(iset) == hash(IntervalSet.of(ordered))
+
+
+def test_a_repeated_cut_returns_the_same_pair():
+    # gaps 1/4, 1/2, 1/2 over den 4: 1/4 and 3/7 cut at the same place
+    # (floor(12/7) = 1), in left-end order and shuffled alike
+    for ends in ([(0, 1), (2, 3), (5, 6), (8, 9)],
+                 [(5, 6), (0, 1), (8, 9), (2, 3)]):
+        iset = IntervalSet(4, ends)
+        apart = interval_components(iset, F(1, 5))
+        first = interval_components(iset, F(1, 4))
+        assert interval_components(iset, F(3, 7)) is first
+        assert interval_components(iset, F(1, 5)) is apart
+        assert interval_components(iset, F(1, 2)) is not first
+        # each block length is one Fraction per set, met at any cut
+        assert set(map(id, apart[1])) == {id(first[1][-1])}
+        assert first[1].count(F(1, 4)) == 2
+
+
+def test_runs_and_an_answered_set_read_as_before():
+    iset = IntervalSet(4, [(0, 1), (2, 3), (5, 6)])
+    blocks, _ = interval_components(iset, F(1, 4))
+    assert (blocks.firsts, blocks.stops) == ((0, 2), (2, 3))
+    fresh = IntervalSet(4, [(0, 1), (2, 3), (5, 6)])
+    assert iset == fresh and hash(iset) == hash(fresh)
+    assert repr(iset) == repr(fresh) and list(iset) == list(fresh)
+
+
 @st.composite
 def tied_gap_sets(draw):
     """Intervals over den 6, each starting 0, 1 or 2 sixths after the one

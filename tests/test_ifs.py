@@ -39,6 +39,18 @@ def test_parse_rejects_expanding_ratio():
     assert "outside (0,1)" in str(err.value)
 
 
+@pytest.mark.parametrize("ratio", ["0", "1", "1/1", "2/2", "-1/2", "0/5"])
+def test_parse_rejects_boundary_ratios(ratio):
+    # the map's own integer check decides, and the file's token and
+    # position are reported
+    text = "dim 2\n# c\n  map 1/2 0 ; %s 0\n" % ratio
+    with pytest.raises(ParseError) as err:
+        parse_ifs(text)
+    assert str(err.value) == \
+        "ifs: line 3, col 3: ratio %s outside (0,1)" % ratio
+    assert (err.value.line, err.value.col) == (3, 3)
+
+
 def test_parse_errors_report_position():
     with pytest.raises(ParseError) as err:
         parse_ifs("dim 2\nmap 1/2 0 ; 1/3")
