@@ -9,9 +9,8 @@ the decision rests on.
 from importlib import import_module
 
 from .ifs import (AffineMap1D, Box, DiagonalAffineMap, IFSError, Interval,
-                  ParseError, SpongeIFS, ValidationReport, compose_labels,
-                  cylinder_box, fixed_point, parse_ifs, serialize_ifs,
-                  validate_lg, width)
+                  ParseError, SpongeIFS, ValidationReport, cylinder_box,
+                  fixed_point, parse_ifs, serialize_ifs, validate_lg, width)
 from .tree import (FiberIFS, LabeledTree, TreeError, Vertex, all_fiber_ifs,
                    build_labeled_tree, fiber_ifs, last_coordinate_fibers)
 from .classify import (AT_LEAST_ONE, Analysis, Classification, ClassifyError,

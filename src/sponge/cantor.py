@@ -323,32 +323,10 @@ def bilipschitz_check(sys, constants, depth, cap=DEFAULT_CAP, tree=None,
     # (u - v)^2 / |x - y|^2, from an infinite minimum and a zero maximum
     min_n, min_d, max_n, max_d = 1, 0, 0, 1
     skipped = 0
-    # node pairs (level a, node a, level b, node b) to bound, and runs
-    # (a leaf, first b leaf, end) of leaf pairs to compare
-    stack = [(0, 0, 0, 0)] if n else []
-    runs = [] if n else [(0, 0, 1)]
+    # node pairs (level a, node a, level b, node b) to bound
+    stack = [(0, 0, 0, 0)]
     pop, push = stack.pop, stack.append
-    while stack or runs:
-        if runs:
-            ia, start, end = runs.pop()
-            x, _, u, _ = a_leaves[ia]
-            for ib in range(start, end):
-                y, _, v, _ = b_leaves[ib]
-                dist2 = 0
-                for p, q in zip(x, y):
-                    dist2 += (p - q) * (p - q)
-                if dist2 == 0:
-                    if u != v:
-                        raise CantorError("cantor: identified codings map "
-                                          "to distinct model points")
-                    skipped += wa[ia] * wb[ib]
-                    continue
-                num = (u - v) * (u - v)
-                if num * min_d < min_n * dist2:
-                    min_n, min_d = num, dist2
-                if num * max_d > max_n * dist2:
-                    max_n, max_d = num, dist2
-            continue
+    while stack:
         ka, ia, kb, ib = pop()
         alos, ahis, ulo, uhi = a_side[ka][ia]
         blos, bhis, vlo, vhi = b_side[kb][ib]
@@ -385,7 +363,7 @@ def bilipschitz_check(sys, constants, depth, cap=DEFAULT_CAP, tree=None,
             if gap2 and near * min_d >= min_n * far2 \
                     and span * max_d <= max_n * gap2:
                 continue
-        if ka <= kb:
+        if ka <= kb and ka < n:
             base = ia * m
             for c in range(m):
                 push((ka + 1, base + c, kb, ib))
@@ -393,8 +371,26 @@ def bilipschitz_check(sys, constants, depth, cap=DEFAULT_CAP, tree=None,
             base = ib * m
             for c in range(m):
                 push((ka, ia, kb + 1, base + c))
-        else:  # ka = n: compare the leaf with b's leaf children
-            runs.append((ia, ib * m, ib * m + m))
+        else:
+            # ka = n: compare the leaf with b's leaf children, or at depth
+            # 0 with the one root leaf (the slice stops at the list's end)
+            x, _, u, _ = a_leaves[ia]
+            base = ib * m
+            for jb, (y, _, v, _) in enumerate(b_leaves[base:base + m], base):
+                dist2 = 0
+                for p, q in zip(x, y):
+                    dist2 += (p - q) * (p - q)
+                if dist2 == 0:
+                    if u != v:
+                        raise CantorError("cantor: identified codings map "
+                                          "to distinct model points")
+                    skipped += wa[ia] * wb[jb]
+                    continue
+                num = (u - v) * (u - v)
+                if num * min_d < min_n * dist2:
+                    min_n, min_d = num, dist2
+                if num * max_d > max_n * dist2:
+                    max_n, max_d = num, dist2
     pairs = n_words * n_words - skipped
     scale = Fraction(M * M, tree.den(n) ** 2)
     min_ratio_sq = Fraction(min_n, min_d) * scale

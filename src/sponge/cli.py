@@ -252,16 +252,8 @@ _CSV_COLUMNS = {
 }
 
 
-_FLOAT_CONSTANTS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _json_float(value):
-    text = float.__repr__(value)
-    return _FLOAT_CONSTANTS.get(text, text)
-
-
 _JSON_SCALARS = {
-    str: encode_basestring_ascii, int: int.__repr__, float: _json_float,
+    str: encode_basestring_ascii, int: int.__repr__, float: json.dumps,
     bool: lambda value: "true" if value else "false",
     type(None): lambda value: "null",
     Fraction: lambda value: encode_basestring_ascii(frac_str(value)),

@@ -295,9 +295,10 @@ def scale_labels(labels):
 
 
 def compose_scaled(levels, start=None):
-    """compose_labels over scale_labels results, innermost level first,
-    each level one more outer map on `start`, a (den, ends) result of
-    this function (by default [0,1])."""
+    """(den, ends): the images of `start`, a (den, ends) result of this
+    function ([0,1] by default), under one step per level of `levels`
+    (scale_labels results, innermost first), as integer (lo, hi) pairs
+    over den, lexicographic in the words, outermost letter first."""
     den, ends = start or (1, [(0, 1)])
     for scale, steps in levels:
         # g(x / den) = (r * x + o * den) / (scale * den)
@@ -305,20 +306,6 @@ def compose_scaled(levels, start=None):
                 for r, o in steps for od in [o * den] for lo, hi in ends]
         den *= scale
     return den, ends
-
-
-def compose_labels(label_sets):
-    """(den, ends): the images of [0,1] under every composition
-    g_1 o ... o g_k with g_j drawn from label_sets[j], lexicographic in
-    (g_1, ..., g_k), as integer (lo, hi) pairs over den; no label sets
-    give [0,1].
-
-    Each label set is scaled from its labels' integer forms once
-    (scale_labels); each level then extends the previous level's ends
-    over one running denominator, so every word costs two integer
-    multiply-adds (compose_scaled).
-    """
-    return compose_scaled(map(scale_labels, reversed(label_sets)))
 
 
 def fixed_point(diag_map):

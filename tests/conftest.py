@@ -46,7 +46,7 @@ def bedford_mcmullen():
 def compose(maps):
     """maps[0] o maps[1] o ... in Fraction, of AffineMap1Ds or of
     DiagonalAffineMaps; None for no maps.  The composition oracle that
-    ifs.compose_labels and ifs.cylinder_box are checked on."""
+    ifs.compose_scaled and ifs.cylinder_box are checked on."""
     comp = None
     for m in maps:
         comp = m if comp is None else _after(comp, m)

@@ -10,14 +10,14 @@ from hypothesis import assume, given, settings, strategies as st
 
 import sponge.cantor
 from sponge import (CantorError, analyze_special_system, bilipschitz_check,
-                    build_cantor_tree, compose_labels, cylinder_length,
-                    gap_length, lipschitz_constants, parse_ifs,
-                    to_binary_tree)
+                    build_cantor_tree, cylinder_length, gap_length,
+                    lipschitz_constants, parse_ifs, to_binary_tree)
 from sponge.cantor import RatioReport, SeriesConstants, SpecialSystem
+from sponge.ifs import compose_scaled, scale_labels
 from sponge.util import (ResourceCapError, common_denominator, quad_leq,
                          sqrt_leq_quad)
 
-from conftest import compose, random_special_system, reflect
+from conftest import FIXTURES, compose, random_special_system, reflect
 
 
 def F(s, d=None):
@@ -28,6 +28,11 @@ M2_TEXT = "dim 2\nmap 1/2 0 ; 1/4 0\nmap 1/2 1/2 ; 1/4 1/2"
 # tau_1 = 0 (touching first gap), tau_2 = 2
 MIXED_TEXT = ("dim 2\nmap 1/3 0 ; 1/4 0\nmap 1/3 1/3 ; 1/4 1/4\n"
               "map 1/3 2/3 ; 1/4 3/4")
+# tau_1 = tau_2 = 2: no endpoints touch
+GAPPED_TEXT = ("dim 2\nmap 1/3 0 ; 1/5 0\nmap 1/3 1/3 ; 1/5 2/5\n"
+               "map 1/3 2/3 ; 1/5 4/5")
+# the d = 3 fixture with taus (3,)
+SPONGE3_TEXT = (FIXTURES / "sponge3_special.ifs").read_text()
 
 
 @pytest.fixture(scope="module")
@@ -341,8 +346,8 @@ def _oracle_bilipschitz(sys_, consts, depth):
     lengths = range(depth + 1)
     d = sys_.dim
     P, ab = common_denominator(sys_.a + sys_.b)
-    sides = [[compose_labels([[mp.coords[j] for mp in sys_.base.maps]] * n)
-              for n in lengths] for j in range(d)]
+    sides = [[compose_scaled([scale_labels(column)] * n) for n in lengths]
+             for column in zip(*(mp.coords for mp in sys_.base.maps))]
     top = lcm(*(levels[-1][0] for levels in sides))
     M = top * P
     cols = [[(lo * P + (hi - lo) * ab[k]) * (top // den)
@@ -395,7 +400,9 @@ def test_bilipschitz_matches_pair_oracle(seed, depth):
     (MIXED_TEXT, 3, 30),  # tau_1 = 0: touching endpoints are identified
     (None, 4, 0),         # lg4
 ] + [pytest.param(k, 4, skipped, id="special%d-4-%d" % (k, skipped))
-     for k, skipped in enumerate((106, 0, 0, 0, 0, 0))])
+     for k, skipped in enumerate((106, 0, 0, 0, 0, 0))
+] + [pytest.param(SPONGE3_TEXT, depth, 0, id="sponge3_special-%d-0" % depth)
+     for depth in (3, 4, 5)])
 def test_bilipschitz_fixed_cases_match_pair_oracle(sys4, system, depth,
                                                    skipped):
     if system is None:
@@ -427,6 +434,19 @@ def test_identified_codings_skipped():
     assert rep.skipped == 30
     assert rep.min_ratio_sq == F(29584, 4825)
     assert rep.max_ratio_sq == F(4752400, 279553)
+
+
+def test_identified_codings_need_touching_intervals():
+    # MIXED_TEXT's codings that meet at a touching endpoint (tau_1 = 0)
+    # map to one point; laid out in a tree whose intervals never touch,
+    # their endpoints differ, and the pair loop refuses the tree
+    sys_, consts = analyze_special_system(parse_ifs(MIXED_TEXT))
+    other, other_consts = analyze_special_system(parse_ifs(GAPPED_TEXT))
+    assert other.taus == (2, 2) and other.m == sys_.m
+    tree = build_cantor_tree(other, other_consts, 3)
+    with pytest.raises(CantorError, match="identified codings map to "
+                       "distinct model points"):
+        bilipschitz_check(sys_, consts, 3, tree=tree)
 
 
 def test_coding_identification_endpoints():

@@ -263,40 +263,53 @@ def test_reflection_keeps_the_verdict(dim, seed, tile_rank, max_children, j):
     assert _verdict(reflect(ifs, j % dim)) == _verdict(ifs)
 
 
-GRID_CELLS = [(i, j) for i in range(2) for j in range(3)]
+def _grid_patterns(cols, rows):
+    """Every set of at least two cells (i, j) of the cols x rows grid."""
+    cells = [(i, j) for i in range(cols) for j in range(rows)]
+    return [pattern for size in range(2, len(cells) + 1)
+            for pattern in itertools.combinations(cells, size)]
 
 
-def _grid_system(cells):
-    """The cells (i, j) of the 2 x 3 grid as maps (1/2, i/2; 1/3, j/3)."""
+def _grid_system(cells, cols, rows):
+    """The cells (i, j) of the cols x rows grid as the maps
+    (1/cols, i/cols; 1/rows, j/rows)."""
     return SpongeIFS(2, tuple(
-        DiagonalAffineMap((AffineMap1D(Fraction(1, 2), Fraction(i, 2)),
-                           AffineMap1D(Fraction(1, 3), Fraction(j, 3))))
+        DiagonalAffineMap((AffineMap1D(Fraction(1, cols), Fraction(i, cols)),
+                           AffineMap1D(Fraction(1, rows), Fraction(j, rows))))
         for i, j in cells))
 
 
 def test_grid_patterns_match_the_closed_form():
-    # every pattern of at least two cells: the root fiber tiles iff every
-    # column holds a cell, a column's fiber iff the column is full, and
-    # the system is ExactlyOne iff every column holds exactly one cell
-    verdicts = Counter()
-    for size in range(2, len(GRID_CELLS) + 1):
-        for cells in itertools.combinations(GRID_CELLS, size):
-            ifs = _grid_system(cells)
+    # every pattern on the 2 x 3 grid and a seeded sample of the 4083 on
+    # the 3 x 4 grid: the root fiber tiles iff every column holds a cell,
+    # a column's fiber iff the column is full, and the system is
+    # ExactlyOne iff every column holds exactly one cell
+    patterns = _grid_patterns(3, 4)
+    assert len(patterns) == 4083
+    verdicts = []
+    for cols, rows, sample in [
+            (2, 3, _grid_patterns(2, 3)),
+            (3, 4, random.Random(29).sample(patterns, 300))]:
+        counts = Counter()
+        for cells in sample:
+            ifs = _grid_system(cells, cols, rows)
             tree = build_labeled_tree(ifs)
             column = Counter(i for i, _ in cells)
             assert attractor_is_unit_interval(tree.fibers[ROOT]) == \
-                (len(column) == 2)
+                (len(column) == cols)
             for v in tree.levels[1]:
-                i = v.projected_map[0].offset * 2
+                i = v.projected_map[0].offset * cols
                 assert attractor_is_unit_interval(tree.fibers[v]) == \
-                    (column[i] == 3)
+                    (column[i] == rows)
             verdict = _verdict(ifs)
             assert (verdict[0] == EXACTLY_ONE) == \
-                (len(column) == 2 and set(column.values()) == {1})
-            verdicts[verdict] += 1
-    assert sum(verdicts.values()) == 57
-    assert verdicts == {(ZERO, None): 6, (EXACTLY_ONE, 0): 9,
-                        (AT_LEAST_ONE, 0): 40, (AT_LEAST_ONE, 1): 2}
+                (len(column) == cols and set(column.values()) == {1})
+            counts[verdict] += 1
+        verdicts.append(counts)
+    assert verdicts[0] == {(ZERO, None): 6, (EXACTLY_ONE, 0): 9,
+                           (AT_LEAST_ONE, 0): 40, (AT_LEAST_ONE, 1): 2}
+    assert verdicts[1] == {(ZERO, None): 45, (EXACTLY_ONE, 0): 5,
+                           (AT_LEAST_ONE, 0): 243, (AT_LEAST_ONE, 1): 7}
 
 
 def test_special_system_is_f0_at_the_root(monkeypatch, lg4):

@@ -19,8 +19,8 @@ from hypothesis import given, settings, strategies as st
 import sponge
 import sponge.cantor
 import sponge.cli
-from sponge import (AffineMap1D, Analysis, DiagonalAffineMap, SpongeIFS,
-                    serialize_ifs)
+from sponge import (AffineMap1D, Analysis, DiagonalAffineMap, EXACTLY_ONE,
+                    SpongeIFS, classify, parse_ifs, serialize_ifs)
 from sponge.cli import emit, main
 from sponge.util import DomainError, ResourceCapError, frac_str
 
@@ -384,11 +384,23 @@ def test_import_graph_in_a_fresh_interpreter():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_every_lazy_name_resolves_to_its_cantor_attribute():
+    # the lazy table names only what sponge.cantor has ("cantor" is the
+    # module itself), so an export edit cannot leave a dangling name
+    for name in sorted(sponge._CANTOR_NAMES):
+        want = sponge.cantor if name == "cantor" \
+            else getattr(sponge.cantor, name)
+        assert sponge.__getattr__(name) is want
+    with pytest.raises(AttributeError, match=r"^module 'sponge' has no "
+                       r"attribute 'no_such_name'$"):
+        sponge.no_such_name
+
+
 @pytest.mark.parametrize("fixture", ["lg5", "lg4", "bedford_mcmullen"])
 def test_report_composes_no_maps(capsys, fixture):
     # cylinder sides, pre-Moran intervals and Lipschitz points all compose
     # in integers from the maps' integer forms (ifs.cylinder_box for one
-    # word, ifs.compose_labels for label sets): the maps have no Fraction
+    # word, ifs.compose_scaled for label sets): the maps have no Fraction
     # composition to call
     assert not hasattr(sponge.ifs.AffineMap1D, "compose")
     assert not hasattr(sponge.ifs.DiagonalAffineMap, "compose")
@@ -695,8 +707,13 @@ _SUBCOMMANDS = {
     "cantor": ["--depth", "3"],
 }
 
+# the fixtures of the golden reports: d = 2 (Zero, ExactlyOne, AtLeastOne)
+# and d = 3 (AtLeastOne at rank 1, ExactlyOne)
+GOLDEN_FIXTURES = ["lg5", "lg4", "bedford_mcmullen", "sponge3_rank1",
+                   "sponge3_special"]
 
-@pytest.mark.parametrize("fixture", ["lg5", "lg4", "bedford_mcmullen"])
+
+@pytest.mark.parametrize("fixture", GOLDEN_FIXTURES)
 @pytest.mark.parametrize("subcommand", sorted(_SUBCOMMANDS))
 def test_json_output_matches_indented_encoder(capsys, monkeypatch, fixture,
                                               subcommand):
@@ -777,14 +794,15 @@ def _report_hashes(fixture, subcommand, fmt):
                      for s in (text, err.getvalue())]
 
 
-# every fixture x subcommand x format, recorded at f856e62: a report, an
-# exit code or a diagnostic changes only on purpose
+# every fixture x subcommand x format, recorded at f856e62 (the d = 3
+# fixtures at db95929): a report, an exit code or a diagnostic changes
+# only on purpose
 GOLDEN_REPORTS = Path(__file__).resolve().parent / "golden_reports.json"
 
 
 def test_every_report_matches_its_recorded_hashes():
     golden = json.loads(GOLDEN_REPORTS.read_text())
-    assert len(golden) == 3 * len(_SUBCOMMANDS) * 3
+    assert len(golden) == len(GOLDEN_FIXTURES) * len(_SUBCOMMANDS) * 3
     changed = [key for key, hashes in sorted(golden.items())
                if _report_hashes(*key.split()) != hashes]
     assert changed == []
@@ -800,7 +818,7 @@ def _scalars(value):
 
 def test_every_golden_scalar_has_an_exact_type_writer(monkeypatch):
     # the JSON writer looks a scalar's writer up by its exact type alone:
-    # no report of the 72 golden runs holds a subclass
+    # no report of the golden runs holds a subclass
     reports = []
 
     def keeping(report, fmt, sub):
@@ -811,9 +829,15 @@ def test_every_golden_scalar_has_an_exact_type_writer(monkeypatch):
     golden = json.loads(GOLDEN_REPORTS.read_text())
     for key in golden:
         _report_hashes(*key.split())
-    # the other 22 runs exit 1 (no CSV schema) or 2 (no Cantor model)
-    # before a report is written
-    assert len(reports) == sum(code == 0 for code, *_ in golden.values()) == 50
+    # every subcommand writes json and text, and csv where it has a CSV
+    # schema, but cantor writes only on the ExactlyOne fixtures: on the
+    # others it exits 2 (no Cantor model)
+    special = sum(classify(parse_ifs((FIXTURES / (f + ".ifs")).read_text()))
+                  .conformal_dim_class == EXACTLY_ONE for f in GOLDEN_FIXTURES)
+    written = len(GOLDEN_FIXTURES) * (2 * len(_SUBCOMMANDS) - 2
+                                      + len(sponge.cli._CSV_COLUMNS))
+    assert len(reports) == sum(code == 0 for code, *_ in golden.values()) \
+        == written + 2 * special
     types = {type(x) for r in reports for x in _scalars(r)}
     assert types <= set(sponge.cli._JSON_SCALARS)
     assert Fraction in types

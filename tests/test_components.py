@@ -15,13 +15,13 @@ from sponge import (AffineMap1D, Analysis, Box, ComponentsError, FiberIFS,
                     SpongeIFS, Vertex, approx_square, build_labeled_tree,
                     check_premoran_bound, check_product_decomposition,
                     check_union_bound, classify, component_diameter_profile,
-                    compose_labels, cylinder_box, delta0_sequence_exists,
+                    cylinder_box, delta0_sequence_exists,
                     delta0_sequence_exists_sq, delta_components,
                     delta_components_sq, enumerate_cylinders,
                     interval_components, last_coordinate_fibers, parse_ifs,
                     pre_moran_intervals, validate_lg)
 from sponge.components import Runs, product_decompositions
-from sponge.ifs import compose_scaled
+from sponge.ifs import compose_scaled, scale_labels
 from sponge.util import DEFAULT_CAP, DomainError
 
 from conftest import (compose, major_projection, random_column_system,
@@ -601,8 +601,8 @@ def test_product_decomposition_across_fiber_denominators():
     ifs = parse_ifs(MIXED_DENOMINATORS)
     fibers = sponge.tree.last_coordinate_fibers(build_labeled_tree(ifs))
     last = [m.coords[-1] for m in ifs.maps]
-    assert [compose_labels([f.labels])[0] for f in fibers] == [4, 3]
-    assert compose_labels([last])[0] == 12
+    assert [scale_labels(f.labels)[0] for f in fibers] == [4, 3]
+    assert scale_labels(last)[0] == 12
     for k in (1, 2, 3):
         assert check_product_decomposition(ifs, k)
         assert _oracle_product_decomposition(ifs, k)
@@ -1481,7 +1481,7 @@ def test_pre_moran_components_build_no_intervals(monkeypatch):
 
 
 def test_profile_builds_no_intervals(monkeypatch, lg5):
-    # cylinder sides go from compose_labels to the kernel as integers;
+    # cylinder sides go from compose_scaled to the kernel as integers;
     # validation, which builds its own boxes, is taken as done
     report = validate_lg(lg5)
     monkeypatch.setattr(sponge.components, "validate_lg", lambda ifs: report)
@@ -1577,7 +1577,7 @@ def test_union_bound_matches_oracle(inputs):
 
 
 def test_pre_moran_sets_scale_no_family_again(monkeypatch, lg5):
-    # compose_labels scales each member from its labels' integer forms,
+    # scale_labels scales each member from its labels' integer forms,
     # made when the labels were: no word rescales a family member
     fam = SimpleIFSFamily(last_coordinate_fibers(build_labeled_tree(lg5)))
     calls = []

@@ -8,9 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 import sponge.ifs
 from sponge import (AffineMap1D, Box, DiagonalAffineMap, IFSError, Interval,
-                    ParseError, SpongeIFS, approx_square, compose_labels,
-                    cylinder_box, enumerate_cylinders, fixed_point,
-                    parse_ifs, serialize_ifs, validate_lg, width)
+                    ParseError, SpongeIFS, approx_square, cylinder_box,
+                    enumerate_cylinders, fixed_point, parse_ifs,
+                    serialize_ifs, validate_lg, width)
+from sponge.ifs import compose_scaled, scale_labels
 
 from conftest import (compose, major_projection, random_lg_system,
                       random_special_system)
@@ -242,7 +243,8 @@ def test_cylinder_sides_match_composition_oracle(seed, kind, depth):
              else Box(tuple(s.image() for s in c.coords))
              for _, c in _oracle_compose_words(ifs.maps, depth)]
     for j in range(ifs.dim):
-        den, ends = compose_labels([[m.coords[j] for m in ifs.maps]] * depth)
+        den, ends = compose_scaled(
+            [scale_labels([m.coords[j] for m in ifs.maps])] * depth)
         assert [(Fraction(lo, den), Fraction(hi, den)) for lo, hi in ends] \
             == [(b.sides[j].lo, b.sides[j].hi) for b in boxes]
     assert enumerate_cylinders(ifs, depth) == boxes
@@ -293,10 +295,11 @@ def test_unit_preserving_matches_fraction_predicate(g):
 @settings(max_examples=60)
 @given(st.lists(st.lists(_labels, min_size=1, max_size=3), max_size=3),
        st.lists(st.integers(0, 5), max_size=4))
-def test_compose_labels_matches_composition_oracle(sets, picks):
-    # a set may recur, as a family member recurs in a pre-Moran word
+def test_compose_scaled_matches_composition_oracle(sets, picks):
+    # a set may recur, as a family member recurs in a pre-Moran word; the
+    # levels go innermost first, the words outermost letter first
     label_sets = sets + [sets[k % len(sets)] for k in picks if sets]
-    den, ends = compose_labels(label_sets)
+    den, ends = compose_scaled(map(scale_labels, reversed(label_sets)))
     words = itertools.product(*label_sets)
     want = [c.image() if c is not None else Interval(F(0), F(1))
             for c in map(compose, words)]

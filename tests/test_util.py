@@ -115,6 +115,9 @@ def test_quad_leq():
     assert not quad_leq(Fraction(0), Fraction(1), Fraction(1), Fraction(0), s)
     assert quad_leq(Fraction(0), Fraction(1), Fraction(1), Fraction(0),
                     Fraction(1, 4))
+    # both differences negative: 3 + 2 sqrt(2) > 1 + sqrt(2), though the
+    # squares of the differences alone (4 against 2) order them the other way
+    assert not quad_leq(Fraction(3), Fraction(2), Fraction(1), Fraction(1), s)
 
 
 def test_capped_power():
