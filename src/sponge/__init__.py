@@ -10,8 +10,8 @@ from importlib import import_module
 
 from .ifs import (AffineMap1D, Box, DiagonalAffineMap, IFSError, Interval,
                   ParseError, SpongeIFS, ValidationReport, cylinder_box,
-                  fixed_point, parse_ifs, serialize_ifs, validate_lg, width)
-from .tree import (FiberIFS, LabeledTree, TreeError, Vertex, all_fiber_ifs,
+                  fixed_point, parse_ifs, serialize_ifs, validate_lg)
+from .tree import (FiberIFS, LabeledTree, TreeError, Vertex,
                    build_labeled_tree, fiber_ifs, last_coordinate_fibers)
 from .classify import (AT_LEAST_ONE, Analysis, Classification, ClassifyError,
                        EXACTLY_ONE, SubsystemF0, ZERO,

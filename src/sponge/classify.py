@@ -11,8 +11,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .ifs import DiagonalAffineMap, SpongeIFS, fixed_point, truncations
-from .tree import (TreeError, Vertex, all_fiber_ifs, build_labeled_tree,
-                   fiber_ifs)
+from .tree import TreeError, Vertex, build_labeled_tree, fiber_ifs
 from .util import DomainError, Record
 
 ZERO = "Zero"
@@ -39,21 +38,6 @@ class Classification(Record):
     def __post_init__(self):
         assert self.uniformly_disconnected == (self.conformal_dim_class == ZERO)
         assert (self.witness is not None) == (not self.uniformly_disconnected)
-
-    @property
-    def equivalent_statements(self):
-        """The three equivalent conditions, decided via the third.
-
-        Uniform disconnectedness, total disconnectedness of every major
-        projection, and absence of a tiling fiber attractor hold or fail
-        together; the fiber test is the one evaluated exactly.
-        """
-        v = self.uniformly_disconnected
-        return {
-            "uniformly_disconnected": v,
-            "all_major_projections_totally_disconnected": v,
-            "no_fiber_attractor_is_unit_interval": v,
-        }
 
 
 class SubsystemF0(Record):
@@ -97,7 +81,7 @@ class Analysis:
 
     @cached_property
     def classification(self):
-        fibers = all_fiber_ifs(self.tree)
+        fibers = self.tree.fibers.values()
         verdicts = []
         witness = None
         for fib in fibers:
@@ -111,7 +95,7 @@ class Analysis:
         # fiber of rank >= 1 is a singleton.  Singletons never tile (ratios
         # are below 1), so the witness is then the root, and full
         # cardinality is the same as singletons below the root.
-        special = all(fib.size == 1 for fib in fibers[1:])
+        special = all(fib.size == 1 for fib in fibers if fib.owner.rank)
         dim_class = EXACTLY_ONE if special else AT_LEAST_ONE
         return Classification(False, dim_class, witness, tuple(verdicts))
 

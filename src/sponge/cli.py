@@ -265,7 +265,10 @@ def _indented_json(value, pad="\n"):
     indent=2, default=frac_str) writes it: the containers are laid out
     here and every scalar is written by a C encoder or frac_str, not by
     the pure-Python encoder that indent selects.  A scalar's writer is
-    looked up by its exact type; any other value is written by frac_str."""
+    looked up by its exact type; any other scalar is written as frac_str's
+    string, as json.dumps writes a Fraction subclass.  An int subclass,
+    which json.dumps writes as a number, would come out as a string; no
+    report holds one."""
     write = _JSON_SCALARS.get(type(value))
     if write is not None:
         return write(value)

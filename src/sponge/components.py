@@ -553,7 +553,6 @@ class SimpleIFSFamily:
 
 
 class PreMoranSet(Record):
-    family: SimpleIFSFamily
     word: tuple
     intervals: IntervalSet  # sorted by left endpoint
 
@@ -573,7 +572,7 @@ def pre_moran_intervals(family, word, cap=DEFAULT_CAP):
         if max(count, k) > cap:
             raise ResourceCapError("components", max(count, k), cap)
     den, ends = compose_scaled(family.scaled[i - 1] for i in reversed(word))
-    return PreMoranSet(family, word, IntervalSet(den, ends))
+    return PreMoranSet(word, IntervalSet(den, ends))
 
 
 class MoranBoundReport(Record):

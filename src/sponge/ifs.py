@@ -311,8 +311,3 @@ def compose_scaled(levels, start=None):
 def fixed_point(diag_map):
     """The unique fixed point, coordinatewise offset/(1-ratio)."""
     return tuple(c.fixed_point() for c in diag_map.coords)
-
-
-def width(box):
-    """Length of the shortest side."""
-    return min(s.length for s in box.sides)

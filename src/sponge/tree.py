@@ -7,8 +7,6 @@ FiberIFS alone orders, scales and measures a fiber; every other layer
 reads it.
 """
 
-from fractions import Fraction
-
 from .ifs import scale_labels, truncations, validate_lg
 from .util import DomainError, Record
 
@@ -43,8 +41,9 @@ class FiberIFS(Record):
     """Labels of a vertex's offspring, in any order, stored in offset
     order with their one integer form: `scaled` is (scale, steps), the
     labels over the lcm of their q as integer steps (r, o) (scale_labels)
-    in the same order, and `gaps` the gaps their images leave in [0,1]:
-    before the first, between neighbours and after the last."""
+    in the same order, and `gaps` the gaps their images leave in [0,1],
+    as integers over the same scale: before the first, between neighbours
+    and after the last."""
 
     owner: Vertex
     labels: tuple
@@ -65,8 +64,7 @@ class FiberIFS(Record):
         # if two images overlap, some pair of neighbours does
         if min(gaps) < 0:
             raise TreeError("tree: fiber images overlap")
-        object.__setattr__(self, "gaps",
-                           tuple(Fraction(g, scale) for g in gaps))
+        object.__setattr__(self, "gaps", tuple(gaps))
 
     @property
     def size(self):
@@ -78,7 +76,9 @@ class FiberIFS(Record):
 
 class LabeledTree:
     """Immutable after construction; safe to share.  `validation` is the
-    ValidationReport of the LG gate the tree was built behind."""
+    ValidationReport of the LG gate the tree was built behind.  `fibers`
+    holds every fiber IFS breadth-first over ranks 0..d-1, the order in
+    which build_labeled_tree adds them."""
 
     def __init__(self, dim, levels, fibers, validation):
         self.dim = dim
@@ -126,9 +126,3 @@ def last_coordinate_fibers(tree):
     """The fiber IFS' of the rank d-1 vertices, in level order: the
     last-coordinate labels of the maps."""
     return [tree.fibers[v] for v in tree.levels[tree.dim - 1]]
-
-
-def all_fiber_ifs(tree):
-    """Every fiber IFS, breadth-first over ranks 0..d-1: the order in which
-    build_labeled_tree adds them."""
-    return list(tree.fibers.values())

@@ -1,5 +1,4 @@
 import os
-import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -7,7 +6,7 @@ import pytest
 from hypothesis import settings
 
 from sponge import (AffineMap1D, DiagonalAffineMap, IFSError, SpongeIFS,
-                    parse_ifs)
+                    classify, parse_ifs)
 from sponge.ifs import truncations
 
 # Fixed example sequences and no wall-clock deadline, so that every run of
@@ -69,6 +68,13 @@ def major_projection(ifs, ell):
         raise IFSError("ifs: projection level %d out of range 1..%d"
                        % (ell, ifs.dim))
     return SpongeIFS(ell, tuple(map(DiagonalAffineMap, truncations(ifs, ell))))
+
+
+def class_and_rank(ifs):
+    """The verdict as (conformal dimension class, witness rank), the rank
+    None for a Zero system."""
+    result = classify(ifs)
+    return result.conformal_dim_class, getattr(result.witness, "rank", None)
 
 
 def reflect(ifs, j):

@@ -14,11 +14,11 @@ from sponge import (AT_LEAST_ONE, EXACTLY_ONE, ZERO, AffineMap1D, Analysis,
                     TreeError, Vertex, analyze_special_system,
                     attractor_is_unit_interval, build_labeled_tree,
                     check_product_decomposition, classify,
-                    extract_special_subsystem, fiber_ifs,
+                    enumerate_cylinders, extract_special_subsystem, fiber_ifs,
                     line_segment_witness, parse_ifs, validate_lg)
 
-from conftest import (random_column_system, random_lg_system,
-                      random_special_system, reflect)
+from conftest import (class_and_rank, load_fixture, random_column_system,
+                      random_lg_system, random_special_system, reflect)
 
 
 def F(s):
@@ -63,8 +63,6 @@ def test_classify_lg4(lg4):
     assert not result.uniformly_disconnected
     assert result.conformal_dim_class == "ExactlyOne"
     assert result.witness == ROOT
-    stmts = result.equivalent_statements
-    assert set(stmts.values()) == {False}
 
 
 def test_classify_1d_tiling():
@@ -72,12 +70,6 @@ def test_classify_1d_tiling():
     result = classify(ifs)
     assert not result.uniformly_disconnected
     assert result.witness == ROOT
-
-
-def test_classify_equivalent_statements(lg5):
-    stmts = classify(lg5).equivalent_statements
-    assert set(stmts.values()) == {True}
-    assert len(stmts) == 3
 
 
 def test_line_segment_witness():
@@ -95,6 +87,25 @@ def test_line_segment_witness_shifted():
                     "map 1/2 1/2 ; 1/3 1/3")
     x0, _ = line_segment_witness(ifs, classify(ifs).witness)
     assert x0 == (F(1),)
+
+
+def test_rank_two_witness_segment_lies_in_the_cylinders():
+    # sponge3_rank2's witness has rank d - 1 = 2, so {x0} x [0,1] lies in
+    # K: at each depth the last sides of the cylinders whose first two
+    # sides hold x0 cover [0,1]
+    ifs = load_fixture("sponge3_rank2.ifs")
+    assert class_and_rank(ifs) == (AT_LEAST_ONE, 2)
+    x0, axis = line_segment_witness(ifs, classify(ifs).witness)
+    assert (x0, axis) == ((0, 0), 3)
+    for depth in (1, 2, 3):
+        reach = 0
+        for lo, hi in sorted((b.sides[-1].lo, b.sides[-1].hi)
+                             for b in enumerate_cylinders(ifs, depth)
+                             if all(s.lo <= x <= s.hi
+                                    for s, x in zip(b.sides, x0))):
+            assert lo <= reach
+            reach = max(reach, hi)
+        assert reach == 1
 
 
 def test_line_segment_witness_wrong_rank(lg4):
@@ -245,11 +256,6 @@ def test_map_order_changes_no_fiber_fact(dim, seed, tile_rank, max_children):
     assert _fingerprint(shuffled) == _fingerprint(ifs)
 
 
-def _verdict(ifs):
-    result = classify(ifs)
-    return result.conformal_dim_class, getattr(result.witness, "rank", None)
-
-
 @settings(max_examples=60)
 @given(st.integers(2, 3), st.integers(0, 10 ** 6), st.integers(-1, 2),
        st.integers(1, 3), st.integers(0, 2))
@@ -260,7 +266,7 @@ def test_reflection_keeps_the_verdict(dim, seed, tile_rank, max_children, j):
     ifs = random_column_system(random.Random(seed), dim,
                                tile_rank if 0 <= tile_rank < dim else None,
                                max_children)
-    assert _verdict(reflect(ifs, j % dim)) == _verdict(ifs)
+    assert class_and_rank(reflect(ifs, j % dim)) == class_and_rank(ifs)
 
 
 def _grid_patterns(cols, rows):
@@ -301,7 +307,7 @@ def test_grid_patterns_match_the_closed_form():
                 i = v.projected_map[0].offset * cols
                 assert attractor_is_unit_interval(tree.fibers[v]) == \
                     (column[i] == rows)
-            verdict = _verdict(ifs)
+            verdict = class_and_rank(ifs)
             assert (verdict[0] == EXACTLY_ONE) == \
                 (len(column) == cols and set(column.values()) == {1})
             counts[verdict] += 1
@@ -418,6 +424,18 @@ def test_witnesses_read_the_shared_tree(monkeypatch, lg5, lg4):
     assert shared == fresh
     # no tree is built again: not for the input, nor for the subsystem
     assert built == []
+
+
+def test_validation_passes_on_a_tree_error_without_a_report(monkeypatch, lg5):
+    # only the LG gate's rejection carries a ValidationReport; any other
+    # TreeError from building the tree is raised again
+    def failing(ifs):
+        raise TreeError("x")
+
+    monkeypatch.setattr(sys.modules["sponge.classify"], "build_labeled_tree",
+                        failing)
+    with pytest.raises(TreeError, match="^x$"):
+        Analysis(lg5).validation
 
 
 def test_zero_class_monotone_under_subsets(lg5):

@@ -14,13 +14,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import sponge
 import sponge.cantor
 import sponge.cli
 from sponge import (AffineMap1D, Analysis, DiagonalAffineMap, EXACTLY_ONE,
-                    SpongeIFS, classify, parse_ifs, serialize_ifs)
+                    SpongeIFS, attractor_is_unit_interval,
+                    last_coordinate_fibers, parse_ifs, serialize_ifs)
 from sponge.cli import emit, main
 from sponge.util import DomainError, ResourceCapError, frac_str
 
@@ -708,9 +709,9 @@ _SUBCOMMANDS = {
 }
 
 # the fixtures of the golden reports: d = 2 (Zero, ExactlyOne, AtLeastOne)
-# and d = 3 (AtLeastOne at rank 1, ExactlyOne)
+# and d = 3 (AtLeastOne at ranks 1 and 2, ExactlyOne)
 GOLDEN_FIXTURES = ["lg5", "lg4", "bedford_mcmullen", "sponge3_rank1",
-                   "sponge3_special"]
+                   "sponge3_rank2", "sponge3_special"]
 
 
 @pytest.mark.parametrize("fixture", GOLDEN_FIXTURES)
@@ -795,8 +796,8 @@ def _report_hashes(fixture, subcommand, fmt):
 
 
 # every fixture x subcommand x format, recorded at f856e62 (the d = 3
-# fixtures at db95929): a report, an exit code or a diagnostic changes
-# only on purpose
+# fixtures at db95929 and 03b14c3): a report, an exit code or a diagnostic
+# changes only on purpose
 GOLDEN_REPORTS = Path(__file__).resolve().parent / "golden_reports.json"
 
 
@@ -831,11 +832,17 @@ def test_every_golden_scalar_has_an_exact_type_writer(monkeypatch):
         _report_hashes(*key.split())
     # every subcommand writes json and text, and csv where it has a CSV
     # schema, but cantor writes only on the ExactlyOne fixtures: on the
-    # others it exits 2 (no Cantor model)
-    special = sum(classify(parse_ifs((FIXTURES / (f + ".ifs")).read_text()))
-                  .conformal_dim_class == EXACTLY_ONE for f in GOLDEN_FIXTURES)
+    # others it exits 2 (no Cantor model); and premoran exits 2 where a
+    # last-coordinate fiber tiles [0,1] (no pre-Moran family)
+    analyses = [Analysis(parse_ifs((FIXTURES / (f + ".ifs")).read_text()))
+                for f in GOLDEN_FIXTURES]
+    special = sum(a.classification.conformal_dim_class == EXACTLY_ONE
+                  for a in analyses)
+    tiling = sum(any(map(attractor_is_unit_interval,
+                         last_coordinate_fibers(a.tree))) for a in analyses)
     written = len(GOLDEN_FIXTURES) * (2 * len(_SUBCOMMANDS) - 2
-                                      + len(sponge.cli._CSV_COLUMNS))
+                                      + len(sponge.cli._CSV_COLUMNS)) \
+        - (2 + ("premoran" in sponge.cli._CSV_COLUMNS)) * tiling
     assert len(reports) == sum(code == 0 for code, *_ in golden.values()) \
         == written + 2 * special
     types = {type(x) for r in reports for x in _scalars(r)}
@@ -871,6 +878,12 @@ _json_values = st.recursive(
     max_leaves=20)
 
 
+class _FractionSubclass(Fraction):
+    """A scalar of no listed exact type: json.dumps writes it through
+    frac_str, as a string."""
+
+
 @given(_json_values)
+@example({"a": [_FractionSubclass(1, 2), _FractionSubclass(3)]})
 def test_emit_json_matches_indented_encoder(value):
     assert emit(value, "json", "all") == _indent2(value)

@@ -12,9 +12,9 @@ import sponge.tree
 from sponge import (AffineMap1D, Analysis, Box, ComponentsError, FiberIFS,
                     IFSError, Interval, IntervalSet, PointSet,
                     PreconditionError, ResourceCapError, SimpleIFSFamily,
-                    SpongeIFS, Vertex, approx_square, build_labeled_tree,
+                    SpongeIFS, approx_square, build_labeled_tree,
                     check_premoran_bound, check_product_decomposition,
-                    check_union_bound, classify, component_diameter_profile,
+                    check_union_bound, component_diameter_profile,
                     cylinder_box, delta0_sequence_exists,
                     delta0_sequence_exists_sq, delta_components,
                     delta_components_sq, enumerate_cylinders,
@@ -24,9 +24,9 @@ from sponge.components import Runs, product_decompositions
 from sponge.ifs import compose_scaled, scale_labels
 from sponge.util import DEFAULT_CAP, DomainError
 
-from conftest import (compose, major_projection, random_column_system,
-                      random_lg_system, random_point_set, random_simple_labels,
-                      reflect)
+from conftest import (class_and_rank, compose, major_projection,
+                      random_column_system, random_lg_system, random_point_set,
+                      random_simple_labels, reflect)
 
 
 def F(s, d=None):
@@ -652,11 +652,6 @@ def _square(ifs):
                                     for g in ifs.maps))
 
 
-def _verdict(ifs):
-    result = classify(ifs)
-    return result.conformal_dim_class, getattr(result.witness, "rank", None)
-
-
 @pytest.mark.parametrize("name", ["lg5", "bedford_mcmullen", "lg4"])
 def test_iteration_keeps_the_verdict_and_the_profile(request, name):
     # F^2 has F's attractor, so its verdict, and its depth-n cylinders are
@@ -665,7 +660,7 @@ def test_iteration_keeps_the_verdict_and_the_profile(request, name):
     ifs = request.getfixturevalue(name)
     square = _square(ifs)
     assert validate_lg(square).lg_type
-    assert _verdict(square) == _verdict(ifs)
+    assert class_and_rank(square) == class_and_rank(ifs)
     grid = [F(1, 8), F(1, 16), F(1, 32), F(1, 64)]
     for n in (1, 2):
         assert (component_diameter_profile(square, n, grid)
@@ -681,7 +676,7 @@ def test_iteration_keeps_the_verdict_and_the_profile_rows(dim, seed,
                                max_children=3 if dim == 2 else 2)
     square = _square(ifs)
     assert validate_lg(square).lg_type
-    assert _verdict(square) == _verdict(ifs)
+    assert class_and_rank(square) == class_and_rank(ifs)
     grid = [F(1, 4), F(1, 8), F(1, 16), F(1, 32)]
     assert (component_diameter_profile(square, 1, grid)
             == component_diameter_profile(ifs, 2, grid))

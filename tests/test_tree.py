@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import sponge.tree
 from sponge import (AffineMap1D, Box, DiagonalAffineMap, FiberIFS, SpongeIFS,
-                    TreeError, ValidationReport, Vertex, all_fiber_ifs,
+                    TreeError, ValidationReport, Vertex,
                     attractor_is_unit_interval, build_labeled_tree,
                     cylinder_box, fiber_ifs, last_coordinate_fibers,
                     parse_ifs, validate_lg)
@@ -75,15 +75,15 @@ def test_fiber_of_leaf_rejected(lg5):
 
 
 def test_all_fiber_counts(lg5, lg4):
-    assert len(all_fiber_ifs(build_labeled_tree(lg5))) == 3
-    assert len(all_fiber_ifs(build_labeled_tree(lg4))) == 5
+    assert len(build_labeled_tree(lg5).fibers) == 3
+    assert len(build_labeled_tree(lg4).fibers) == 5
     one_d = parse_ifs("dim 1\nmap 1/3 0\nmap 1/3 2/3")
-    assert len(all_fiber_ifs(build_labeled_tree(one_d))) == 1
+    assert len(build_labeled_tree(one_d).fibers) == 1
 
 
 def test_fiber_nonoverlap_and_measure(lg5, lg4):
     for ifs in (lg5, lg4):
-        for fib in all_fiber_ifs(build_labeled_tree(ifs)):
+        for fib in build_labeled_tree(ifs).fibers.values():
             images = sorted((g.image() for g in fib.labels),
                             key=lambda iv: iv.lo)
             for a, b in zip(images, images[1:]):
@@ -116,7 +116,7 @@ def test_level_sizes_match_projections(lg5, lg4):
 
 def test_fiber_labels_sorted_left_to_right(lg5):
     tree = build_labeled_tree(lg5)
-    for fib in all_fiber_ifs(tree):
+    for fib in tree.fibers.values():
         lows = [g.image().lo for g in fib.labels]
         assert lows == sorted(lows)
 
@@ -124,7 +124,7 @@ def test_fiber_labels_sorted_left_to_right(lg5):
 def test_fiber_lookups_return_the_tree_fibers(lg5, lg4):
     for ifs in (lg5, lg4):
         tree = build_labeled_tree(ifs)
-        for fib in all_fiber_ifs(tree) + last_coordinate_fibers(tree):
+        for fib in [*tree.fibers.values(), *last_coordinate_fibers(tree)]:
             assert fib is tree.fibers[fib.owner]
             assert fiber_ifs(tree, fib.owner) is fib
 
@@ -261,7 +261,8 @@ def test_fiber_gaps_match_pairwise_and_scan_oracles(labels):
     assert len(fib.gaps) == len(labels) + 1
     assert min(fib.gaps) >= 0
     assert attractor_is_unit_interval(fib) == _oracle_tiles(labels)
-    assert max(fib.gaps) == _oracle_biggest_gap(labels)
+    assert Fraction(max(fib.gaps), fib.scaled[0]) == \
+        _oracle_biggest_gap(labels)
 
 
 @pytest.mark.parametrize("fixture", ["lg5", "lg4", "bedford_mcmullen"])

@@ -149,6 +149,29 @@ def test_no_float_in_the_package():
     assert found == []
 
 
+def test_every_import_is_read():
+    # each name a module of the package imports is read in that module,
+    # unless its line says "# noqa: F401"; __init__ imports to re-export
+    src = Path(__file__).resolve().parent.parent / "src" / "sponge"
+    paths = sorted(p for p in src.glob("*.py") if p.name != "__init__.py")
+    assert len(paths) > 1
+    unread = []
+    for path in paths:
+        text = path.read_text()
+        lines = text.splitlines()
+        nodes = list(ast.walk(ast.parse(text, str(path))))
+        read = {node.id for node in nodes if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        unread += ["%s:%d %s" % (path.name, node.lineno, name)
+                   for node in nodes
+                   if isinstance(node, (ast.Import, ast.ImportFrom))
+                   and "# noqa: F401" not in lines[node.lineno - 1]
+                   for alias in node.names
+                   for name in [(alias.asname or alias.name).split(".")[0]]
+                   if name not in read]
+    assert unread == []
+
+
 # every record class of the package, in the modules that define them
 RECORDS = [cls for name in ("ifs", "tree", "classify", "components", "cantor")
            for cls in vars(importlib.import_module("sponge." + name)).values()
