@@ -5,13 +5,13 @@ All connectivity predicates compare exact squared distances against
 exact squared thresholds; no floating point enters any decision.
 """
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, groupby, islice
 from math import isqrt, lcm
-from operator import sub
+from operator import itemgetter, sub
 
 from .ifs import (Box, Interval, check_interval_ends, compose_scaled,
                   cylinder_box, scale_labels, validate_lg, word_maps)
@@ -106,32 +106,44 @@ def _far_sq(a, b):
 
 
 class _SingleLinkage:
-    """Single linkage over exact integer squared gaps (Kruskal order).
+    """Single linkage over exact integer squared gaps, on an ascending
+    grid of squared thresholds.
 
-    The objects come as one IntervalSet per coordinate.  The pairs
-    within the largest threshold are scaled to integers and sorted once;
-    merge_to then unions them in ascending gap order, so one pass
-    answers every threshold up to that largest one.  A box starting
-    more than sqrt(limit) past another's end on any coordinate is too
-    far, so the pairs come from a sweep along the coordinate, axis,
-    whose windows hold the fewest pairs (the first on a tie).  root[x]
-    is x's block; a union relabels the smaller block's members, at most
-    n log n relabels in all.  It keeps only the largest squared block
-    diameter, max_diam, and each block's integer extent: a union skips
-    the cross pairs of a smaller-side box, or of its whole extent,
-    within far distance max_diam of the larger extent.  No block's
-    diameter exceeds max_diam; partition computes each one.
+    The objects come as one IntervalSet per coordinate, scaled to one
+    integer denominator.  A box starting more than sqrt(limit) past
+    another's end on any coordinate is too far for the largest integer
+    limit, so the candidate pairs come from a sweep along the
+    coordinate, axis, whose windows hold the fewest pairs (the first on
+    a tie).  Before any pair is tested, the window is charged against
+    cap in thousands of pair tests on one 64-bit word: its pairs times
+    the 64-bit words of the largest limit, over 1000.  Each pair within
+    that limit is filed once, as the three ints gap, i, j, in the bucket
+    of the first threshold whose limit admits it; a gap equal to a limit
+    lands in that limit's bucket.  A bucket is flat: a pair costs three
+    list slots and its gap, not a tuple as well.
+    merge_to(k) unions bucket k, so after buckets 0..k the blocks are
+    those at the k-th threshold.  The order of the pairs in a bucket
+    changes no block, count or max_diam.
+
+    root[x] is x's block; a union relabels the smaller block's members,
+    at most n log n relabels in all.  It keeps only the largest squared
+    block diameter, max_diam, and each block's integer extent.  union
+    checks the cross pairs of its unions once they are all made, those
+    whose two extents lie farthest apart first, and skips a whole union,
+    or a smaller-side box, within far distance max_diam of the larger
+    side's extent.  No block's diameter exceeds max_diam; partition
+    computes each one.
     """
 
-    def __init__(self, columns, max_delta_sq):
+    def __init__(self, columns, grid_sq, cap=DEFAULT_CAP):
         # distances add across coordinates, so the columns share one scale
         den = lcm(*(c.den for c in columns))
         ext = list(zip(*(_scaled(c.ends, c.den, den) for c in columns)))
         n = len(ext)
         self.den_sq = den * den
-        self.n = n
         self.ext = ext
-        limit = self._limit(max_delta_sq)
+        limits = [self._limit(t) for t in grid_sq]
+        limit = limits[-1]
         reach = isqrt(limit)
         # per coordinate, the boxes by start and each one's window end;
         # the windows hold sum(stops) - n(n+1)/2 pairs
@@ -142,8 +154,11 @@ class _SingleLinkage:
             stops = [bisect_right(starts, ext[i][c][1] + reach, pos + 1)
                      for pos, i in enumerate(order)]
             sweeps.append((sum(stops), c, order, stops))
-        _, self.axis, order, stops = min(sweeps)
-        keys = []
+        total, self.axis, order, stops = min(sweeps)
+        work = (total - n * (n + 1) // 2) * (limit.bit_length() // 64 + 1)
+        if work > cap * 1000:
+            raise ResourceCapError("components", -(-work // 1000), cap)
+        self.buckets = buckets = [[] for _ in limits]
         for pos, i in enumerate(order):
             a = ext[i]
             for j in order[pos + 1:stops[pos]]:
@@ -153,11 +168,7 @@ class _SingleLinkage:
                     if g > 0:
                         gap += g * g
                 if gap <= limit:
-                    # one int per pair sorts as (gap, i, j)
-                    keys.append((gap * n + i) * n + j)
-        keys.sort()
-        self.keys = keys
-        self.next_key = 0
+                    buckets[bisect_left(limits, gap)] += gap, i, j
         self.root = list(range(n))
         self.members = [[i] for i in range(n)]
         self.extent = list(ext)
@@ -169,29 +180,32 @@ class _SingleLinkage:
         """floor(delta_sq * den^2): exact, since every gap is an integer."""
         return delta_sq.numerator * self.den_sq // delta_sq.denominator
 
-    def merge_to(self, delta_sq):
-        """Union every pair with squared gap <= delta_sq; thresholds must
-        come in ascending order and not exceed the constructor's."""
-        n = self.n
-        bound = (self._limit(delta_sq) + 1) * n * n
-        keys, k, ext = self.keys, self.next_key, self.ext
-        members, extent, root = self.members, self.extent, self.root
-        top = self.max_diam
-        while k < len(keys) and keys[k] < bound:
-            rest, j = divmod(keys[k], n)
-            ri, rj = root[rest % n], root[j]
-            k += 1
+    def merge_to(self, k):
+        """Union bucket k; buckets must come in ascending order."""
+        pairs = iter(self.buckets[k])
+        self.union(zip(pairs, pairs, pairs))
+        self.buckets[k] = None
+
+    def union(self, pairs):
+        """Union each (gap, i, j) of pairs, then raise max_diam by their
+        cross pairs: the unions farthest apart go first, so max_diam has
+        risen before the nearer ones are checked, whatever the order of
+        the pairs."""
+        ext, members, extent = self.ext, self.members, self.extent
+        root = self.root
+        # per union: far distance of the two extents, the larger block's
+        # list, where the smaller block starts and ends in it, and the
+        # larger block's extent before the union
+        unions = []
+        for _, i, j in pairs:
+            ri, rj = root[i], root[j]
             if ri == rj:
                 continue
             if len(members[ri]) < len(members[rj]):
                 ri, rj = rj, ri
             big, small, span = members[ri], members[rj], extent[ri]
-            # exact: a box inside an extent is no farther than the extent
-            if _far_sq(span, extent[rj]) > top:
-                for b in small:
-                    eb = ext[b]
-                    if _far_sq(span, eb) > top:
-                        top = max(top, *(_far_sq(ext[a], eb) for a in big))
+            unions.append((_far_sq(span, extent[rj]), big, len(big),
+                           len(big) + len(small), span))
             extent[ri] = [(min(alo, blo), max(ahi, bhi))
                           for (alo, ahi), (blo, bhi) in zip(span, extent[rj])]
             for b in small:
@@ -199,8 +213,18 @@ class _SingleLinkage:
             big.extend(small)
             members[rj] = None
             self.count -= 1
+        top = self.max_diam
+        unions.sort(key=itemgetter(0), reverse=True)
+        for far, block, start, stop, span in unions:
+            # exact: a box inside an extent is no farther than the extent
+            if far <= top:
+                break
+            for b in block[start:stop]:
+                eb = ext[b]
+                if _far_sq(span, eb) > top:
+                    top = max(top, *(_far_sq(ext[a], eb)
+                                     for a in islice(block, start)))
         self.max_diam = top
-        self.next_key = k
 
     def max_diam_sq(self):
         return Fraction(self.max_diam, self.den_sq)
@@ -218,8 +242,8 @@ def delta_components_sq(objects, delta_sq):
     """Blocks and exact squared diameters of the closure of
     dist^2 <= delta_sq over the objects."""
     delta_sq = _positive("delta_sq", delta_sq)
-    linkage = _SingleLinkage(_columns(objects), delta_sq)
-    linkage.merge_to(delta_sq)
+    linkage = _SingleLinkage(_columns(objects), [delta_sq])
+    linkage.merge_to(0)
     return linkage.partition(delta_sq)
 
 
@@ -425,11 +449,12 @@ def delta0_sequence_exists_sq(points, delta0_sq):
     if len(pts) < 2:
         raise ComponentsError("components: need at least 2 points")
     d0_sq = _positive("delta0_sq", delta0_sq)
-    nn = len(pts) ** 2
-    linkage = _SingleLinkage(_columns(pts), d0_sq * sum(
-        (max(c) - min(c)) ** 2 for c in zip(*pts)))
-    for h in sorted({key // nn for key in linkage.keys}):
-        linkage.merge_to(Fraction(h, linkage.den_sq))
+    linkage = _SingleLinkage(_columns(pts), [d0_sq * sum(
+        (max(c) - min(c)) ** 2 for c in zip(*pts))])
+    # one bucket, sorted here: each merge height is one group of pairs
+    flat = iter(linkage.buckets[0])
+    for h, pairs in groupby(sorted(zip(flat, flat, flat)), itemgetter(0)):
+        linkage.union(pairs)
         if d0_sq * linkage.max_diam >= h:
             break
     else:
@@ -481,14 +506,16 @@ def enumerate_cylinders(ifs, depth, cap=DEFAULT_CAP):
     return [Box(sides) for sides in zip(*_cylinder_columns(rows, depth, cap))]
 
 
-def _walk(columns, grid):
-    """One _SingleLinkage over the columns, merged once up the distinct
-    deltas of the grid, smallest first: yields each delta and the kernel
-    merged to it."""
+def _walk(columns, grid, cap=DEFAULT_CAP):
+    """One _SingleLinkage over the columns on the distinct deltas of the
+    grid, each pair filed under the smallest delta that admits it:
+    yields each delta, smallest first, and the kernel merged to it, one
+    bucket more each time."""
     deltas = sorted(set(grid))
-    linkage = _SingleLinkage(columns, deltas[-1] ** 2) if deltas else None
-    for delta in deltas:
-        linkage.merge_to(delta * delta)
+    linkage = _SingleLinkage(columns, [delta * delta for delta in deltas],
+                             cap) if deltas else None
+    for k, delta in enumerate(deltas):
+        linkage.merge_to(k)
         yield delta, linkage
 
 
@@ -502,7 +529,7 @@ def component_diameter_profile(ifs, depth, deltas, cap=DEFAULT_CAP):
     columns = _cylinder_columns([m.coords for m in ifs.maps], depth, cap)
     grid = [_positive("delta", delta) for delta in deltas]
     rows = {}
-    for delta, linkage in _walk(columns, grid):
+    for delta, linkage in _walk(columns, grid, cap):
         mx = linkage.max_diam_sq()
         rows[delta] = {"delta": delta, "num_components": linkage.count,
                        "max_diam_sq": mx, "ratio_sq": mx / (delta * delta)}

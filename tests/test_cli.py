@@ -130,6 +130,16 @@ def test_huge_depth_is_cap_error(capsys, argv):
     assert len(captured.err) < 100
 
 
+def test_cap_of_one_is_accepted(capsys):
+    # the smallest cap there is: classify enumerates no word, and one
+    # digit of precision is within it
+    assert main(["classify", LG5, "--cap", "1", "--precision", "1"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["payload"]["conformal_dim_class"] == (
+        "Zero")
+
+
 @pytest.mark.parametrize("cap, code", [("49", 3), ("50", 0)])
 def test_precision_counts_against_cap(capsys, cap, code):
     assert main(["components", LG5, "--depth", "1", "--delta", "1/8",
@@ -162,6 +172,45 @@ def _assert_one_line_cap_error(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
+
+
+@pytest.fixture
+def wide_denominators(tmp_path):
+    """Two maps whose y-ratio is 1/p, p = 10^300 + 7: each depth multiplies
+    the common denominator by 3p, so the squared limits are long ints."""
+    p = 10 ** 300 + 7
+    path = tmp_path / "wide.ifs"
+    path.write_text("dim 2\nmap 1/3 0 ; 1/%d 0\nmap 1/3 2/3 ; 1/%d %d/%d\n"
+                    % (p, p, p - 1, p))
+    return str(path)
+
+
+def test_sweep_window_is_charged_before_any_pair(capsys, wide_denominators):
+    # 46,656 boxes under the default cap, 258,657,504 window pairs of one
+    # 64-bit word
+    _assert_one_line_cap_error(capsys, [
+        "components", str(FIXTURES / "bedford_mcmullen.ifs"), "--depth", "6",
+        "--delta", "1/8"])
+    # 4096 boxes, 2,177,672 window pairs of 375 words each
+    _assert_one_line_cap_error(capsys, ["components", wide_denominators,
+                                        "--depth", "12", "--delta", "1/8"])
+
+
+@pytest.mark.parametrize("cap, code", [("452", 3), ("453", 0)])
+def test_sweep_window_charge_boundary(capsys, wide_denominators, cap, code):
+    # depth 7: 128 boxes; the window's pairs times the 64-bit words of the
+    # squared limit come to between 452,000 and 453,000
+    assert main(["components", wide_denominators, "--depth", "7", "--delta",
+                 "1/8", "--cap", cap, "--precision", "1"]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.err == ("sponge: components: would enumerate at "
+                                "least 453 objects, cap is 452\n")
+    else:
+        assert captured.err == ""
+        # the two depth-1 columns are 1/3 apart
+        assert json.loads(captured.out)["payload"]["rows"][0][
+            "num_components"] == 2
 
 
 @pytest.fixture

@@ -179,9 +179,11 @@ def test_delta0_search_keeps_pairs_within_delta0_diagonal(
     sizes = []
 
     class Recording(sponge.components._SingleLinkage):
-        def __init__(self, columns, max_delta_sq):
-            super().__init__(columns, max_delta_sq)
-            sizes.append(len(self.keys))
+        def __init__(self, columns, grid_sq, *args):
+            super().__init__(columns, grid_sq, *args)
+            # the search asks for one threshold, so one bucket, which
+            # holds gap, i, j for each pair
+            sizes.append(len(self.buckets[0]) // 3)
 
     monkeypatch.setattr(sponge.components, "_SingleLinkage", Recording)
     pts = _corners(bedford_mcmullen, 3)
@@ -226,9 +228,11 @@ def test_profile_lg4_depth4(lg4):
     assert ratios == sorted(ratios)
 
 
-# Recorded from the pair-loop kernel before the extent pruning, and lg5
-# at depth 5 from the first-coordinate sweep before the axis choice; lg4
-# and lg5 have the same rows at depth 5 as at depth 4.
+# Recorded from the pair-loop kernel before the extent pruning, lg5 at
+# depth 5 from the first-coordinate sweep before the axis choice, and
+# bedford_mcmullen at depth 5 from the kernel that sorted every kept pair
+# by gap; lg4 and lg5 have the same rows at depth 5 as at depth 4.  Each
+# case runs on the grid of its own rows.
 @pytest.mark.parametrize("name, depth, expected", [
     ("bedford_mcmullen", 4, [
         (F(1, 8), 2, F(394594, 390625), F(25254016, 390625)),
@@ -248,9 +252,14 @@ def test_profile_lg4_depth4(lg4):
         (F(1, 32), 32, F(17, 450), F(8704, 225)),
         (F(1, 64), 59, F(29, 3600), F(7424, 225)),
     ]),
+    ("bedford_mcmullen", 5, [
+        (F(1, 32), 12, F(9801346, 87890625), F(9801346 * 1024, 87890625)),
+        (F(1, 64), 36, F(10087114, 791015625),
+         F(10087114 * 4096, 791015625)),
+    ]),
 ])
 def test_profile_at_depth(request, name, depth, expected):
-    grid = [F(1, 8), F(1, 16), F(1, 32), F(1, 64)]
+    grid = [row[0] for row in expected]
     rows = component_diameter_profile(request.getfixturevalue(name), depth,
                                       grid)
     assert [(r["delta"], r["num_components"], r["max_diam_sq"],
@@ -416,6 +425,11 @@ def test_union_bound_translates():
 def test_union_bound_single_set_collapses():
     pts = [(F(0),), (F(1),)]
     assert check_union_bound([pts], [F("1/2")], F(1))
+
+
+def test_union_bound_one_set_of_one_point():
+    # one set of one point: its kernel has one box and no pair to file
+    assert check_union_bound([[(F(1, 3), F(2, 3))]], [F(1, 2), F(1, 4)], F(1))
 
 
 def test_union_bound_two_singletons():
@@ -970,11 +984,37 @@ def test_single_linkage_stepwise_matches_oracle(boxes):
     # distances are computed once and answer every gap
     matrices = _oracle_matrices(boxes)
     gaps = sorted({d for k, row in enumerate(matrices[0]) for d in row[k + 1:]})
-    top = gaps[-1] if gaps else F(1)
+    grid = gaps or [F(1)]
     linkage = sponge.components._SingleLinkage(
-        sponge.components._columns(boxes), top)
-    for delta_sq in gaps or [top]:
-        linkage.merge_to(delta_sq)
+        sponge.components._columns(boxes), grid)
+    for k, delta_sq in enumerate(grid):
+        linkage.merge_to(k)
+        blocks, diam_sqs = _oracle_components_sq(boxes, delta_sq, matrices)
+        assert linkage.count == len(blocks)
+        assert linkage.max_diam_sq() == max(diam_sqs)
+        part = linkage.partition(delta_sq)
+        assert (part.blocks, part.diam_sqs) == (blocks, diam_sqs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(box_layouts(), st.data())
+def test_single_linkage_bucket_order_changes_nothing(boxes, data):
+    # a coarse grid, its thresholds on gaps or between them, files pairs
+    # of many gaps in one bucket; any order of each bucket gives the
+    # oracle's count, max diameter and partition at its threshold
+    matrices = _oracle_matrices(boxes)
+    gaps = sorted({d for k, row in enumerate(matrices[0]) for d in row[k + 1:]})
+    grid = sorted(set(data.draw(st.lists(st.sampled_from(
+        [g * F(3, 2) for g in gaps] + gaps or [F(1)]), min_size=1,
+        max_size=3))))
+    linkage = sponge.components._SingleLinkage(
+        sponge.components._columns(boxes), grid)
+    for k, delta_sq in enumerate(grid):
+        flat = iter(linkage.buckets[k])
+        pairs = list(zip(flat, flat, flat))
+        data.draw(st.randoms()).shuffle(pairs)
+        linkage.buckets[k] = [x for pair in pairs for x in pair]
+        linkage.merge_to(k)
         blocks, diam_sqs = _oracle_components_sq(boxes, delta_sq, matrices)
         assert linkage.count == len(blocks)
         assert linkage.max_diam_sq() == max(diam_sqs)
@@ -993,12 +1033,13 @@ def test_single_linkage_invariant_under_coordinate_permutation(boxes, data):
     gaps = sorted({_oracle_box_dist_sq(a, b) for k, a in enumerate(boxes)
                    for b in boxes[k + 1:]}) or [F(1)]
     top = data.draw(st.sampled_from(gaps))
+    grid = gaps[:gaps.index(top) + 1]
     kernels = [sponge.components._SingleLinkage(
-        sponge.components._columns(layout), top)
+        sponge.components._columns(layout), grid)
         for layout in (boxes, permuted)]
-    for delta_sq in gaps[:gaps.index(top) + 1]:
+    for k, delta_sq in enumerate(grid):
         for linkage in kernels:
-            linkage.merge_to(delta_sq)
+            linkage.merge_to(k)
         a, b = kernels
         assert (a.count, a.max_diam_sq()) == (b.count, b.max_diam_sq())
         assert a.partition(delta_sq) == b.partition(delta_sq)
@@ -1015,7 +1056,7 @@ def test_single_linkage_sweeps_the_axis_with_fewest_pairs():
     rows = [Box(b.sides[::-1]) for b in columns]
     single = [Box((Interval(F(0), F(1)), Interval(F(0), F(1))))]
     assert [sponge.components._SingleLinkage(
-        sponge.components._columns(layout), F(1, 64)).axis
+        sponge.components._columns(layout), [F(1, 64)]).axis
         for layout in (columns, rows, single)] == [1, 0, 0]
 
 

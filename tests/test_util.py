@@ -99,6 +99,27 @@ def test_sqrt_leq_quad():
         args[k] = Fraction(-1, 3)
         with pytest.raises(ValueError, match="nonnegative arguments"):
             sqrt_leq_quad(*args)
+    # sqrt(1) <= 1 + 0*sqrt(0), tight with p > 0: the first square is 0
+    assert sqrt_leq_quad(Fraction(1), Fraction(1), Fraction(0), Fraction(0))
+
+
+_NONNEGATIVE = st.fractions(min_value=0, max_value=4, max_denominator=6)
+
+
+@given(_NONNEGATIVE, _NONNEGATIVE, _NONNEGATIVE, _NONNEGATIVE, st.booleans())
+def test_sqrt_leq_quad_matches_exact_oracle(u, p, q, x, square_r):
+    # one of the two roots is rational, so the oracle squares once, with
+    # the sign of the side it squares written out
+    if square_r:
+        # sqrt(u^2) = u <= p + q sqrt(x) iff u - p <= 0, or both sides of
+        # u - p <= q sqrt(x) are positive and their squares keep the order
+        r, s = u * u, x
+        want = u - p <= 0 or (u - p) ** 2 <= q * q * x
+    else:
+        # sqrt(u) <= p + q x, whose right side is >= 0
+        r, s = u, x * x
+        want = u <= (p + q * x) ** 2
+    assert sqrt_leq_quad(r, p, q, s) is want
 
 
 def test_quad_leq():
@@ -118,6 +139,12 @@ def test_quad_leq():
     # both differences negative: 3 + 2 sqrt(2) > 1 + sqrt(2), though the
     # squares of the differences alone (4 against 2) order them the other way
     assert not quad_leq(Fraction(3), Fraction(2), Fraction(1), Fraction(1), s)
+    # differences strictly between 0 and 1 in size, on the branch that
+    # decides: 1/2 - sqrt(1/16) >= 0 and -1/4 + (1/2) sqrt(1) >= 0
+    assert quad_leq(Fraction(0), Fraction(1), Fraction(1, 2), Fraction(0),
+                    Fraction(1, 16))
+    assert quad_leq(Fraction(1, 4), Fraction(0), Fraction(0), Fraction(1, 2),
+                    Fraction(1))
 
 
 def test_capped_power():
