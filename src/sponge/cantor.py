@@ -15,7 +15,8 @@ from math import lcm
 
 from .classify import (EXACTLY_ONE, Analysis, classify,
                        extract_special_subsystem)
-from .ifs import SpongeIFS, compose_scaled, fixed_point, scale_labels
+from .components import _cylinder_levels
+from .ifs import SpongeIFS, fixed_point
 from .util import (DEFAULT_CAP, DomainError, Record, ResourceCapError,
                    capped_power, common_denominator, sqrt_leq_quad)
 
@@ -156,8 +157,7 @@ class CantorTree:
         self.sys = sys
         # word -> (lo, hi, products), all integers
         self._nodes = {(): (0, ints[-1], (1,) * c)}
-        for word in itertools.product(range(sys.m), repeat=depth):
-            self._node(word)
+        self.row(depth)
 
     def interval(self, word):
         word = tuple(word)
@@ -288,8 +288,9 @@ def bilipschitz_check(sys, constants, depth, cap=DEFAULT_CAP, tree=None,
     # the lcm of the depth-n side denominators, and every end of a tree row
     # over the leaves' row denominator D_n
     P, ab = common_denominator(sys.a + sys.b)
-    sides = [compose_scaled([scale_labels(column)] * n)
-             for column in zip(*(mp.coords for mp in sys.base.maps))]
+    # the budget above bounds the words, so the levels' check never fires
+    sides = _cylinder_levels([mp.coords for mp in sys.base.maps], n,
+                             cap * 40)[-1]
     top = lcm(*(den for den, _ in sides))
     M = top * P
     J = tree.row(n)

@@ -9,7 +9,7 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, groupby, islice
+from itertools import accumulate, groupby, islice, repeat
 from math import isqrt, lcm
 from operator import itemgetter, sub
 
@@ -27,6 +27,12 @@ class ComponentsError(DomainError):
 
 class PreconditionError(ComponentsError):
     """A stated hypothesis failed; reported distinctly from a bound failure."""
+
+
+class _PairChargeError(ResourceCapError):
+    """The sweep window past the cap, in thousands of one-word pair tests."""
+
+    message = "%s: would test at least %d thousand one-word pairs, cap is %d"
 
 
 class PointSet(Record):
@@ -157,7 +163,7 @@ class _SingleLinkage:
         total, self.axis, order, stops = min(sweeps)
         work = (total - n * (n + 1) // 2) * (limit.bit_length() // 64 + 1)
         if work > cap * 1000:
-            raise ResourceCapError("components", -(-work // 1000), cap)
+            raise _PairChargeError("components", -(-work // 1000), cap)
         self.buckets = buckets = [[] for _ in limits]
         for pos, i in enumerate(order):
             a = ext[i]
@@ -481,29 +487,28 @@ def delta0_sequence_exists_sq(points, delta0_sq):
     return True, tuple(reversed(path))
 
 
-def _check_words(size, depth, cap):
-    """Raise ResourceCapError when the depth-n words over `size` maps,
-    counting at least n for a depth-n word, are more than cap."""
+def _cylinder_levels(rows, depth, cap):
+    """Levels 0..depth of the cylinder sides of the maps given as rows
+    (tuples of AffineMap1D), checked against cap first: level k holds,
+    per coordinate, (den, ends) of every depth-k box, lexicographic in
+    the word.  Level k + 1 is one outer compose_scaled step of each
+    column, scaled once, on level k."""
     # a depth-n word takes n compositions, even when there is one map
-    count = max(capped_power(size, depth, cap), min(depth, cap + 1))
+    count = max(capped_power(len(rows), depth, cap), min(depth, cap + 1))
     if count > cap:
         raise ResourceCapError("components", count, cap)
-
-
-def _cylinder_columns(rows, depth, cap):
-    """Per coordinate j, the IntervalSet of side j of every depth-n
-    cylinder box of the maps given as rows (tuples of AffineMap1D),
-    lexicographic in the word: column j, scaled once, composed along the
-    word."""
-    _check_words(len(rows), depth, cap)
-    return [IntervalSet(*compose_scaled([scale_labels(column)] * depth))
-            for column in zip(*rows)]
+    return list(accumulate(
+        repeat([scale_labels(column) for column in zip(*rows)], depth),
+        lambda level, columns: [compose_scaled((c,), s)
+                                for c, s in zip(columns, level)],
+        initial=[compose_scaled(())] * len(rows[0])))
 
 
 def enumerate_cylinders(ifs, depth, cap=DEFAULT_CAP):
     """All depth-n cylinder boxes, in lexicographic word order."""
-    rows = [m.coords for m in ifs.maps]
-    return [Box(sides) for sides in zip(*_cylinder_columns(rows, depth, cap))]
+    columns = [IntervalSet(*side) for side in _cylinder_levels(
+        [m.coords for m in ifs.maps], depth, cap)[-1]]
+    return [Box(sides) for sides in zip(*columns)]
 
 
 def _walk(columns, grid, cap=DEFAULT_CAP):
@@ -526,7 +531,8 @@ def component_diameter_profile(ifs, depth, deltas, cap=DEFAULT_CAP):
         raise ComponentsError("components: depth must be >= 1")
     if not validate_lg(ifs).lg_type:
         raise ComponentsError("components: input is not of Lalley-Gatzouras type")
-    columns = _cylinder_columns([m.coords for m in ifs.maps], depth, cap)
+    columns = [IntervalSet(*side) for side in _cylinder_levels(
+        [m.coords for m in ifs.maps], depth, cap)[-1]]
     grid = [_positive("delta", delta) for delta in deltas]
     rows = {}
     for delta, linkage in _walk(columns, grid, cap):
@@ -697,13 +703,10 @@ def check_product_decomposition(ifs, k, cap=DEFAULT_CAP):
 
 def product_decompositions(ifs, depths, cap=DEFAULT_CAP):
     """check_product_decomposition at each of `depths`, as a dict, from
-    one composition.
-
-    The projected maps are the owners of last_coordinate_fibers.  Each
-    column of the maps and of the projected maps is scaled once, and
-    each fiber brings its own FiberIFS.scaled.  Depth k + 1 is one more
-    outer level of compose_scaled on the depth-k ends, the new letter
-    outermost, so both sides stay in lexicographic word order.  At one
+    one composition: both sides' cylinder boxes are _cylinder_levels of
+    the maps and of the projected maps, the owners of
+    last_coordinate_fibers, and each fiber's FiberIFS.scaled adds one
+    outer level per depth to its projected words' pre-Moran sets.  At one
     common denominator per coordinate, each box is a tuple of integer
     (lo, hi) pairs and the sets compare as sets of tuples.
     """
@@ -714,24 +717,19 @@ def product_decompositions(ifs, depths, cap=DEFAULT_CAP):
     top = max(depths, default=0)
     if min(depths, default=0) < 0:
         raise ComponentsError("components: depth must be >= 0")
-    # the projected maps are no more than the maps
-    _check_words(ifs.size, top, cap)
+    # the cap check comes before the tree; the projected maps are fewer
+    lhs = _cylinder_levels([m.coords for m in ifs.maps], top, cap)
     fibers = last_coordinate_fibers(analysis.tree)
-    columns = [scale_labels(c) for c in zip(*(m.coords for m in ifs.maps))]
-    projected = [scale_labels(c)
-                 for c in zip(*(f.owner.projected_map for f in fibers))]
-    unit = compose_scaled(())
-    lhs, base, last = [unit] * len(columns), [unit] * len(projected), [unit]
+    base = _cylinder_levels([f.owner.projected_map for f in fibers], top, cap)
+    last = [compose_scaled(())]
     results = {}
-    for k in range(top + 1):
+    for k, (sides, projected) in enumerate(zip(lhs, base)):
         if k:
-            lhs = [compose_scaled((c,), s) for c, s in zip(columns, lhs)]
-            base = [compose_scaled((c,), s) for c, s in zip(projected, base)]
             # one fiber pre-Moran set per projected word, in its order
             last = [compose_scaled((f.scaled,), s)
                     for f in fibers for s in last]
         if k in depths:
-            results[k] = _same_boxes(lhs, base, last)
+            results[k] = _same_boxes(sides, projected, last)
     return results
 
 

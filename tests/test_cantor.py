@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import sponge.cantor
+import sponge.components
 from sponge import (CantorError, analyze_special_system, bilipschitz_check,
                     build_cantor_tree, cylinder_length, gap_length,
                     lipschitz_constants, parse_ifs, to_binary_tree)
@@ -231,11 +232,11 @@ def test_bilipschitz_lg4_depth7(sys4):
 
 def test_bilipschitz_composes_each_coordinate_once(sys4, monkeypatch):
     # the node boxes come from the leaves, so only the depth-n sides are
-    # composed: one compose_scaled call of n levels per coordinate, each
-    # from one scaling of its column
+    # composed: after the unit level, n one-level compose_scaled steps per
+    # coordinate, each coordinate from one scaling of its column
     calls, scaled = [], []
-    compose_scaled = sponge.cantor.compose_scaled
-    scale_labels = sponge.cantor.scale_labels
+    compose_scaled = sponge.components.compose_scaled
+    scale_labels = sponge.components.scale_labels
 
     def composing(levels, start=None):
         calls.append(len(levels))
@@ -245,11 +246,11 @@ def test_bilipschitz_composes_each_coordinate_once(sys4, monkeypatch):
         scaled.append(labels)
         return scale_labels(labels)
 
-    monkeypatch.setattr(sponge.cantor, "compose_scaled", composing)
-    monkeypatch.setattr(sponge.cantor, "scale_labels", scaling)
+    monkeypatch.setattr(sponge.components, "compose_scaled", composing)
+    monkeypatch.setattr(sponge.components, "scale_labels", scaling)
     sys_, consts = sys4
     rep = bilipschitz_check(sys_, consts, 3)
-    assert calls == [3] * sys_.dim
+    assert calls == [0] + [1] * (3 * sys_.dim)
     assert len(scaled) == sys_.dim
     assert rep.min_ratio_sq == F(1263376, 346385)
 
@@ -614,6 +615,22 @@ def test_tree_cap_on_huge_depth(sys4):
     sys_, consts = sys4
     with pytest.raises(ResourceCapError):
         build_cantor_tree(sys_, consts, 10 ** 8)
+
+
+def test_lipschitz_budget_is_the_only_cap_check(sys4):
+    # depth 2 holds 1 + 4 + 16 = 21 words, 441 pairs, against cap * 40;
+    # the cylinder levels are checked against that budget too, so they
+    # never end a run that the budget lets through
+    sys_, consts = sys4
+    with pytest.raises(ResourceCapError) as err:
+        bilipschitz_check(sys_, consts, 2, cap=11)
+    assert str(err.value) == ("cantor: would enumerate at least 441 "
+                              "objects, cap is 440")
+    rep = bilipschitz_check(sys_, consts, 2, cap=12)
+    assert rep.pairs + rep.skipped == 441
+    # 25 pairs within 40, with the 4 depth-1 words past cap 1
+    rep = bilipschitz_check(sys_, consts, 1, cap=1)
+    assert rep.pairs + rep.skipped == 25
 
 
 def test_lipschitz_cap_on_huge_depth(sys4):

@@ -204,8 +204,8 @@ def test_sweep_window_charge_boundary(capsys, wide_denominators, cap, code):
                  "1/8", "--cap", cap, "--precision", "1"]) == code
     captured = capsys.readouterr()
     if code:
-        assert captured.err == ("sponge: components: would enumerate at "
-                                "least 453 objects, cap is 452\n")
+        assert captured.err == ("sponge: components: would test at least "
+                                "453 thousand one-word pairs, cap is 452\n")
     else:
         assert captured.err == ""
         # the two depth-1 columns are 1/3 apart
@@ -362,10 +362,11 @@ def test_report_scales_each_label_set_once(capsys, monkeypatch):
     # one `sponge all` scales each fiber once (the tree), each column of
     # the maps and of the projected maps once for both depths of the
     # product decomposition, and each column of the special system once
-    # (the envelope), and computes the Lipschitz constants once
+    # (the envelope, through the same cylinder levels), and computes the
+    # Lipschitz constants once
     scaled = Counter()
     original = sponge.ifs.scale_labels
-    for module in (sponge.tree, sponge.components, sponge.cantor):
+    for module in (sponge.tree, sponge.components):
         def counting(labels, name=module.__name__):
             scaled[name] += 1
             return original(labels)
@@ -382,7 +383,7 @@ def test_report_scales_each_label_set_once(capsys, monkeypatch):
     assert main(["all", LG4]) == 0
     capsys.readouterr()
     assert scaled == {"sponge.tree": 5,  # lg4's non-leaf vertices
-                      "sponge.components": 2 + 1, "sponge.cantor": 2}
+                      "sponge.components": 2 + 1 + 2}
     assert len(constants) == 1
 
 

@@ -12,7 +12,7 @@ import sponge.tree
 from sponge import (AffineMap1D, Analysis, Box, ComponentsError, FiberIFS,
                     IFSError, Interval, IntervalSet, PointSet,
                     PreconditionError, ResourceCapError, SimpleIFSFamily,
-                    SpongeIFS, approx_square, build_labeled_tree,
+                    SpongeIFS, TreeError, approx_square, build_labeled_tree,
                     check_premoran_bound, check_product_decomposition,
                     check_union_bound, component_diameter_profile,
                     cylinder_box, delta0_sequence_exists,
@@ -24,7 +24,7 @@ from sponge.components import Runs, product_decompositions
 from sponge.ifs import compose_scaled, scale_labels
 from sponge.util import DEFAULT_CAP, DomainError
 
-from conftest import (class_and_rank, compose, major_projection,
+from conftest import (FIXTURES, class_and_rank, compose, major_projection,
                       random_column_system, random_lg_system, random_point_set,
                       random_simple_labels, reflect)
 
@@ -698,27 +698,33 @@ def test_iteration_keeps_the_verdict_and_the_profile_rows(dim, seed,
 
 def _per_depth_product_decomposition(ifs, k):
     """check_product_decomposition as one depth composed from scratch:
-    both sides' columns through _cylinder_columns, one compose_scaled
-    of k levels per projected word for the fiber pre-Moran sets.  The
-    oracle of the composition that product_decompositions shares across
-    depths."""
+    each column of both sides' maps scaled and composed k levels at once,
+    one compose_scaled of k levels per projected word for the fiber
+    pre-Moran sets.  The oracle of the levels that product_decompositions
+    shares across depths."""
     analysis = Analysis.of(ifs)
     ifs = analysis.ifs
     if ifs.dim < 2:
         raise ComponentsError("components: product decomposition needs d >= 2")
-    columns = sponge.components._cylinder_columns
     scaled = sponge.components._scaled
-    lhs = columns([m.coords for m in ifs.maps], k, DEFAULT_CAP)
+
+    def columns(rows):
+        return [compose_scaled([scale_labels(column)] * k)
+                for column in zip(*rows)]
+
+    lhs = columns(m.coords for m in ifs.maps)
     fibers = sponge.components.last_coordinate_fibers(analysis.tree)
-    base = columns([f.owner.projected_map for f in fibers], k, DEFAULT_CAP)
+    base = columns(f.owner.projected_map for f in fibers)
     last = [compose_scaled([fibers[j].scaled for j in reversed(word)])
             for word in itertools.product(range(len(fibers)), repeat=k)]
-    scales = [lcm(a.den, b.den) for a, b in zip(lhs, base)]
-    scales.append(lcm(lhs[-1].den, *(den for den, _ in last)))
-    left = set(zip(*(scaled(c.ends, c.den, s) for c, s in zip(lhs, scales))))
+    scales = [lcm(a, b) for (a, _), (b, _) in zip(lhs, base)]
+    scales.append(lcm(lhs[-1][0], *(den for den, _ in last)))
+    left = set(zip(*(scaled(ends, den, s)
+                     for (den, ends), s in zip(lhs, scales))))
     right = set()
     for sides, (den, ends) in zip(
-            zip(*(scaled(c.ends, c.den, s) for c, s in zip(base, scales))),
+            zip(*(scaled(ends, den, s)
+                  for (den, ends), s in zip(base, scales))),
             last):
         right.update(sides + (iv,) for iv in scaled(ends, den, scales[-1]))
     return left == right
@@ -791,6 +797,62 @@ def test_enumerate_cylinders_matches_cylinder_box(seed, depth):
     words = itertools.product(range(1, ifs.size + 1), repeat=depth)
     assert enumerate_cylinders(ifs, depth) == \
         [cylinder_box(ifs, w) for w in words]
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 10 ** 6), st.integers(1, 3), st.integers(0, 3),
+       st.integers(1, 4))
+@example(0, 1, 0, 1)
+@example(0, 3, 3, 1)
+def test_cylinder_levels_match_cylinder_box(seed, dim, depth, keep):
+    # every level k <= n of the shared composition is cylinder_box, word by
+    # word in lexicographic order; the first `keep` maps of an LG system
+    # are an LG system, with one map when keep is 1
+    ifs = random_lg_system(random.Random(seed), dim=dim)
+    ifs = SpongeIFS(dim, ifs.maps[:keep])
+    levels = sponge.components._cylinder_levels(
+        [m.coords for m in ifs.maps], depth, DEFAULT_CAP)
+    assert len(levels) == depth + 1
+    for k, level in enumerate(levels):
+        sides = [[Interval(F(lo, den), F(hi, den)) for lo, hi in ends]
+                 for den, ends in level]
+        words = itertools.product(range(1, ifs.size + 1), repeat=k)
+        assert list(zip(*sides)) == [cylinder_box(ifs, w).sides
+                                     for w in words]
+
+
+def test_cylinder_levels_count_boundary(lg5):
+    # the depth-n words are checked before any level is composed: a count
+    # equal to cap passes, one past it raises, and a one-map system's
+    # depth-n word counts n
+    levels = sponge.components._cylinder_levels
+    rows = [m.coords for m in lg5.maps]
+    assert len(levels(rows, 3, 5 ** 3)) == 4
+    with pytest.raises(ResourceCapError) as err:
+        levels(rows, 3, 5 ** 3 - 1)
+    assert err.value.requested == 5 ** 3
+    assert len(levels(rows[:1], 7, 7)) == 8
+    with pytest.raises(ResourceCapError) as err:
+        levels(rows[:1], 7, 6)
+    assert err.value.requested == 7
+
+
+def test_product_decomposition_checks_the_cap_before_the_tree():
+    # the tree of a system that is not LG raises TreeError; at depth 100
+    # its 2^100 words are past the cap, which is checked first
+    ifs = parse_ifs("dim 2\nmap 1/6 0 ; 1/3 0\nmap 1/6 1/2 ; 1/3 1/2\n")
+    with pytest.raises(TreeError):
+        check_product_decomposition(ifs, 1)
+    with pytest.raises(ResourceCapError):
+        check_product_decomposition(ifs, 100)
+
+
+@pytest.mark.parametrize("fixture", sorted(
+    path.stem for path in FIXTURES.glob("*.ifs")))
+def test_product_decompositions_match_per_depth_on_fixtures(fixture):
+    ifs = parse_ifs((FIXTURES / (fixture + ".ifs")).read_text())
+    assert product_decompositions(ifs, (0, 1, 2, 3)) == {
+        k: _per_depth_product_decomposition(ifs, k) for k in (0, 1, 2, 3)}
 
 
 def test_uniform_directions_on_random_points():
